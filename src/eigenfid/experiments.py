@@ -14,7 +14,9 @@ row order is always the grid order, never completion order.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import json
 import logging
 import math
 import os
@@ -47,9 +49,6 @@ SPLIT_CONVENTIONS = ("physical", "per_pulse")
 BOUND_SANDWICH_TOL = 1e-10
 VERSION_STRING = f"eigenfid-{__version__}"
 
-# energy bookkeeping constants (reduced units)
-HBAR = 1.0
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -67,7 +66,6 @@ class SweepConfig:
     jobs: int = 1
     split_convention: str = "physical"
     binomial_mode: str = "moment_matched"
-    carrier: float = 1.0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -167,7 +165,7 @@ def _scaling_row(config: SweepConfig, index: int, params: tuple) -> tuple:
     nbar, fano, tau = params
     t0 = time.perf_counter()
     drive = _make_drive(config, nbar, fano)
-    ch = build_channel_exact(drive, JCConfig(tau=tau, carrier=config.carrier))
+    ch = build_channel_exact(drive, JCConfig(tau=tau))
     lo, hi = channel_eigenerror_bounds(ch)
     mc = _mc_cells(config, index, ch)
     ms = (time.perf_counter() - t0) * 1e3
@@ -179,7 +177,7 @@ def _concat_row(config: SweepConfig, index: int, params: tuple) -> tuple:
     nbar, fano, count, tau = params
     t0 = time.perf_counter()
     drive = _make_drive(config, nbar, fano)
-    single = build_channel_exact(drive, JCConfig(tau=tau, carrier=config.carrier))
+    single = build_channel_exact(drive, JCConfig(tau=tau))
     ch = concatenate(single, count)
     lo, hi = channel_eigenerror_bounds(ch)
     mc = _mc_cells(config, index, ch)
@@ -205,15 +203,14 @@ def _split_row(config: SweepConfig, index: int, params: tuple) -> tuple:
         # per_pulse: the printed tau/C applied at the sub-gate's nbar/C
         sub_tau = tau_total / count
     drive = poisson_drive(sub_nbar)
-    single = build_channel_exact(drive, JCConfig(tau=sub_tau, carrier=config.carrier))
+    single = build_channel_exact(drive, JCConfig(tau=sub_tau))
     ch = concatenate(single, count)
     lo, hi = channel_eigenerror_bounds(ch)
     asym = asymptotic_eigenerror_lower_bound("poisson", sub_nbar, sub_nbar, sub_tau)
-    energy = count * sub_nbar * HBAR * config.carrier
     mc = _mc_cells(config, index, ch)
     ms = (time.perf_counter() - t0) * 1e3
     return ("poisson", nbar_total, count, config.split_convention, sub_nbar,
-            sub_tau, energy, lo, lo, hi, asym, ms) + mc
+            sub_tau, count * sub_nbar, lo, lo, hi, asym, ms) + mc
 
 
 _ROW_BUILDERS = {"scaling": _scaling_row, "concat": _concat_row, "split": _split_row}
@@ -278,7 +275,9 @@ def run_split(config: SweepConfig) -> SweepResult:
     The sub-gate reduced time follows config.split_convention: 'physical'
     re-reduces the C-th of the physical duration by the sub-gate's own mean
     photon number (tau C^{-3/2}); 'per_pulse' uses tau/C directly. The
-    energy_total column stays constant across C by construction.
+    energy_total column is the total mean photon number C * sub_nbar, the
+    drive energy in units of one carrier photon; it equals nbar_total, up to
+    rounding, for every C.
     """
     if config.mode != "split":
         raise UnsupportedParameters(f"run_split needs mode 'split', got {config.mode!r}")
@@ -311,25 +310,36 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(result: SweepResult, path: str) -> None:
-    """Write rows as UTF-8 CSV with 12-significant-digit scientific floats.
+def _atomic_write(path: str, text: str) -> None:
+    """Write text to path so that the file appears whole or not at all.
 
-    The file appears atomically: content goes to a temporary file in the
-    destination directory first and is renamed into place.
+    The text goes to a temporary file in the destination directory, which is
+    renamed into place; the temporary file is removed if anything fails.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eigenfid-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(result.columns)
-            for row in result.rows:
-                writer.writerow([_format_cell(v) for v in row])
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_csv(result: SweepResult, path: str) -> None:
+    """Write rows as UTF-8 CSV with 12-significant-digit scientific floats, atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(result.columns)
+    for row in result.rows:
+        writer.writerow([_format_cell(v) for v in row])
+    _atomic_write(path, buf.getvalue())
 
 
 def sidecar_dict(result: SweepResult) -> dict:
@@ -344,16 +354,4 @@ def sidecar_dict(result: SweepResult) -> dict:
 
 def write_sidecar(result: SweepResult, path: str) -> None:
     """JSON sidecar with the full config and version string, written atomically."""
-    import json
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eigenfid-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(sidecar_dict(result), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, _json_text(sidecar_dict(result)))

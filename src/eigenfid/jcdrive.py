@@ -95,15 +95,15 @@ class DriveDistribution:
 
 @dataclass(frozen=True)
 class JCConfig:
-    """Reduced interaction time plus the physical rates behind it.
+    """Reduced interaction time plus the exchange rate behind it.
 
-    coupling is the exchange rate g, carrier the mode frequency used only for
-    energy bookkeeping. tau = g sqrt(nbar) t is the primary time variable.
+    coupling is the exchange rate g; tau = g sqrt(nbar) t is the primary
+    time variable. Energies are counted in carrier photons, so no mode
+    frequency is needed.
     """
 
     tau: float
     coupling: float = 1.0
-    carrier: float = 1.0
 
     def __post_init__(self):
         if self.coupling <= 0:

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 
 import numpy as np
 
 from .channel import QubitChannel
 from .densmat import DensityMatrix
 from .errors import SchemaError
-from .experiments import SweepConfig
+from .experiments import SweepConfig, _atomic_write, _json_text
 from .jcdrive import (
     DriveDistribution,
     binomial_drive,
@@ -95,20 +93,6 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON in {path}: {exc}") from exc
-
-
-def _atomic_dump(payload: dict, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eigenfid-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +330,9 @@ def load_object(path: str):
 def dump_object(obj, path: str) -> None:
     """Write a state or channel document atomically."""
     if isinstance(obj, DensityMatrix):
-        _atomic_dump(state_to_dict(obj), path)
+        payload = state_to_dict(obj)
     elif isinstance(obj, QubitChannel):
-        _atomic_dump(channel_to_dict(obj), path)
+        payload = channel_to_dict(obj)
     else:
         raise SchemaError("/", f"cannot serialize {type(obj).__name__}")
+    _atomic_write(path, _json_text(payload))

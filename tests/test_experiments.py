@@ -12,6 +12,7 @@ import pytest
 
 from eigenfid import (
     JCConfig,
+    QubitChannel,
     SweepConfig,
     SweepResult,
     asymptotic_eigenerror_lower_bound,
@@ -26,6 +27,7 @@ from eigenfid import (
     write_sidecar,
 )
 from eigenfid.experiments import VERSION_STRING, run, sidecar_dict
+from eigenfid.serialize import dump_object
 from eigenfid.errors import BudgetTooSmall, UnsupportedParameters
 
 PI = math.pi
@@ -317,6 +319,15 @@ class TestOutput:
         res = run_scaling(_scaling_config())
         write_csv(res, str(tmp_path / "sweep.csv"))
         write_sidecar(res, str(tmp_path / "sweep.csv.json"))
+        dump_object(QubitChannel.identity(), str(tmp_path / "channel.json"))
+        assert glob.glob(str(tmp_path / ".eigenfid-*")) == []
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        res = run_scaling(_scaling_config())
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_csv(res, str(target))
         assert glob.glob(str(tmp_path / ".eigenfid-*")) == []
 
     def test_overwrite_is_atomic_and_clean(self, tmp_path):

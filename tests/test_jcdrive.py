@@ -21,13 +21,16 @@ from eigenfid import (
     build_channel_exact,
     build_channel_taylor2,
     channel_eigenerror_bounds,
+    concatenate,
     eigenerror,
     custom_drive,
     evolve_bipartite,
     f_matrices,
     fock_drive,
     poisson_drive,
+    random_density_matrix,
 )
+from eigenfid.channel import CP_TOL
 from eigenfid.errors import (
     ApproximationDomain,
     DimensionMismatch,
@@ -423,6 +426,44 @@ class TestBuildChannelTaylor2:
     def test_rejects_unknown_kind(self):
         with pytest.raises(UnsupportedParameters):
             build_channel_taylor2(10.0, 1.0, "thermal", JCConfig(tau=1.0))
+
+
+# ---------------------------------------------------------------------------
+# concatenated gates
+
+def _dense_gate(drive: DriveDistribution, tau: float, rho: np.ndarray) -> np.ndarray:
+    """One gate with a fresh drive, by dense evolution of rho's eigenvectors."""
+    weights, vectors = np.linalg.eigh(rho)
+    out = np.zeros((2, 2), dtype=complex)
+    for p, vec in zip(weights, vectors.T):
+        amps, _ = oracles.dense_evolve(drive.coefficients, drive.n_min, vec, tau, drive.mean)
+        out += p * oracles.partial_trace_qubit(amps.reshape(-1, 2))
+    return out
+
+
+class TestConcatenatedGates:
+    @pytest.mark.parametrize("count", [2, 5])
+    @pytest.mark.parametrize("make_drive", [lambda: poisson_drive(6.0),
+                                            lambda: binomial_drive(16.0, 4.0)],
+                             ids=["poisson", "binomial"])
+    def test_matches_repeated_dense_evolution(self, rng, make_drive, count):
+        drive, tau = make_drive(), 1.1
+        rho = random_density_matrix(rng, 2)
+        expected = rho.matrix
+        for _ in range(count):
+            expected = _dense_gate(drive, tau, expected)
+        chan = concatenate(build_channel_exact(drive, JCConfig(tau=tau)), count)
+        np.testing.assert_allclose(apply(chan, rho).matrix, expected, atol=1e-10)
+
+    def test_long_concatenation_keeps_the_default_cp_tolerance(self):
+        chan = build_channel_exact(poisson_drive(25.0), JCConfig(tau=math.pi / 2))
+        assert concatenate(chan, 60).cp_slack <= 2 * CP_TOL
+
+    def test_series_channel_carries_its_residual_forward(self):
+        # the 4-fold residual exceeds the single channel's own slack, so
+        # only a tolerance built from measured residuals accepts it
+        chan = build_channel_taylor2(4.0, 2.0, "binomial", JCConfig(tau=0.3))
+        concatenate(chan, 4)
 
 
 # ---------------------------------------------------------------------------
