@@ -186,9 +186,15 @@ def compose(outer: QubitChannel, inner: QubitChannel) -> QubitChannel:
 
 
 def concatenate(channel: QubitChannel, count: int) -> QubitChannel:
-    """count successive applications of the same channel: one matrix power."""
+    """count successive applications of the same channel: one matrix power.
+
+    A single application is the channel itself, which is frozen and already
+    validated.
+    """
     if count < 1:
         raise DimensionMismatch("count must be at least 1")
+    if count == 1:
+        return channel
     slack = CP_TOL + count * cp_residual(channel)
     return QubitChannel._from_transfer(np.linalg.matrix_power(channel._transfer, count),
                                        cp_slack=slack)
@@ -263,6 +269,8 @@ def _output_entries(channel: QubitChannel, amps: np.ndarray):
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    if len(vals) < 2:
+        raise DimensionMismatch("need at least 2 samples for a standard error")
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 

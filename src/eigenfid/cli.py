@@ -39,11 +39,17 @@ from .densmat import (
     schatten_norm,
 )
 from .errors import EigenfidError, SchemaError
-from .experiments import run, write_csv, write_sidecar
+from .experiments import MODES, run, write_csv, write_sidecar
 from .haar import random_density_matrix
 from .qsl import qsl_eigenerror_bound
 
 logger = logging.getLogger("eigenfid.cli")
+
+_SWEEP_HELP = {
+    "scaling": "eigenerror scaling sweep over photon numbers and times",
+    "concat": "repeated gate applications with fresh drives",
+    "split": "fixed photon budget split across shorter sub-gates",
+}
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -75,12 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"eigenfid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, blurb in (
-        ("scaling", "eigenerror scaling sweep over photon numbers and times"),
-        ("concat", "repeated gate applications with fresh drives"),
-        ("split", "fixed photon budget split across shorter sub-gates"),
-    ):
-        sp = sub.add_parser(name, help=blurb)
+    for name in MODES:
+        sp = sub.add_parser(name, help=_SWEEP_HELP[name])
         sp.add_argument("--config", required=True, metavar="PATH",
                         help="JSON sweep configuration")
         sp.add_argument("--seed", type=int, metavar="U64",
@@ -115,17 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_sweep(args: argparse.Namespace) -> int:
     try:
         config = serialize.load_sweep_config(args.config, expected_mode=args.command)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
-        if args.mc_samples is not None:
-            overrides["mc_samples"] = args.mc_samples
-        if args.output is not None:
-            overrides["output"] = args.output
-        if overrides:
-            config = replace(config, **overrides)
+        flags = {name: getattr(args, name) for name in ("seed", "jobs", "mc_samples", "output")}
+        config = replace(config, **{k: v for k, v in flags.items() if v is not None})
         if not config.output:
             raise SchemaError("/output", "no output path: set it in the config or pass -o")
     except (EigenfidError, OSError, ValueError) as exc:
@@ -258,9 +251,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {
-        "scaling": _run_sweep,
-        "concat": _run_sweep,
-        "split": _run_sweep,
+        **dict.fromkeys(MODES, _run_sweep),
         "bounds-check": _bounds_check,
         "qsl": _qsl,
         "inspect": _inspect,

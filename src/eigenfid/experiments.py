@@ -1,9 +1,13 @@
 """Sweep runners for eigenerror scaling, gate concatenation, and budget splits.
 
-Each runner walks a parameter grid, builds the exact drive-induced channel at
-every point, and records the deterministic eigenerror bracket derived from
-the Haar-averaged output purity: lower edge S_bar/2, upper edge S_bar, with
-the closed-form asymptotic law alongside. The reported eigenerror column is
+The three modes are one computation on different grids. Every row builds a
+drive, the exact drive-induced channel, its C-fold concatenation and the
+deterministic eigenerror bracket derived from the Haar-averaged output
+purity: lower edge S_bar/2, upper edge S_bar, with the closed-form
+asymptotic law alongside. Scaling is a single gate (C = 1), concat repeats
+a gate C times with fresh drives, and split runs C gates at nbar/C each. A
+mode only chooses its grid axes, its leading columns, and how a grid point
+becomes the drive, tau and C of its row. The reported eigenerror column is
 the deterministic lower edge; Monte Carlo estimates of the true channel
 eigenerror are opt-in via mc_samples and carried in extra columns.
 
@@ -24,14 +28,10 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 from ._version import __version__
-from .channel import (
-    QubitChannel,
-    channel_eigenerror_bounds,
-    concatenate,
-    mc_channel_eigenfidelity,
-)
+from .channel import channel_eigenerror_bounds, concatenate, mc_channel_eigenfidelity
 from .errors import BudgetTooSmall, UnsupportedParameters
 from .haar import SeededSampler
 from .jcdrive import (
@@ -44,7 +44,6 @@ from .jcdrive import (
 
 logger = logging.getLogger("eigenfid.experiments")
 
-MODES = ("scaling", "concat", "split")
 SPLIT_CONVENTIONS = ("physical", "per_pulse")
 BOUND_SANDWICH_TOL = 1e-10
 VERSION_STRING = f"eigenfid-{__version__}"
@@ -68,7 +67,7 @@ class SweepConfig:
     binomial_mode: str = "moment_matched"
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in _MODES:
             raise UnsupportedParameters(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.drive_kind not in ("poisson", "binomial"):
             raise UnsupportedParameters(
@@ -83,21 +82,22 @@ class SweepConfig:
             raise UnsupportedParameters(f"unknown binomial mode {self.binomial_mode!r}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise UnsupportedParameters("seed must fit in an unsigned 64-bit integer")
-        if self.mc_samples < 0:
-            raise UnsupportedParameters("mc_samples must be nonnegative")
+        if self.mc_samples < 0 or self.mc_samples == 1:
+            raise UnsupportedParameters(
+                "mc_samples must be 0 (off) or at least 2 for a standard error"
+            )
         if self.jobs < 1:
             raise UnsupportedParameters("jobs must be at least 1")
         object.__setattr__(self, "nbar_grid", tuple(float(v) for v in self.nbar_grid))
         object.__setattr__(self, "fano_grid", tuple(float(v) for v in self.fano_grid))
         object.__setattr__(self, "tau_grid", tuple(float(v) for v in self.tau_grid))
-        object.__setattr__(self, "concat_grid", tuple(int(v) for v in self.concat_grid))
-        need = ["nbar_grid", "tau_grid"]
-        if self.mode in ("concat", "split"):
-            need.append("concat_grid")
-        if self.drive_kind == "binomial":
-            need.append("fano_grid")
-        for name in need:
-            if not getattr(self, name):
+        given = tuple(self.concat_grid)
+        counts = tuple(int(v) for v in given)
+        if counts != given:
+            raise UnsupportedParameters(f"concatenation counts must be integers, got {given}")
+        object.__setattr__(self, "concat_grid", counts)
+        for name in _MODES[self.mode].axes:
+            if not _axis(self, name):
                 raise UnsupportedParameters(f"{name} must be non-empty for mode {self.mode!r}")
         if any(c < 1 for c in self.concat_grid):
             raise UnsupportedParameters("concatenation counts must be positive")
@@ -137,20 +137,12 @@ class SweepResult:
 
 # ---------------------------------------------------------------------------
 # row evaluation (module-level so process pools can pickle the work)
+#
+# A mode's head turns one grid point into the row's leading cells and the
+# gate it describes: (cells, drive, tau, C, asymptote). Every row then runs
+# the same tail: exact channel, C-fold concatenation, purity bracket.
 
-def _row_sampler(config: SweepConfig, index: int) -> SeededSampler:
-    return SeededSampler(config.seed, 2).child(index)
-
-
-def _mc_cells(config: SweepConfig, index: int, channel: QubitChannel) -> tuple:
-    if config.mc_samples <= 0:
-        return ()
-    mean, err = mc_channel_eigenfidelity(channel, _row_sampler(config, index),
-                                         config.mc_samples)
-    return (1.0 - mean, err)
-
-
-def _make_drive(config: SweepConfig, nbar: float, fano):
+def _drive(config: SweepConfig, nbar: float, fano):
     if config.drive_kind == "poisson":
         return poisson_drive(nbar)
     return binomial_drive(nbar, fano * nbar, mode=config.binomial_mode)
@@ -161,34 +153,19 @@ def _asymptote(config: SweepConfig, nbar: float, fano, tau: float) -> float:
     return asymptotic_eigenerror_lower_bound(config.drive_kind, nbar, variance, tau)
 
 
-def _scaling_row(config: SweepConfig, index: int, params: tuple) -> tuple:
-    nbar, fano, tau = params
-    t0 = time.perf_counter()
-    drive = _make_drive(config, nbar, fano)
-    ch = build_channel_exact(drive, JCConfig(tau=tau))
-    lo, hi = channel_eigenerror_bounds(ch)
-    mc = _mc_cells(config, index, ch)
-    ms = (time.perf_counter() - t0) * 1e3
-    return (config.drive_kind, nbar, drive.variance / drive.mean, tau,
-            lo, lo, hi, _asymptote(config, nbar, fano, tau), ms) + mc
+def _scaling_head(config: SweepConfig, nbar: float, fano, tau: float) -> tuple:
+    drive = _drive(config, nbar, fano)
+    cells = (config.drive_kind, nbar, drive.variance / drive.mean, tau)
+    return cells, drive, tau, 1, _asymptote(config, nbar, fano, tau)
 
 
-def _concat_row(config: SweepConfig, index: int, params: tuple) -> tuple:
-    nbar, fano, count, tau = params
-    t0 = time.perf_counter()
-    drive = _make_drive(config, nbar, fano)
-    single = build_channel_exact(drive, JCConfig(tau=tau))
-    ch = concatenate(single, count)
-    lo, hi = channel_eigenerror_bounds(ch)
-    mc = _mc_cells(config, index, ch)
-    ms = (time.perf_counter() - t0) * 1e3
-    return (config.drive_kind, nbar, drive.variance / drive.mean, count, tau,
-            count * tau, lo, lo, hi, _asymptote(config, nbar, fano, tau), ms) + mc
+def _concat_head(config: SweepConfig, nbar: float, fano, count: int, tau: float) -> tuple:
+    drive = _drive(config, nbar, fano)
+    cells = (config.drive_kind, nbar, drive.variance / drive.mean, count, tau, count * tau)
+    return cells, drive, tau, count, _asymptote(config, nbar, fano, tau)
 
 
-def _split_row(config: SweepConfig, index: int, params: tuple) -> tuple:
-    nbar_total, tau_total, count = params
-    t0 = time.perf_counter()
+def _split_head(config: SweepConfig, nbar_total: float, tau_total: float, count: int) -> tuple:
     sub_nbar = nbar_total / count
     if sub_nbar < 1:
         raise BudgetTooSmall(
@@ -202,27 +179,61 @@ def _split_row(config: SweepConfig, index: int, params: tuple) -> tuple:
     else:
         # per_pulse: the printed tau/C applied at the sub-gate's nbar/C
         sub_tau = tau_total / count
-    drive = poisson_drive(sub_nbar)
-    single = build_channel_exact(drive, JCConfig(tau=sub_tau))
-    ch = concatenate(single, count)
-    lo, hi = channel_eigenerror_bounds(ch)
-    asym = asymptotic_eigenerror_lower_bound("poisson", sub_nbar, sub_nbar, sub_tau)
-    mc = _mc_cells(config, index, ch)
-    ms = (time.perf_counter() - t0) * 1e3
-    return ("poisson", nbar_total, count, config.split_convention, sub_nbar,
-            sub_tau, count * sub_nbar, lo, lo, hi, asym, ms) + mc
+    cells = (config.drive_kind, nbar_total, count, config.split_convention, sub_nbar,
+             sub_tau, count * sub_nbar)
+    return (cells, _drive(config, sub_nbar, None), sub_tau, count,
+            _asymptote(config, sub_nbar, None, sub_tau))
 
 
-_ROW_BUILDERS = {"scaling": _scaling_row, "concat": _concat_row, "split": _split_row}
+class _Mode(NamedTuple):
+    axes: tuple      # SweepConfig grid fields, in product order
+    columns: tuple   # leading columns, the cells a head returns
+    head: Callable
+
+
+_MODES = {
+    "scaling": _Mode(("nbar_grid", "fano_grid", "tau_grid"),
+                     ("drive_kind", "nbar", "fano", "tau"), _scaling_head),
+    "concat": _Mode(("nbar_grid", "fano_grid", "concat_grid", "tau_grid"),
+                    ("drive_kind", "nbar", "fano", "concatenations", "tau", "total_tau"),
+                    _concat_head),
+    "split": _Mode(("nbar_grid", "tau_grid", "concat_grid"),
+                   ("drive_kind", "nbar_total", "concatenations", "convention", "sub_nbar",
+                    "sub_tau", "energy_total"), _split_head),
+}
+MODES = tuple(_MODES)
+_TAIL_COLUMNS = ("eigenerror_exact", "eigenerror_bound_lower", "eigenerror_bound_upper",
+                 "asymptote", "runtime_ms")
+_MC_COLUMNS = ("eigenerror_mc", "eigenerror_mc_stderr")
+
+
+def _axis(config: SweepConfig, name: str) -> tuple:
+    # a Poisson drive has no Fano factor to sweep: one point, whatever fano_grid holds
+    if name == "fano_grid" and config.drive_kind == "poisson":
+        return (None,)
+    return getattr(config, name)
 
 
 def _evaluate(work: tuple) -> tuple:
-    config, index, params = work
-    return _ROW_BUILDERS[config.mode](config, index, params)
+    config, index, point = work
+    t0 = time.perf_counter()
+    cells, drive, tau, count, asymptote = _MODES[config.mode].head(config, *point)
+    ch = concatenate(build_channel_exact(drive, JCConfig(tau=tau)), count)
+    lo, hi = channel_eigenerror_bounds(ch)
+    mc = ()
+    if config.mc_samples:
+        mean, err = mc_channel_eigenfidelity(ch, SeededSampler(config.seed, 2).child(index),
+                                             config.mc_samples)
+        mc = (1.0 - mean, err)
+    ms = (time.perf_counter() - t0) * 1e3
+    return cells + (lo, lo, hi, asymptote, ms) + mc
 
 
-def _run_grid(config: SweepConfig, params_list: list, columns: tuple) -> SweepResult:
-    work = [(config, i, p) for i, p in enumerate(params_list)]
+def run(config: SweepConfig) -> SweepResult:
+    """One row per point of the mode's grid, in product order of its axes."""
+    mode = _MODES[config.mode]
+    grid = itertools.product(*(_axis(config, name) for name in mode.axes))
+    work = [(config, i, point) for i, point in enumerate(grid)]
     if config.jobs > 1 and len(work) > 1:
         chunk = max(1, len(work) // (4 * config.jobs))
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -230,26 +241,19 @@ def _run_grid(config: SweepConfig, params_list: list, columns: tuple) -> SweepRe
     else:
         rows = [_evaluate(w) for w in work]
     logger.info("%s sweep finished: %d rows", config.mode, len(rows))
+    columns = mode.columns + _TAIL_COLUMNS + (_MC_COLUMNS if config.mc_samples else ())
     return SweepResult(columns=columns, rows=tuple(rows), config=config)
 
 
-def _mc_columns(config: SweepConfig) -> tuple:
-    return ("eigenerror_mc", "eigenerror_mc_stderr") if config.mc_samples > 0 else ()
-
-
-def _fanos(config: SweepConfig) -> tuple:
-    return config.fano_grid if config.drive_kind == "binomial" else (None,)
+def _run_mode(config: SweepConfig, mode: str) -> SweepResult:
+    if config.mode != mode:
+        raise UnsupportedParameters(f"run_{mode} needs mode {mode!r}, got {config.mode!r}")
+    return run(config)
 
 
 def run_scaling(config: SweepConfig) -> SweepResult:
-    """One row per (nbar, fano, tau) grid point."""
-    if config.mode != "scaling":
-        raise UnsupportedParameters(f"run_scaling needs mode 'scaling', got {config.mode!r}")
-    params = list(itertools.product(config.nbar_grid, _fanos(config), config.tau_grid))
-    columns = ("drive_kind", "nbar", "fano", "tau", "eigenerror_exact",
-               "eigenerror_bound_lower", "eigenerror_bound_upper", "asymptote",
-               "runtime_ms") + _mc_columns(config)
-    return _run_grid(config, params, columns)
+    """One row per (nbar, fano, tau) grid point: a single gate, C = 1."""
+    return _run_mode(config, "scaling")
 
 
 def run_concat(config: SweepConfig) -> SweepResult:
@@ -259,18 +263,11 @@ def run_concat(config: SweepConfig) -> SweepResult:
     cover the (nbar, fano, C, tau) product. Fixed-budget comparisons at
     constant C*tau come from selecting rows with matching total_tau.
     """
-    if config.mode != "concat":
-        raise UnsupportedParameters(f"run_concat needs mode 'concat', got {config.mode!r}")
-    params = list(itertools.product(config.nbar_grid, _fanos(config),
-                                    config.concat_grid, config.tau_grid))
-    columns = ("drive_kind", "nbar", "fano", "concatenations", "tau", "total_tau",
-               "eigenerror_exact", "eigenerror_bound_lower", "eigenerror_bound_upper",
-               "asymptote", "runtime_ms") + _mc_columns(config)
-    return _run_grid(config, params, columns)
+    return _run_mode(config, "concat")
 
 
 def run_split(config: SweepConfig) -> SweepResult:
-    """Fixed photon budget nbar split across C coherent sub-gates.
+    """Fixed photon budget nbar split across C coherent sub-gates at nbar/C.
 
     The sub-gate reduced time follows config.split_convention: 'physical'
     re-reduces the C-th of the physical duration by the sub-gate's own mean
@@ -279,30 +276,13 @@ def run_split(config: SweepConfig) -> SweepResult:
     drive energy in units of one carrier photon; it equals nbar_total, up to
     rounding, for every C.
     """
-    if config.mode != "split":
-        raise UnsupportedParameters(f"run_split needs mode 'split', got {config.mode!r}")
-    params = list(itertools.product(config.nbar_grid, config.tau_grid,
-                                    config.concat_grid))
-    columns = ("drive_kind", "nbar_total", "concatenations", "convention",
-               "sub_nbar", "sub_tau", "energy_total", "eigenerror_exact",
-               "eigenerror_bound_lower", "eigenerror_bound_upper", "asymptote",
-               "runtime_ms") + _mc_columns(config)
-    return _run_grid(config, params, columns)
-
-
-def run(config: SweepConfig) -> SweepResult:
-    """Dispatch on config.mode."""
-    return {"scaling": run_scaling, "concat": run_concat, "split": run_split}[config.mode](config)
+    return _run_mode(config, "split")
 
 
 # ---------------------------------------------------------------------------
 # output
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         if math.isinf(value) or math.isnan(value):
             return str(value)

@@ -35,6 +35,12 @@ DEFAULT_TAIL_TOL = 1e-12
 TAYLOR2_CP_SLACK = 1e-3
 
 
+def _moments(w: np.ndarray, n: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of photon numbers n under weights w."""
+    mean = float(np.sum(w * n))
+    return mean, float(np.sum(w * (n - mean) ** 2))
+
+
 @dataclass(frozen=True)
 class DriveDistribution:
     """Drive state amplitudes b_n on a contiguous photon-number window.
@@ -67,8 +73,7 @@ class DriveDistribution:
                 f"coefficients not normalized: sum |b_n|^2 = {w.sum():.15f}"
             )
         n = np.arange(self.n_min, self.n_max + 1)
-        mean = float(np.sum(w * n))
-        var = float(np.sum(w * (n - mean) ** 2))
+        mean, var = _moments(w, n)
         if abs(mean - self.mean) > MOMENT_TOL or abs(var - self.variance) > MOMENT_TOL:
             raise UnsupportedParameters(
                 f"stored moments ({self.mean}, {self.variance}) disagree with "
@@ -175,8 +180,7 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
     n = np.arange(lo, hi + 1)
     w = np.exp([logpmf(int(k)) for k in n])
     w /= w.sum()
-    mean = float(np.sum(w * n))
-    var = float(np.sum(w * (n - mean) ** 2))
+    mean, var = _moments(w, n)
     return DriveDistribution(
         kind="poisson", mean=mean, variance=var, coefficients=np.sqrt(w),
         n_min=int(lo), n_max=int(hi),
@@ -242,8 +246,7 @@ def binomial_drive(nbar: float, variance: float,
         n = n[n >= 0]
         w = w / w.sum()
         metadata["clipped_mass"] = float(clipped)
-    mean = float(np.sum(w * n))
-    var = float(np.sum(w * (n - mean) ** 2))
+    mean, var = _moments(w, n)
     return DriveDistribution(
         kind="binomial", mean=mean, variance=var, coefficients=np.sqrt(w),
         n_min=int(n[0]), n_max=int(n[-1]), metadata=metadata,
@@ -272,8 +275,7 @@ def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
     b = b / norm
     n = np.arange(n_min, n_min + len(b))
     w = np.abs(b) ** 2
-    mean = float(np.sum(w * n))
-    var = float(np.sum(w * (n - mean) ** 2))
+    mean, var = _moments(w, n)
     return DriveDistribution(
         kind="custom", mean=mean, variance=var, coefficients=b,
         n_min=int(n_min), n_max=int(n_min + len(b) - 1),

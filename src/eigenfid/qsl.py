@@ -84,6 +84,15 @@ def ground_energy(drive: DriveDistribution, cfg: JCConfig, hbar: float = 1.0) ->
     return -hbar * cfg.coupling * math.sqrt(drive.n_max + 1)
 
 
+def _exchange_sum(drive: DriveDistribution) -> complex:
+    """Z = sum sqrt(n+1) conj(b_n) b_{n+1} over the drive window."""
+    b = drive.coefficients
+    if len(b) < 2:
+        return 0.0 + 0.0j
+    n = drive.support[:-1]
+    return complex(np.sum(np.sqrt(n + 1) * np.conj(b[:-1]) * b[1:]))
+
+
 def jc_moments(drive: DriveDistribution, qubit: PureState, cfg: JCConfig,
                hbar: float = 1.0, measure_from_ground: bool = False) -> HamiltonianMoments:
     """Exact <H> and dH of the exchange generator on the product state.
@@ -99,11 +108,7 @@ def jc_moments(drive: DriveDistribution, qubit: PureState, cfg: JCConfig,
     if qubit.dim != 2:
         raise UnsupportedParameters("moments are defined for a qubit logical system")
     g = cfg.coupling
-    b = drive.coefficients
-    z = 0.0 + 0.0j
-    if len(b) > 1:
-        n = drive.support[:-1]
-        z = complex(np.sum(np.sqrt(n + 1) * np.conj(b[:-1]) * b[1:]))
+    z = _exchange_sum(drive)
     a0, a1 = qubit.amplitudes
     mean = -2.0 * hbar * g * float(np.imag(z * a0 * np.conj(a1)))
     second = (hbar * g) ** 2 * (drive.mean + abs(a1) ** 2)
@@ -115,11 +120,7 @@ def jc_moments(drive: DriveDistribution, qubit: PureState, cfg: JCConfig,
 
 def phase_aligned_qubit(drive: DriveDistribution) -> PureState:
     """Equal-weight qubit state whose phase maximizes |<H>| for this drive."""
-    b = drive.coefficients
-    z = 0.0 + 0.0j
-    if len(b) > 1:
-        n = drive.support[:-1]
-        z = complex(np.sum(np.sqrt(n + 1) * np.conj(b[:-1]) * b[1:]))
+    z = _exchange_sum(drive)
     phase = np.exp(1j * (np.angle(z) + math.pi / 2)) if z != 0 else 1.0
     return PureState(np.array([1.0, phase]) / math.sqrt(2.0))
 

@@ -211,6 +211,10 @@ class TestCompose:
         for x, y in zip(concatenate(chan, 1).images(), chan.images()):
             np.testing.assert_allclose(x, y, atol=1e-15)
 
+    def test_concatenate_once_returns_the_channel(self, rng):
+        chan = random_channel(rng)
+        assert concatenate(chan, 1) is chan
+
     def test_concatenate_rejects_zero(self, rng):
         with pytest.raises(DimensionMismatch):
             concatenate(random_channel(rng), 0)
@@ -392,6 +396,10 @@ class TestMonteCarlo:
             for a in amps
         ]
         assert abs(mean - np.mean(vals)) < 1e-10
+
+    def test_one_sample_has_no_standard_error(self, rng):
+        with pytest.raises(DimensionMismatch):
+            mc_channel_eigenfidelity(random_channel(rng), SeededSampler(8, 2), 1)
 
     def test_stderr_shrinks_with_samples(self, rng):
         chan = random_channel(rng)

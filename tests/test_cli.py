@@ -279,6 +279,13 @@ class TestSweepRuns:
         assert "eigenerror_mc" in header
         assert "eigenerror_mc_stderr" in header
 
+    def test_single_mc_sample_is_a_config_error(self, capsys, tmp_path):
+        csv = tmp_path / "mc.csv"
+        cfg = _write_config(tmp_path / "cfg.json", output=str(csv))
+        assert main(["scaling", "--config", cfg, "--mc-samples", "1"]) == 2
+        assert "mc_samples" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_mode_mismatch_is_a_config_error(self, capsys, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json",
                             output=str(tmp_path / "x.csv"))

@@ -55,6 +55,7 @@ class TestSweepConfig:
             dict(jobs=0),
             dict(nbar_grid=()),
             dict(tau_grid=()),
+            dict(mc_samples=1),
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -85,6 +86,11 @@ class TestSweepConfig:
         assert cfg.tau_grid == (1.0,)
         assert cfg.concat_grid == (2,)
         assert isinstance(cfg.concat_grid[0], int)
+
+    def test_non_integral_counts_rejected(self):
+        with pytest.raises(UnsupportedParameters):
+            SweepConfig(mode="concat", nbar_grid=(25.0,), tau_grid=(1.0,),
+                        concat_grid=(1.5,))
 
 
 class TestSweepResult:
@@ -173,11 +179,14 @@ class TestRunScaling:
 
 class TestRunConcat:
     def test_single_application_matches_scaling(self):
-        concat = run_concat(SweepConfig(mode="concat", nbar_grid=(25.0,),
-                                        tau_grid=(PI / 2,), concat_grid=(1,), seed=3))
-        scaling = run_scaling(_scaling_config(nbar_grid=(25.0,), tau_grid=(PI / 2,)))
-        for name in ("eigenerror_exact", "eigenerror_bound_upper", "asymptote"):
-            assert concat.column(name) == scaling.column(name)
+        for drive in (dict(), dict(drive_kind="binomial", fano_grid=(0.2,))):
+            concat = run_concat(SweepConfig(mode="concat", nbar_grid=(25.0,),
+                                            tau_grid=(PI / 2,), concat_grid=(1,), seed=3,
+                                            **drive))
+            scaling = run_scaling(_scaling_config(nbar_grid=(25.0,), tau_grid=(PI / 2,),
+                                                  **drive))
+            for name in ("fano", "eigenerror_exact", "eigenerror_bound_upper", "asymptote"):
+                assert concat.column(name) == scaling.column(name)
 
     def test_total_tau_column(self):
         res = run_concat(SweepConfig(mode="concat", nbar_grid=(25.0,),
@@ -235,6 +244,37 @@ class TestRunSplit:
         with pytest.raises(BudgetTooSmall):
             run_split(SweepConfig(mode="split", nbar_grid=(4.0,), tau_grid=(PI / 2,),
                                   concat_grid=(8,)))
+
+
+# ---------------------------------------------------------------------------
+# column contract
+
+_BRACKET_COLUMNS = ("eigenerror_exact", "eigenerror_bound_lower", "eigenerror_bound_upper",
+                    "asymptote", "runtime_ms")
+
+
+class TestColumns:
+    CONFIGS = {
+        "scaling": dict(mode="scaling", nbar_grid=(25.0,), tau_grid=(PI / 2,)),
+        "concat": dict(mode="concat", nbar_grid=(25.0,), tau_grid=(PI / 2,),
+                       concat_grid=(2,)),
+        "split": dict(mode="split", nbar_grid=(25.0,), tau_grid=(PI / 2,),
+                      concat_grid=(2,)),
+    }
+    LEADING = {
+        "scaling": ("drive_kind", "nbar", "fano", "tau"),
+        "concat": ("drive_kind", "nbar", "fano", "concatenations", "tau", "total_tau"),
+        "split": ("drive_kind", "nbar_total", "concatenations", "convention", "sub_nbar",
+                  "sub_tau", "energy_total"),
+    }
+
+    @pytest.mark.parametrize("mode", ["scaling", "concat", "split"])
+    @pytest.mark.parametrize("mc_samples", [0, 50])
+    def test_column_order(self, mode, mc_samples):
+        res = run(SweepConfig(**self.CONFIGS[mode], mc_samples=mc_samples))
+        mc = ("eigenerror_mc", "eigenerror_mc_stderr") if mc_samples else ()
+        assert res.columns == self.LEADING[mode] + _BRACKET_COLUMNS + mc
+        assert all(len(row) == len(res.columns) for row in res.rows)
 
 
 # ---------------------------------------------------------------------------
