@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags, schema
 violations, unreadable files) with a diagnostic naming the offending field,
-1 for numerical failures inside a run. Output files are written atomically,
+1 for failures inside a run: numerical errors, or output that cannot be
+written. Output files are written atomically,
 so a failed run never leaves a partial CSV behind.
 
 Logging verbosity comes from the EIGENFID_LOG environment variable
@@ -130,7 +131,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         write_csv(result, config.output)
         sidecar = _sidecar_path(config.output)
         write_sidecar(result, sidecar)
-    except EigenfidError as exc:
+    except (EigenfidError, OSError) as exc:
         print(f"eigenfid: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(result.rows)} rows to {config.output} "

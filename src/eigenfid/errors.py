@@ -54,10 +54,12 @@ class BudgetTooSmall(EigenfidError):
     """Photon budget per sub-gate dropped below one."""
 
 
-class SchemaError(EigenfidError):
-    """JSON document does not match the expected schema.
+class SchemaError(UnsupportedParameters):
+    """A document or sweep-config field is outside its schema or domain.
 
-    Carries a JSON-pointer-style path to the offending field.
+    Raised by the JSON loaders and by SweepConfig alike, with a
+    JSON-pointer-style path to the offending field (for example
+    /nbar_grid/1), so an error reads the same whichever way the config came in.
     """
 
     def __init__(self, path: str, message: str):

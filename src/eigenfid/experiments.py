@@ -23,6 +23,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -32,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from ._version import __version__
 from .channel import channel_eigenerror_bounds, concatenate, mc_channel_eigenfidelity
-from .errors import BudgetTooSmall, UnsupportedParameters
+from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
 from .haar import SeededSampler
 from .jcdrive import (
     JCConfig,
@@ -47,11 +48,66 @@ logger = logging.getLogger("eigenfid.experiments")
 SPLIT_CONVENTIONS = ("physical", "per_pulse")
 BOUND_SANDWICH_TOL = 1e-10
 VERSION_STRING = f"eigenfid-{__version__}"
+_DRIVE_KINDS = ("poisson", "binomial")
+_BINOMIAL_MODES = ("moment_matched", "paper_literal")
+
+
+def _real(value, path: str) -> float:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise SchemaError(path, f"expected a finite real number, got {value!r}")
+
+
+def _integral(value, path: str) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise SchemaError(path, f"expected an integer, got {value!r}")
+
+
+# field -> (entry type, domain test, domain); grids apply the rule to each entry
+_SCALAR_RULES = {
+    "seed": (_integral, lambda v: 0 <= v < 2 ** 64, "must fit in an unsigned 64-bit integer"),
+    "mc_samples": (_integral, lambda v: v == 0 or v >= 2,
+                   "must be 0 (off) or at least 2 for a standard error"),
+    "jobs": (_integral, lambda v: v >= 1, "must be at least 1"),
+}
+_GRID_RULES = {
+    "nbar_grid": (_real, lambda v: v > 0, "mean photon number must be positive"),
+    "fano_grid": (_real, lambda v: 0 < v <= 1, "Fano factor must lie in (0, 1]"),
+    "tau_grid": (_real, lambda v: v >= 0, "reduced time must be nonnegative"),
+    "concat_grid": (_integral, lambda v: v >= 1, "concatenation count must be positive"),
+}
+
+
+def _checked(value, path: str, rule: tuple):
+    kind, test, domain = rule
+    v = kind(value, path)
+    if not test(v):
+        raise SchemaError(path, f"{domain}, got {v}")
+    return v
+
+
+def _one_of(value, allowed: tuple, path: str) -> None:
+    if value not in allowed:
+        raise SchemaError(path, f"expected one of {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid specification for one sweep run."""
+    """Grid specification for one sweep run.
+
+    Construction checks every field against the sweep domain and raises
+    SchemaError with the field's JSON pointer (/nbar_grid/1, /drive/kind);
+    it is the only place that knows which configs are legal. Grids become
+    tuples of floats (counts: ints), so a config that constructs runs.
+    """
 
     mode: str
     drive_kind: str = "poisson"
@@ -67,42 +123,26 @@ class SweepConfig:
     binomial_mode: str = "moment_matched"
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise UnsupportedParameters(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.drive_kind not in ("poisson", "binomial"):
-            raise UnsupportedParameters(
-                f"sweeps support poisson or binomial drives, got {self.drive_kind!r}"
-            )
-        if self.split_convention not in SPLIT_CONVENTIONS:
-            raise UnsupportedParameters(
-                f"split convention must be one of {SPLIT_CONVENTIONS}, "
-                f"got {self.split_convention!r}"
-            )
-        if self.binomial_mode not in ("moment_matched", "paper_literal"):
-            raise UnsupportedParameters(f"unknown binomial mode {self.binomial_mode!r}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise UnsupportedParameters("seed must fit in an unsigned 64-bit integer")
-        if self.mc_samples < 0 or self.mc_samples == 1:
-            raise UnsupportedParameters(
-                "mc_samples must be 0 (off) or at least 2 for a standard error"
-            )
-        if self.jobs < 1:
-            raise UnsupportedParameters("jobs must be at least 1")
-        object.__setattr__(self, "nbar_grid", tuple(float(v) for v in self.nbar_grid))
-        object.__setattr__(self, "fano_grid", tuple(float(v) for v in self.fano_grid))
-        object.__setattr__(self, "tau_grid", tuple(float(v) for v in self.tau_grid))
-        given = tuple(self.concat_grid)
-        counts = tuple(int(v) for v in given)
-        if counts != given:
-            raise UnsupportedParameters(f"concatenation counts must be integers, got {given}")
-        object.__setattr__(self, "concat_grid", counts)
+        _one_of(self.mode, MODES, "/mode")
+        _one_of(self.drive_kind, _DRIVE_KINDS, "/drive/kind")
+        if self.mode == "split" and self.drive_kind != "poisson":
+            raise SchemaError("/drive/kind", "split mode uses coherent (poisson) drives")
+        _one_of(self.split_convention, SPLIT_CONVENTIONS, "/split_convention")
+        _one_of(self.binomial_mode, _BINOMIAL_MODES, "/binomial_mode")
+        for name, rule in _SCALAR_RULES.items():
+            object.__setattr__(self, name, _checked(getattr(self, name), f"/{name}", rule))
+        for name, rule in _GRID_RULES.items():
+            try:
+                values = tuple(getattr(self, name))
+            except TypeError:
+                raise SchemaError(f"/{name}", "expected a sequence") from None
+            if name == "fano_grid" and values and self.drive_kind == "poisson":
+                raise SchemaError("/fano_grid", "poisson drives have no Fano factor to sweep")
+            object.__setattr__(self, name, tuple(
+                _checked(v, f"/{name}/{i}", rule) for i, v in enumerate(values)))
         for name in _MODES[self.mode].axes:
             if not _axis(self, name):
-                raise UnsupportedParameters(f"{name} must be non-empty for mode {self.mode!r}")
-        if any(c < 1 for c in self.concat_grid):
-            raise UnsupportedParameters("concatenation counts must be positive")
-        if self.mode == "split" and self.drive_kind != "poisson":
-            raise UnsupportedParameters("split mode uses coherent (poisson) drives")
+                raise SchemaError(f"/{name}", f"must be non-empty for mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import QubitChannel
+from .channel import TP_TOL, QubitChannel
 from .densmat import DensityMatrix, PureState
 from .errors import (
     ApproximationDomain,
@@ -285,17 +285,17 @@ def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
 # ---------------------------------------------------------------------------
 # channel construction
 
-def _angles(n_top: int, tau: float, nbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of tau sqrt(k/nbar) for k = 0 .. n_top."""
+def _angles(k_lo: int, k_hi: int, tau: float, nbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of tau sqrt(k/nbar) for k = k_lo .. k_hi."""
     if tau != 0 and nbar <= 0:
         raise InvalidMean(
             "reduced time is undefined for a zero-mean drive; "
             "tau = g sqrt(nbar) t requires nbar > 0"
         )
+    k = np.arange(k_lo, k_hi + 1)
     if tau == 0:
-        k = np.arange(n_top + 1)
         return np.ones_like(k, dtype=float), np.zeros_like(k, dtype=float)
-    theta = tau * np.sqrt(np.arange(n_top + 1) / nbar)
+    theta = tau * np.sqrt(k / nbar)
     return np.cos(theta), np.sin(theta)
 
 
@@ -309,7 +309,7 @@ def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMa
     """
     if n < 0:
         raise UnsupportedParameters("photon number must be nonnegative")
-    c, s = _angles(n + 2, tau, nbar)
+    c, s = _angles(n, n + 2, tau, nbar)  # c[j] = cos of level n + j
 
     def amp(k: int) -> complex:
         if drive.n_min <= k <= drive.n_max:
@@ -322,14 +322,14 @@ def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMa
         r2 = amp(n + 2) / b0
     else:
         r1 = r2 = 0.0
-    f00 = np.array([[c[n] ** 2, np.conj(r1) * c[n] * s[n + 1]],
-                    [r1 * c[n] * s[n + 1], s[n] ** 2]], dtype=complex)
+    f00 = np.array([[c[0] ** 2, np.conj(r1) * c[0] * s[1]],
+                    [r1 * c[0] * s[1], s[0] ** 2]], dtype=complex)
     f00[1, 0] = np.conj(f00[0, 1])
-    f11 = np.array([[s[n + 1] ** 2, -np.conj(r1) * s[n + 1] * c[n + 2]],
-                    [0.0, c[n + 1] ** 2]], dtype=complex)
+    f11 = np.array([[s[1] ** 2, -np.conj(r1) * s[1] * c[2]],
+                    [0.0, c[1] ** 2]], dtype=complex)
     f11[1, 0] = np.conj(f11[0, 1])
-    f01 = np.array([[-r1 * c[n + 1] * s[n + 1], c[n] * c[n + 1]],
-                    [-r2 * s[n + 1] * s[n + 2], r1 * c[n + 1] * s[n + 1]]], dtype=complex)
+    f01 = np.array([[-r1 * c[1] * s[1], c[0] * c[1]],
+                    [-r2 * s[1] * s[2], r1 * c[1] * s[1]]], dtype=complex)
     return FMatrixSet(f00, f01, f01.conj().T, f11)
 
 
@@ -342,9 +342,9 @@ def build_channel_exact(drive: DriveDistribution, cfg: JCConfig) -> QubitChannel
     """
     cfg.interaction_time(drive.mean)  # validates tau > 0 against zero-mean drives
     b = drive.coefficients
-    n = drive.support
+    n = np.arange(len(b))  # offsets into the window: level n_min + n
     w = np.abs(b) ** 2
-    c, s = _angles(drive.n_max + 2, cfg.tau, drive.mean)
+    c, s = _angles(drive.n_min, drive.n_max + 2, cfg.tau, drive.mean)
 
     # neighbor products on the contiguous window; entries past the edge are 0
     x1 = b[:-1] * np.conj(b[1:]) if len(b) > 1 else np.zeros(0, dtype=complex)
@@ -372,9 +372,9 @@ def build_channel_exact(drive: DriveDistribution, cfg: JCConfig) -> QubitChannel
     e01[1, 0] = -np.sum(y2 * s[n2 + 1] * s[n2 + 2])
 
     residual = max(abs(np.trace(e00) - 1), abs(np.trace(e11) - 1), abs(np.trace(e01)))
-    if residual > 1e-8:
+    if residual > TP_TOL:
         raise TruncationError(
-            f"trace-preservation residual {residual:.3e} exceeds 1e-8; "
+            f"trace-preservation residual {residual:.3e} exceeds {TP_TOL:.0e}; "
             "drive support window is too small"
         )
     return QubitChannel(e00, e01, e01.conj().T, e11)

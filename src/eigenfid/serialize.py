@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,11 +31,8 @@ from .jcdrive import (
 
 SCHEMA_VERSION = 1
 
-_SWEEP_KEYS = {
-    "schema", "mode", "drive", "nbar_grid", "fano_grid", "tau_grid",
-    "concat_grid", "seed", "output", "mc_samples", "jobs",
-    "split_convention", "binomial_mode",
-}
+# a sweep document holds SweepConfig's fields, with the drive kind inside "drive"
+_SWEEP_KEYS = {f.name for f in fields(SweepConfig)} - {"drive_kind"} | {"schema", "drive"}
 _DRIVE_KEYS = {"kind", "nbar", "fano", "N", "coeffs"}
 _STATE_KEYS = {"schema", "type", "matrix"}
 _CHANNEL_KEYS = {"schema", "type", "images"}
@@ -81,12 +79,6 @@ def _string(value, path: str) -> str:
     return value
 
 
-def _number_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        _fail(path, "expected a non-empty array of numbers")
-    return [_number(v, f"{path}/{i}") for i, v in enumerate(value)]
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -129,14 +121,24 @@ def decode_matrix(value, path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sweep configs
 
+# the optional top-level scalars and their JSON types (counts are JSON integers)
+_SWEEP_SCALARS = {"seed": _integer, "mc_samples": _integer, "jobs": _integer,
+                  "output": _string, "split_convention": _string, "binomial_mode": _string}
+
+
 def sweep_config_from_dict(data: dict, expected_mode: str | None = None) -> SweepConfig:
+    """Read a sweep document; SweepConfig checks the values it carries.
+
+    The loader handles what is particular to JSON: the schema version,
+    unknown keys, the drive object and its one-point nbar/fano shorthands,
+    split's default tau = pi/2, and counts that must be JSON integers.
+    """
     _check_object(data, _SWEEP_KEYS, "")
     _check_schema(data)
 
     mode = data.get("mode", expected_mode)
     if mode is None:
         _fail("/mode", "missing required field")
-    mode = _string(mode, "/mode")
     if expected_mode is not None and mode != expected_mode:
         _fail("/mode", f"config says {mode!r} but the subcommand is {expected_mode!r}")
 
@@ -145,83 +147,25 @@ def sweep_config_from_dict(data: dict, expected_mode: str | None = None) -> Swee
     drive = _check_object(data["drive"], _DRIVE_KEYS, "/drive")
     if "kind" not in drive:
         _fail("/drive/kind", "missing required field")
-    kind = _string(drive["kind"], "/drive/kind")
-    if kind not in ("poisson", "binomial"):
-        _fail("/drive/kind", f"sweeps need 'poisson' or 'binomial', got {kind!r}")
 
-    if "nbar_grid" in data:
-        nbar_grid = _number_list(data["nbar_grid"], "/nbar_grid")
-    elif "nbar" in drive:
-        nbar_grid = [_number(drive["nbar"], "/drive/nbar")]
-    else:
-        _fail("/nbar_grid", "missing: provide nbar_grid or drive.nbar")
-    for i, v in enumerate(nbar_grid):
-        if v <= 0:
-            _fail(f"/nbar_grid/{i}", f"mean photon number must be positive, got {v}")
+    def grid(name: str, shorthand: str | None = None, default: tuple = ()) -> tuple:
+        if name in data:
+            if not isinstance(data[name], list):
+                _fail(f"/{name}", "expected an array")
+            return tuple(data[name])
+        return (drive[shorthand],) if shorthand in drive else default
 
-    fano_grid: list = []
-    if kind == "binomial":
-        if "fano_grid" in data:
-            fano_grid = _number_list(data["fano_grid"], "/fano_grid")
-        elif "fano" in drive:
-            fano_grid = [_number(drive["fano"], "/drive/fano")]
-        else:
-            _fail("/fano_grid", "missing: binomial drives need fano_grid or drive.fano")
-        for i, v in enumerate(fano_grid):
-            if not 0 < v <= 1:
-                _fail(f"/fano_grid/{i}", f"Fano factor must lie in (0, 1], got {v}")
-    elif "fano_grid" in data:
-        fano_grid = _number_list(data["fano_grid"], "/fano_grid")
-
-    if "tau_grid" in data:
-        tau_grid = _number_list(data["tau_grid"], "/tau_grid")
-    elif mode == "split":
-        tau_grid = [math.pi / 2]
-    else:
-        _fail("/tau_grid", "missing required field")
-    for i, v in enumerate(tau_grid):
-        if v < 0:
-            _fail(f"/tau_grid/{i}", f"reduced time must be nonnegative, got {v}")
-
-    concat_grid: list = []
-    if "concat_grid" in data:
-        raw = data["concat_grid"]
-        if not isinstance(raw, list) or not raw:
-            _fail("/concat_grid", "expected a non-empty array of integers")
-        concat_grid = [_integer(v, f"/concat_grid/{i}") for i, v in enumerate(raw)]
-        for i, v in enumerate(concat_grid):
-            if v < 1:
-                _fail(f"/concat_grid/{i}", f"concatenation count must be positive, got {v}")
-    elif mode in ("concat", "split"):
-        _fail("/concat_grid", f"missing: mode {mode!r} needs concatenation counts")
-
+    concat_grid = grid("concat_grid")
     kwargs = dict(
         mode=mode,
-        drive_kind=kind,
-        nbar_grid=tuple(nbar_grid),
-        fano_grid=tuple(fano_grid),
-        tau_grid=tuple(tau_grid),
-        concat_grid=tuple(concat_grid),
+        drive_kind=drive["kind"],
+        nbar_grid=grid("nbar_grid", "nbar"),
+        fano_grid=grid("fano_grid", "fano"),
+        tau_grid=grid("tau_grid", default=(math.pi / 2,) if mode == "split" else ()),
+        concat_grid=tuple(_integer(v, f"/concat_grid/{i}") for i, v in enumerate(concat_grid)),
     )
-    if "seed" in data:
-        kwargs["seed"] = _integer(data["seed"], "/seed")
-    if "output" in data:
-        kwargs["output"] = _string(data["output"], "/output")
-    if "mc_samples" in data:
-        kwargs["mc_samples"] = _integer(data["mc_samples"], "/mc_samples")
-    if "jobs" in data:
-        kwargs["jobs"] = _integer(data["jobs"], "/jobs")
-    if "split_convention" in data:
-        value = _string(data["split_convention"], "/split_convention")
-        if value not in ("physical", "per_pulse"):
-            _fail("/split_convention", f"expected 'physical' or 'per_pulse', got {value!r}")
-        kwargs["split_convention"] = value
-    if "binomial_mode" in data:
-        value = _string(data["binomial_mode"], "/binomial_mode")
-        if value not in ("moment_matched", "paper_literal"):
-            _fail("/binomial_mode",
-                  f"expected 'moment_matched' or 'paper_literal', got {value!r}")
-        kwargs["binomial_mode"] = value
+    kwargs.update((key, check(data[key], f"/{key}"))
+                  for key, check in _SWEEP_SCALARS.items() if key in data)
     return SweepConfig(**kwargs)
 
 

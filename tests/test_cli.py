@@ -225,6 +225,12 @@ class TestSweepRuns:
         assert sidecar["config"]["mode"] == "scaling"
         assert sidecar["config"]["seed"] == 11
 
+    def test_output_into_missing_directory_exits_one(self, capsys, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json")
+        target = tmp_path / "no_such_dir" / "out.csv"
+        assert main(["scaling", "--config", cfg, "-o", str(target)]) == 1
+        assert "FileNotFoundError" in capsys.readouterr().err
+
     def test_seed_override_lands_in_the_sidecar(self, capsys, tmp_path):
         csv = tmp_path / "run.csv"
         cfg = _write_config(tmp_path / "cfg.json", output=str(csv))

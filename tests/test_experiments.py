@@ -28,7 +28,7 @@ from eigenfid import (
 )
 from eigenfid.experiments import VERSION_STRING, run, sidecar_dict
 from eigenfid.serialize import dump_object
-from eigenfid.errors import BudgetTooSmall, UnsupportedParameters
+from eigenfid.errors import BudgetTooSmall, SchemaError, UnsupportedParameters
 
 PI = math.pi
 
@@ -56,11 +56,47 @@ class TestSweepConfig:
             dict(nbar_grid=()),
             dict(tau_grid=()),
             dict(mc_samples=1),
+            dict(nbar_grid=(math.nan,)),
+            dict(nbar_grid=(math.inf,)),
+            dict(tau_grid=(math.nan,)),
+            dict(tau_grid=(math.inf,)),
+            dict(drive_kind="binomial", fano_grid=(math.nan,)),
+            dict(drive_kind="binomial", fano_grid=(math.inf,)),
+            dict(mode="concat", concat_grid=(math.nan,)),
+            dict(mode="concat", concat_grid=(math.inf,)),
+            dict(nbar_grid=(-3.0,)),
+            dict(tau_grid=(-1.0,)),
+            dict(drive_kind="binomial", fano_grid=(1.5,)),
+            dict(seed=1.5),
+            dict(jobs=1.5),
         ],
     )
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(UnsupportedParameters):
             _scaling_config(**kw)
+
+    @pytest.mark.parametrize("kw,path", [
+        (dict(nbar_grid=(25.0, math.nan)), "/nbar_grid/1"),
+        (dict(mode="concat", concat_grid=(2, math.inf)), "/concat_grid/1"),
+        (dict(tau_grid=(-1.0,)), "/tau_grid/0"),
+        (dict(drive_kind="binomial", fano_grid=(0.2, 1.5)), "/fano_grid/1"),
+        (dict(mode="concat", concat_grid=(True,)), "/concat_grid/0"),
+        (dict(drive_kind="binomial"), "/fano_grid"),
+        (dict(drive_kind="thermal"), "/drive/kind"),
+        (dict(seed=2 ** 64), "/seed"),
+        (dict(jobs=1.5), "/jobs"),
+        (dict(nbar_grid=25.0), "/nbar_grid"),
+        (dict(nbar_grid=(10 ** 400,)), "/nbar_grid/0"),
+    ])
+    def test_errors_carry_the_field_pointer(self, kw, path):
+        with pytest.raises(SchemaError) as excinfo:
+            _scaling_config(**kw)
+        assert excinfo.value.path == path
+
+    def test_poisson_drive_takes_no_fano_grid(self):
+        with pytest.raises(SchemaError) as excinfo:
+            _scaling_config(fano_grid=(0.3,))
+        assert excinfo.value.path == "/fano_grid"
 
     def test_concat_mode_needs_counts(self):
         with pytest.raises(UnsupportedParameters):
@@ -86,6 +122,11 @@ class TestSweepConfig:
         assert cfg.tau_grid == (1.0,)
         assert cfg.concat_grid == (2,)
         assert isinstance(cfg.concat_grid[0], int)
+
+    def test_integral_scalars_become_ints(self):
+        cfg = _scaling_config(seed=np.uint64(5), jobs=2.0)
+        assert (cfg.seed, cfg.jobs) == (5, 2)
+        assert type(cfg.seed) is int and type(cfg.jobs) is int
 
     def test_non_integral_counts_rejected(self):
         with pytest.raises(UnsupportedParameters):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -277,15 +278,36 @@ class TestBuildChannelExact:
         assert abs(np.trace(chan.E01)) < 1e-10
 
     def test_truncation_guard_trips_on_lost_mass(self):
-        half = SimpleNamespace(
-            mean=5.0,
-            coefficients=np.array([math.sqrt(0.5) + 0j]),
-            support=np.array([5]),
-            n_min=5,
-            n_max=5,
-        )
-        with pytest.raises(TruncationError):
-            build_channel_exact(half, JCConfig(tau=0.3))
+        # 5e-9 is above the channel's trace tolerance, so the guard names it too
+        for lost in (0.5, 5e-9):
+            drive = SimpleNamespace(
+                mean=5.0,
+                coefficients=np.array([math.sqrt(1.0 - lost) + 0j]),
+                support=np.array([5]),
+                n_min=5,
+                n_max=5,
+            )
+            with pytest.raises(TruncationError):
+                build_channel_exact(drive, JCConfig(tau=0.3))
+
+    def test_fock_channel_costs_only_its_window(self):
+        # angles are computed for levels N .. N + 2, never 0 .. N
+        n_photons, tau = 10 ** 7, 1.0
+        drive = fock_drive(n_photons)
+        tracemalloc.start()
+        try:
+            chan = build_channel_exact(drive, JCConfig(tau=tau))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        t0, t1 = tau, tau * math.sqrt((n_photons + 1) / n_photons)
+        np.testing.assert_allclose(chan.E00, np.diag([math.cos(t0) ** 2, math.sin(t0) ** 2]),
+                                   atol=1e-12)
+        np.testing.assert_allclose(chan.E11, np.diag([math.sin(t1) ** 2, math.cos(t1) ** 2]),
+                                   atol=1e-12)
+        np.testing.assert_allclose(chan.E01, [[0.0, math.cos(t0) * math.cos(t1)], [0.0, 0.0]],
+                                   atol=1e-12)
 
     def test_vacuum_drive_needs_zero_time(self):
         with pytest.raises(InvalidMean):

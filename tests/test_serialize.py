@@ -170,6 +170,25 @@ class TestSweepConfigDocument:
             sweep_config_from_dict(doc)
         assert _path_of(excinfo) == "/fano_grid"
 
+    def test_poisson_sweep_rejects_a_fano_grid(self):
+        doc = _minimal_config(fano_grid=[0.3])
+        with pytest.raises(SchemaError) as excinfo:
+            sweep_config_from_dict(doc)
+        assert _path_of(excinfo) == "/fano_grid"
+
+    def test_poisson_sweep_rejects_the_fano_shorthand(self):
+        # drive.fano is a one-point fano_grid, so it is refused the same way
+        doc = _minimal_config()
+        doc["drive"]["fano"] = 0.3
+        with pytest.raises(SchemaError) as excinfo:
+            sweep_config_from_dict(doc)
+        assert _path_of(excinfo) == "/fano_grid"
+
+    def test_counts_must_be_json_integers(self):
+        with pytest.raises(SchemaError) as excinfo:
+            sweep_config_from_dict(_minimal_config(seed=2.0))
+        assert _path_of(excinfo) == "/seed"
+
     def test_booleans_are_not_numbers(self):
         doc = _minimal_config(nbar_grid=[True])
         with pytest.raises(SchemaError) as excinfo:
