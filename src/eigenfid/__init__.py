@@ -80,6 +80,7 @@ from .jcdrive import (
     binomial_drive,
     build_channel_exact,
     build_channel_taylor2,
+    build_channels_exact,
     custom_drive,
     evolve_bipartite,
     f_matrices,

@@ -77,7 +77,7 @@ class QubitChannel:
             raise NonHermitianInput(
                 "E00 and E11 must be Hermitian and E10 must equal the adjoint of E01"
             )
-        residual = cp_residual(self)
+        residual = _negative_part(choi)
         if residual > self.cp_slack:
             raise CPViolation(
                 f"Choi matrix has eigenvalue {-residual:.3e} below -{self.cp_slack:.1e}"
@@ -307,7 +307,13 @@ def mc_gate_fidelity(channel: QubitChannel, gate: TargetGate, sampler: SeededSam
 
 
 def _choi(channel: QubitChannel) -> np.ndarray:
-    return np.block([[channel.E00, channel.E01], [channel.E10, channel.E11]])
+    """[[E00, E01], [E10, E11]]: entry (2i+a, 2j+b) is E_ij[a, b] = S[2a+b, 2i+j]."""
+    return channel._transfer.T.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+
+
+def _negative_part(choi: np.ndarray) -> float:
+    wmin = np.linalg.eigvalsh((choi + choi.conj().T) / 2).min()
+    return float(max(0.0, -wmin))
 
 
 def tp_residual(channel: QubitChannel) -> float:
@@ -319,6 +325,4 @@ def tp_residual(channel: QubitChannel) -> float:
 
 def cp_residual(channel: QubitChannel) -> float:
     """Magnitude of the most negative Choi eigenvalue (0 if none)."""
-    choi = _choi(channel)
-    wmin = np.linalg.eigvalsh((choi + choi.conj().T) / 2).min()
-    return float(max(0.0, -wmin))
+    return _negative_part(_choi(channel))

@@ -1,7 +1,7 @@
 """Sweep runners for eigenerror scaling, gate concatenation, and budget splits.
 
-The three modes are one computation on different grids. Every row builds a
-drive, the exact drive-induced channel, its C-fold concatenation and the
+The three modes are one computation on different grids. Every row takes
+a drive, the exact drive-induced channel, its C-fold concatenation and the
 deterministic eigenerror bracket derived from the Haar-averaged output
 purity: lower edge S_bar/2, upper edge S_bar, with the closed-form
 asymptotic law alongside. Scaling is a single gate (C = 1), concat repeats
@@ -11,8 +11,11 @@ becomes the drive, tau and C of its row. The reported eigenerror column is
 the deterministic lower edge; Monte Carlo estimates of the true channel
 eigenerror are opt-in via mc_samples and carried in extra columns.
 
-Grid points are independent, so jobs > 1 evaluates them in a process pool;
-row order is always the grid order, never completion order.
+A drive depends only on (nbar, fano), so the grid points that share one
+form a work unit: the drive is built once and its channels for all the
+unit's tau values in one batched pass. A row's runtime_ms is its share of
+its unit's wall time. Units are independent, so jobs > 1 evaluates them in
+a process pool; row order is always the grid order, never completion order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numbers
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -36,12 +38,12 @@ from .channel import channel_eigenerror_bounds, concatenate, mc_channel_eigenfid
 from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
 from .haar import SeededSampler
 from .jcdrive import (
-    JCConfig,
     asymptotic_eigenerror_lower_bound,
     binomial_drive,
-    build_channel_exact,
+    build_channels_exact,
     poisson_drive,
 )
+from .jcdrive import build_channel_exact  # noqa: F401  benchmarks/child.py traces this name
 
 logger = logging.getLogger("eigenfid.experiments")
 
@@ -138,6 +140,8 @@ class SweepConfig:
                 raise SchemaError(f"/{name}", "expected a sequence") from None
             if name == "fano_grid" and values and self.drive_kind == "poisson":
                 raise SchemaError("/fano_grid", "poisson drives have no Fano factor to sweep")
+            if values and name not in _MODES[self.mode].axes:
+                raise SchemaError(f"/{name}", f"mode {self.mode!r} does not sweep it")
             object.__setattr__(self, name, tuple(
                 _checked(v, f"/{name}/{i}", rule) for i, v in enumerate(values)))
         for name in _MODES[self.mode].axes:
@@ -178,9 +182,10 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # row evaluation (module-level so process pools can pickle the work)
 #
-# A mode's head turns one grid point into the row's leading cells and the
-# gate it describes: (cells, drive, tau, C, asymptote). Every row then runs
-# the same tail: exact channel, C-fold concatenation, purity bracket.
+# A mode's drive key names the (nbar, fano) of the drive a grid point's
+# gates use; its head turns the point into the row's leading cells and the
+# gate it describes: (cells, tau, C, asymptote). Every row then runs the
+# same tail: C-fold concatenation of its channel, purity bracket.
 
 def _drive(config: SweepConfig, nbar: float, fano):
     if config.drive_kind == "poisson":
@@ -193,25 +198,35 @@ def _asymptote(config: SweepConfig, nbar: float, fano, tau: float) -> float:
     return asymptotic_eigenerror_lower_bound(config.drive_kind, nbar, variance, tau)
 
 
-def _scaling_head(config: SweepConfig, nbar: float, fano, tau: float) -> tuple:
-    drive = _drive(config, nbar, fano)
+def _own_drive(config: SweepConfig, nbar: float, fano, *rest) -> tuple:
+    return nbar, fano
+
+
+def _scaling_head(config: SweepConfig, drive, nbar: float, fano, tau: float) -> tuple:
     cells = (config.drive_kind, nbar, drive.variance / drive.mean, tau)
-    return cells, drive, tau, 1, _asymptote(config, nbar, fano, tau)
+    return cells, tau, 1, _asymptote(config, nbar, fano, tau)
 
 
-def _concat_head(config: SweepConfig, nbar: float, fano, count: int, tau: float) -> tuple:
-    drive = _drive(config, nbar, fano)
+def _concat_head(config: SweepConfig, drive, nbar: float, fano, count: int,
+                 tau: float) -> tuple:
     cells = (config.drive_kind, nbar, drive.variance / drive.mean, count, tau, count * tau)
-    return cells, drive, tau, count, _asymptote(config, nbar, fano, tau)
+    return cells, tau, count, _asymptote(config, nbar, fano, tau)
 
 
-def _split_head(config: SweepConfig, nbar_total: float, tau_total: float, count: int) -> tuple:
+def _split_drive(config: SweepConfig, nbar_total: float, tau_total: float,
+                 count: int) -> tuple:
     sub_nbar = nbar_total / count
     if sub_nbar < 1:
         raise BudgetTooSmall(
             f"splitting {nbar_total} photons over {count} gates leaves "
             f"{sub_nbar} per gate; need at least 1"
         )
+    return sub_nbar, None
+
+
+def _split_head(config: SweepConfig, drive, nbar_total: float, tau_total: float,
+                count: int) -> tuple:
+    sub_nbar = nbar_total / count
     if config.split_convention == "physical":
         # same physical duration t split C ways, re-reduced by the sub-gate's
         # own mean photon number: tau_sub = g sqrt(nbar/C) (t/C)
@@ -221,25 +236,25 @@ def _split_head(config: SweepConfig, nbar_total: float, tau_total: float, count:
         sub_tau = tau_total / count
     cells = (config.drive_kind, nbar_total, count, config.split_convention, sub_nbar,
              sub_tau, count * sub_nbar)
-    return (cells, _drive(config, sub_nbar, None), sub_tau, count,
-            _asymptote(config, sub_nbar, None, sub_tau))
+    return cells, sub_tau, count, _asymptote(config, sub_nbar, None, sub_tau)
 
 
 class _Mode(NamedTuple):
     axes: tuple      # SweepConfig grid fields, in product order
     columns: tuple   # leading columns, the cells a head returns
-    head: Callable
+    drive_key: Callable  # (config, *point) -> (nbar, fano) of the point's drive
+    head: Callable   # (config, drive, *point) -> (cells, tau, C, asymptote)
 
 
 _MODES = {
     "scaling": _Mode(("nbar_grid", "fano_grid", "tau_grid"),
-                     ("drive_kind", "nbar", "fano", "tau"), _scaling_head),
+                     ("drive_kind", "nbar", "fano", "tau"), _own_drive, _scaling_head),
     "concat": _Mode(("nbar_grid", "fano_grid", "concat_grid", "tau_grid"),
                     ("drive_kind", "nbar", "fano", "concatenations", "tau", "total_tau"),
-                    _concat_head),
+                    _own_drive, _concat_head),
     "split": _Mode(("nbar_grid", "tau_grid", "concat_grid"),
                    ("drive_kind", "nbar_total", "concatenations", "convention", "sub_nbar",
-                    "sub_tau", "energy_total"), _split_head),
+                    "sub_tau", "energy_total"), _split_drive, _split_head),
 }
 MODES = tuple(_MODES)
 _TAIL_COLUMNS = ("eigenerror_exact", "eigenerror_bound_lower", "eigenerror_bound_upper",
@@ -254,32 +269,48 @@ def _axis(config: SweepConfig, name: str) -> tuple:
     return getattr(config, name)
 
 
-def _evaluate(work: tuple) -> tuple:
-    config, index, point = work
+def _evaluate(work: tuple) -> list:
+    """(grid index, row) for each point of one work unit; its wall time is shared out."""
+    config, key, points = work
     t0 = time.perf_counter()
-    cells, drive, tau, count, asymptote = _MODES[config.mode].head(config, *point)
-    ch = concatenate(build_channel_exact(drive, JCConfig(tau=tau)), count)
-    lo, hi = channel_eigenerror_bounds(ch)
-    mc = ()
-    if config.mc_samples:
-        mean, err = mc_channel_eigenfidelity(ch, SeededSampler(config.seed, 2).child(index),
-                                             config.mc_samples)
-        mc = (1.0 - mean, err)
-    ms = (time.perf_counter() - t0) * 1e3
-    return cells + (lo, lo, hi, asymptote, ms) + mc
+    head = _MODES[config.mode].head
+    drive = _drive(config, *key)
+    gates = [head(config, drive, *point) for _, point in points]
+    taus = list(dict.fromkeys(tau for _, tau, _, _ in gates))
+    channels = dict(zip(taus, build_channels_exact(drive, taus)))
+    rows = []
+    for (index, _), (cells, tau, count, asymptote) in zip(points, gates):
+        ch = concatenate(channels[tau], count)
+        lo, hi = channel_eigenerror_bounds(ch)
+        mc = ()
+        if config.mc_samples:
+            mean, err = mc_channel_eigenfidelity(ch, SeededSampler(config.seed, 2).child(index),
+                                                 config.mc_samples)
+            mc = (1.0 - mean, err)
+        rows.append((index, cells + (lo, lo, hi, asymptote), mc))
+    ms = (time.perf_counter() - t0) * 1e3 / len(rows)
+    return [(index, lead + (ms,) + mc) for index, lead, mc in rows]
 
 
 def run(config: SweepConfig) -> SweepResult:
     """One row per point of the mode's grid, in product order of its axes."""
     mode = _MODES[config.mode]
     grid = itertools.product(*(_axis(config, name) for name in mode.axes))
-    work = [(config, i, point) for i, point in enumerate(grid)]
+    units: dict = {}  # drive key -> [(grid index, point)], in grid order
+    for i, point in enumerate(grid):
+        units.setdefault(mode.drive_key(config, *point), []).append((i, point))
+    work = [(config, key, points) for key, points in units.items()]
     if config.jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costly import, only pools pay it
+
         chunk = max(1, len(work) // (4 * config.jobs))
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_evaluate, work, chunksize=chunk))
+            done = list(pool.map(_evaluate, work, chunksize=chunk))
     else:
-        rows = [_evaluate(w) for w in work]
+        done = [_evaluate(w) for w in work]
+    rows = [None] * sum(len(points) for points in units.values())
+    for i, row in itertools.chain.from_iterable(done):
+        rows[i] = row
     logger.info("%s sweep finished: %d rows", config.mode, len(rows))
     columns = mode.columns + _TAIL_COLUMNS + (_MC_COLUMNS if config.mc_samples else ())
     return SweepResult(columns=columns, rows=tuple(rows), config=config)
@@ -334,17 +365,22 @@ def _atomic_write(path: str, text: str) -> None:
     """Write text to path so that the file appears whole or not at all.
 
     The text goes to a temporary file in the destination directory, which is
-    renamed into place; the temporary file is removed if anything fails.
+    renamed into place; the temporary file is removed if anything fails, and
+    an OSError names path.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eigenfid-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eigenfid-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # name the caller's path, never the temporary file's
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise
 
 

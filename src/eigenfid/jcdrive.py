@@ -285,17 +285,21 @@ def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
 # ---------------------------------------------------------------------------
 # channel construction
 
-def _angles(k_lo: int, k_hi: int, tau: float, nbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of tau sqrt(k/nbar) for k = k_lo .. k_hi."""
-    if tau != 0 and nbar <= 0:
-        raise InvalidMean(
-            "reduced time is undefined for a zero-mean drive; "
-            "tau = g sqrt(nbar) t requires nbar > 0"
-        )
+def _angles(k_lo: int, k_hi: int, tau, nbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of tau sqrt(k/nbar) for k = k_lo .. k_hi, on a trailing axis.
+
+    tau is a scalar or an array of reduced times; its shape leads the result's.
+    """
     k = np.arange(k_lo, k_hi + 1)
-    if tau == 0:
-        return np.ones_like(k, dtype=float), np.zeros_like(k, dtype=float)
-    theta = tau * np.sqrt(k / nbar)
+    if nbar <= 0:
+        if np.any(tau):
+            raise InvalidMean(
+                "reduced time is undefined for a zero-mean drive; "
+                "tau = g sqrt(nbar) t requires nbar > 0"
+            )
+        shape = np.shape(tau) + k.shape
+        return np.ones(shape), np.zeros(shape)
+    theta = np.multiply.outer(tau, np.sqrt(k / nbar))
     return np.cos(theta), np.sin(theta)
 
 
@@ -333,51 +337,69 @@ def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMa
     return FMatrixSet(f00, f01, f01.conj().T, f11)
 
 
-def build_channel_exact(drive: DriveDistribution, cfg: JCConfig) -> QubitChannel:
-    """Qubit channel from the truncated expectation of F_ij over the drive.
+# elements of each (tau x window) temporary in build_channels_exact: at most
+# this many, or one tau's row when the window alone is wider
+_TAU_BLOCK_ELEMENTS = 1 << 16
+
+
+def build_channels_exact(drive: DriveDistribution, taus) -> list[QubitChannel]:
+    """Qubit channels from the truncated expectation of F_ij over the drive,
+    one per reduced time in taus, in order.
 
     Off-diagonal sums are evaluated as amplitude products
     (e.g. sum_n conj(b_n) b_{n+1} c_{n+1} s_{n+1}), never as ratios, so
-    drives with zero coefficients are handled exactly.
+    drives with zero coefficients are handled exactly. The window sums run
+    over a leading tau axis, in blocks of taus, so the memory they take is
+    bounded whatever len(taus) is.
     """
-    cfg.interaction_time(drive.mean)  # validates tau > 0 against zero-mean drives
+    taus = np.asarray(taus, dtype=float)
+    for tau in taus:
+        JCConfig(tau=tau).interaction_time(drive.mean)  # tau >= 0; tau > 0 needs a mean
     b = drive.coefficients
-    n = np.arange(len(b))  # offsets into the window: level n_min + n
+    m = len(b)  # window levels n_min .. n_max; angles run to n_max + 2
     w = np.abs(b) ** 2
-    c, s = _angles(drive.n_min, drive.n_max + 2, cfg.tau, drive.mean)
-
     # neighbor products on the contiguous window; entries past the edge are 0
-    x1 = b[:-1] * np.conj(b[1:]) if len(b) > 1 else np.zeros(0, dtype=complex)
-    y1 = np.conj(b[:-1]) * b[1:] if len(b) > 1 else np.zeros(0, dtype=complex)
-    y2 = np.conj(b[:-2]) * b[2:] if len(b) > 2 else np.zeros(0, dtype=complex)
-    n1 = n[:-1]
-    n2 = n[:-2]
+    x1 = b[:-1] * np.conj(b[1:])
+    y1 = np.conj(b[:-1]) * b[1:]
+    y2 = np.conj(b[:-2]) * b[2:]
 
-    e00 = np.zeros((2, 2), dtype=complex)
-    e00[0, 0] = np.sum(w * c[n] ** 2)
-    e00[1, 1] = np.sum(w * s[n] ** 2)
-    e00[0, 1] = np.sum(x1 * c[n1] * s[n1 + 1])
-    e00[1, 0] = np.conj(e00[0, 1])
+    images = np.zeros((len(taus), 3, 2, 2), dtype=complex)  # E00, E01, E11 per tau
+    step = max(1, _TAU_BLOCK_ELEMENTS // (m + 2))
+    for start in range(0, len(taus), step):
+        # column j of c and s is level n_min + j
+        c, s = _angles(drive.n_min, drive.n_max + 2, taus[start:start + step], drive.mean)
+        e00, e01, e11 = (images[start:start + step, k] for k in range(3))
+        e00[:, 0, 0] = np.sum(w * c[:, :m] ** 2, axis=1)
+        e00[:, 1, 1] = np.sum(w * s[:, :m] ** 2, axis=1)
+        e00[:, 0, 1] = np.sum(x1 * c[:, :m - 1] * s[:, 1:m], axis=1)
+        e00[:, 1, 0] = np.conj(e00[:, 0, 1])
 
-    e11 = np.zeros((2, 2), dtype=complex)
-    e11[0, 0] = np.sum(w * s[n + 1] ** 2)
-    e11[1, 1] = np.sum(w * c[n + 1] ** 2)
-    e11[0, 1] = -np.sum(x1 * s[n1 + 1] * c[n1 + 2])
-    e11[1, 0] = np.conj(e11[0, 1])
+        e11[:, 0, 0] = np.sum(w * s[:, 1:m + 1] ** 2, axis=1)
+        e11[:, 1, 1] = np.sum(w * c[:, 1:m + 1] ** 2, axis=1)
+        e11[:, 0, 1] = -np.sum(x1 * s[:, 1:m] * c[:, 2:m + 1], axis=1)
+        e11[:, 1, 0] = np.conj(e11[:, 0, 1])
 
-    e01 = np.zeros((2, 2), dtype=complex)
-    e01[0, 0] = -np.sum(y1 * c[n1 + 1] * s[n1 + 1])
-    e01[1, 1] = np.sum(y1 * c[n1 + 1] * s[n1 + 1])
-    e01[0, 1] = np.sum(w * c[n] * c[n + 1])
-    e01[1, 0] = -np.sum(y2 * s[n2 + 1] * s[n2 + 2])
+        exchange = np.sum(y1 * c[:, 1:m] * s[:, 1:m], axis=1)
+        e01[:, 0, 0] = -exchange
+        e01[:, 1, 1] = exchange
+        e01[:, 0, 1] = np.sum(w * c[:, :m] * c[:, 1:m + 1], axis=1)
+        e01[:, 1, 0] = -np.sum(y2 * s[:, 1:m - 1] * s[:, 2:m], axis=1)
 
-    residual = max(abs(np.trace(e00) - 1), abs(np.trace(e11) - 1), abs(np.trace(e01)))
-    if residual > TP_TOL:
+    traces = np.trace(images, axis1=2, axis2=3)  # tr E00, tr E01, tr E11
+    residuals = np.abs(traces - (1, 0, 1)).max(axis=1)
+    lost = np.flatnonzero(residuals > TP_TOL)
+    if lost.size:
         raise TruncationError(
-            f"trace-preservation residual {residual:.3e} exceeds {TP_TOL:.0e}; "
+            f"trace-preservation residual {residuals[lost[0]]:.3e} exceeds {TP_TOL:.0e}; "
             "drive support window is too small"
         )
-    return QubitChannel(e00, e01, e01.conj().T, e11)
+    return [QubitChannel(e00, e01, e01.conj().T, e11) for e00, e01, e11 in images]
+
+
+def build_channel_exact(drive: DriveDistribution, cfg: JCConfig) -> QubitChannel:
+    """Qubit channel from the truncated expectation of F_ij over the drive:
+    build_channels_exact at the single reduced time cfg.tau."""
+    return build_channels_exact(drive, (cfg.tau,))[0]
 
 
 class _Jet:

@@ -231,6 +231,14 @@ class TestSweepRuns:
         assert main(["scaling", "--config", cfg, "-o", str(target)]) == 1
         assert "FileNotFoundError" in capsys.readouterr().err
 
+    def test_write_error_names_the_output_path(self, capsys, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json")
+        target = tmp_path / "missing" / "dir" / "x.csv"
+        assert main(["scaling", "--config", cfg, "-o", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert str(target) in err
+        assert ".tmp" not in err
+
     def test_seed_override_lands_in_the_sidecar(self, capsys, tmp_path):
         csv = tmp_path / "run.csv"
         cfg = _write_config(tmp_path / "cfg.json", output=str(csv))

@@ -6,6 +6,7 @@ import csv
 import glob
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from eigenfid import (
     write_csv,
     write_sidecar,
 )
+from eigenfid import experiments
 from eigenfid.experiments import VERSION_STRING, run, sidecar_dict
 from eigenfid.serialize import dump_object
 from eigenfid.errors import BudgetTooSmall, SchemaError, UnsupportedParameters
@@ -97,6 +99,16 @@ class TestSweepConfig:
         with pytest.raises(SchemaError) as excinfo:
             _scaling_config(fano_grid=(0.3,))
         assert excinfo.value.path == "/fano_grid"
+
+    @pytest.mark.parametrize("kw, path", [
+        (dict(concat_grid=(7,)), "/concat_grid"),
+        (dict(drive_kind="binomial", fano_grid=(0.2,), concat_grid=(1, 2)), "/concat_grid"),
+        (dict(mode="split", concat_grid=(2,), fano_grid=(0.2,)), "/fano_grid"),
+    ])
+    def test_rejects_a_grid_the_mode_never_reads(self, kw, path):
+        with pytest.raises(SchemaError) as excinfo:
+            _scaling_config(**kw)
+        assert excinfo.value.path == path
 
     def test_concat_mode_needs_counts(self):
         with pytest.raises(UnsupportedParameters):
@@ -285,6 +297,62 @@ class TestRunSplit:
         with pytest.raises(BudgetTooSmall):
             run_split(SweepConfig(mode="split", nbar_grid=(4.0,), tau_grid=(PI / 2,),
                                   concat_grid=(8,)))
+
+
+# ---------------------------------------------------------------------------
+# work units: grid points that share a drive
+
+def _counting_poisson_drive(monkeypatch) -> list:
+    calls = []
+
+    def counting(nbar, *args, **kwargs):
+        calls.append(nbar)
+        return poisson_drive(nbar, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "poisson_drive", counting)
+    return calls
+
+
+class TestWorkUnits:
+    def test_scaling_builds_each_drive_once(self, monkeypatch):
+        calls = _counting_poisson_drive(monkeypatch)
+        nbars = tuple(float(v) for v in np.geomspace(10.0, 1e3, 24))
+        taus = tuple(float(v) for v in np.linspace(0.1, PI, 16))
+        res = run(SweepConfig(mode="scaling", nbar_grid=nbars, tau_grid=taus))
+        assert len(res.rows) == 24 * 16
+        assert calls == list(nbars)
+
+    def test_split_rows_share_a_drive_per_sub_nbar(self, monkeypatch):
+        calls = _counting_poisson_drive(monkeypatch)
+        res = run(SweepConfig(mode="split", nbar_grid=(64.0, 128.0), tau_grid=(0.5, PI / 2),
+                              concat_grid=(1, 2, 4)))
+        assert len(res.rows) == 12
+        assert sorted(calls) == [16.0, 32.0, 64.0, 128.0]
+
+    def test_rows_match_one_row_at_a_time(self):
+        cfg = SweepConfig(mode="concat", drive_kind="binomial", nbar_grid=(25.0, 100.0),
+                          fano_grid=(0.2,), tau_grid=(0.3, PI / 2), concat_grid=(1, 3))
+        res = run(cfg)
+        k = res.columns.index("runtime_ms")
+        for i, point in enumerate(res.rows):
+            nbar, count, tau = point[1], point[3], point[4]
+            one = run(SweepConfig(mode="concat", drive_kind="binomial", nbar_grid=(nbar,),
+                                  fano_grid=(0.2,), tau_grid=(tau,), concat_grid=(count,)))
+            assert one.rows[0][:k] == point[:k]
+
+    def test_runtime_is_the_unit_time_shared_by_its_rows(self):
+        res = run(_scaling_config(nbar_grid=(25.0, 50.0), tau_grid=(0.5, 1.0, 1.5)))
+        times = res.column("runtime_ms")
+        assert all(t > 0 for t in times)
+        assert times[0] == times[1] == times[2]
+        assert times[3] == times[4] == times[5]
+
+    def test_parallel_split_matches_serial(self):
+        cfg = SweepConfig(mode="split", nbar_grid=(64.0, 256.0), tau_grid=(0.5, PI / 2),
+                          concat_grid=(1, 2, 4, 8), seed=3, mc_samples=200)
+        a = run(cfg)
+        b = run(replace(cfg, jobs=2))
+        assert TestDeterminism._strip_runtime(a) == TestDeterminism._strip_runtime(b)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from eigenfid import jcdrive
 from eigenfid import (
     BipartiteState,
     DensityMatrix,
@@ -21,6 +22,7 @@ from eigenfid import (
     binomial_drive,
     build_channel_exact,
     build_channel_taylor2,
+    build_channels_exact,
     channel_eigenerror_bounds,
     concatenate,
     eigenerror,
@@ -331,6 +333,115 @@ class TestBuildChannelExact:
                 np.testing.assert_allclose(
                     joint.qubit_density().matrix, via_channel.matrix, atol=1e-10
                 )
+
+
+def _per_tau_images(drive, tau: float) -> tuple:
+    """E00, E01, E11 of one reduced time, summed level by level over the window.
+
+    The single-time formulas with index arrays: the reference the batched
+    (tau x window) sums must reproduce bit for bit.
+    """
+    b = drive.coefficients
+    n = np.arange(len(b))
+    w = np.abs(b) ** 2
+    k = np.arange(drive.n_min, drive.n_max + 3)
+    theta = tau * np.sqrt(k / drive.mean) if tau else np.zeros(len(k))
+    c, s = np.cos(theta), np.sin(theta)
+    x1, y1, y2 = b[:-1] * np.conj(b[1:]), np.conj(b[:-1]) * b[1:], np.conj(b[:-2]) * b[2:]
+    n1, n2 = n[:-1], n[:-2]
+    e00 = np.zeros((2, 2), dtype=complex)
+    e00[0, 0] = np.sum(w * c[n] ** 2)
+    e00[1, 1] = np.sum(w * s[n] ** 2)
+    e00[0, 1] = np.sum(x1 * c[n1] * s[n1 + 1])
+    e00[1, 0] = np.conj(e00[0, 1])
+    e11 = np.zeros((2, 2), dtype=complex)
+    e11[0, 0] = np.sum(w * s[n + 1] ** 2)
+    e11[1, 1] = np.sum(w * c[n + 1] ** 2)
+    e11[0, 1] = -np.sum(x1 * s[n1 + 1] * c[n1 + 2])
+    e11[1, 0] = np.conj(e11[0, 1])
+    e01 = np.zeros((2, 2), dtype=complex)
+    e01[0, 0] = -np.sum(y1 * c[n1 + 1] * s[n1 + 1])
+    e01[1, 1] = np.sum(y1 * c[n1 + 1] * s[n1 + 1])
+    e01[0, 1] = np.sum(w * c[n] * c[n + 1])
+    e01[1, 0] = -np.sum(y2 * s[n2 + 1] * s[n2 + 2])
+    return e00, e01, e11
+
+
+_BATCH_DRIVES = {
+    "poisson": lambda: poisson_drive(7.0),
+    "poisson-wide": lambda: poisson_drive(900.0),
+    "binomial": lambda: binomial_drive(25.0, 5.0),
+    "binomial-clipped": lambda: binomial_drive(2.0, 1.0),
+    "fock": lambda: fock_drive(3),
+    "fock-large": lambda: fock_drive(10 ** 6),
+    # zero interior coefficients, complex phases, a window off the vacuum
+    "custom-gaps": lambda: custom_drive([0.3, 0.0, 0.5j, 0.0, 0.0, -0.4 + 0.2j, 0.6], n_min=2),
+    "custom-single": lambda: custom_drive([1j], n_min=4),
+}
+_BATCH_TAUS = (0.0, 0.1, 0.7, math.pi / 2, 2.0, math.pi, 5.9, 0.7, 0.0)
+
+
+class TestBuildChannelsExact:
+    @pytest.mark.parametrize("name", list(_BATCH_DRIVES))
+    def test_matches_the_per_tau_sums_bit_for_bit(self, name):
+        drive = _BATCH_DRIVES[name]()
+        channels = build_channels_exact(drive, _BATCH_TAUS)
+        assert len(channels) == len(_BATCH_TAUS)
+        for tau, chan in zip(_BATCH_TAUS, channels):
+            e00, e01, e11 = _per_tau_images(drive, tau)
+            assert np.array_equal(chan.E00, e00)
+            assert np.array_equal(chan.E01, e01)
+            assert np.array_equal(chan.E11, e11)
+            single = build_channel_exact(drive, JCConfig(tau=tau))
+            assert np.array_equal(single.images(), chan.images())
+
+    @pytest.mark.parametrize("budget", [1, 20, 5000])
+    def test_tau_blocks_leave_the_channels_unchanged(self, monkeypatch, budget):
+        drives = [_BATCH_DRIVES[name]() for name in ("poisson-wide", "custom-gaps")]
+        taus = np.linspace(0.0, 2 * math.pi, 37)
+        whole = [build_channels_exact(d, taus) for d in drives]
+        monkeypatch.setattr(jcdrive, "_TAU_BLOCK_ELEMENTS", budget)
+        for drive, want in zip(drives, whole):
+            got = build_channels_exact(drive, taus)
+            assert all(np.array_equal(a.images(), b.images()) for a, b in zip(got, want))
+
+    def test_no_times_give_no_channels(self):
+        assert build_channels_exact(poisson_drive(7.0), ()) == []
+
+    def test_vacuum_drive_takes_only_zero_times(self):
+        (chan,) = build_channels_exact(fock_drive(0), (0.0,))
+        np.testing.assert_array_equal(chan.E00, [[1, 0], [0, 0]])
+        with pytest.raises(InvalidMean):
+            build_channels_exact(fock_drive(0), (0.0, 0.5))
+
+    def test_rejects_a_negative_time_anywhere(self):
+        with pytest.raises(UnsupportedParameters):
+            build_channels_exact(poisson_drive(7.0), (0.5, -0.1))
+
+    def test_truncation_guard_names_the_first_bad_time(self):
+        drive = SimpleNamespace(mean=5.0, coefficients=np.array([math.sqrt(0.5) + 0j]),
+                                n_min=5, n_max=5)
+        with pytest.raises(TruncationError, match="5.000e-01"):
+            build_channels_exact(drive, (0.0, 0.3, 1.0))
+
+    def test_wide_drive_temporaries_stay_bounded(self):
+        # 64 times over a 10^5-level window: one unblocked (tau x window)
+        # complex temporary alone would take 64 * 10^5 * 16 B = 102 MB
+        levels = np.arange(100_000)
+        drive = custom_drive(np.exp(-(((levels - 50_000) / 15_000.0) ** 2)))
+        taus = np.linspace(0.05, math.pi, 64)
+        tracemalloc.start()
+        try:
+            channels = build_channels_exact(drive, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(channels) == 64
+        assert peak < 16 * 2 ** 20
+        for i in (0, 31, 63):
+            want = _per_tau_images(drive, taus[i])
+            assert np.array_equal(channels[i].E00, want[0])
+            assert np.array_equal(channels[i].E01, want[1])
 
 
 # ---------------------------------------------------------------------------

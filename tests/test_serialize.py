@@ -170,6 +170,11 @@ class TestSweepConfigDocument:
             sweep_config_from_dict(doc)
         assert _path_of(excinfo) == "/fano_grid"
 
+    def test_rejects_a_grid_the_mode_never_reads(self):
+        with pytest.raises(SchemaError) as excinfo:
+            sweep_config_from_dict(_minimal_config(concat_grid=[7]))
+        assert _path_of(excinfo) == "/concat_grid"
+
     def test_poisson_sweep_rejects_a_fano_grid(self):
         doc = _minimal_config(fano_grid=[0.3])
         with pytest.raises(SchemaError) as excinfo:
