@@ -69,16 +69,17 @@ class QubitChannel:
         object.__setattr__(self, "_transfer", rows.T)
         for name, row in zip(_IMAGES, rows):
             object.__setattr__(self, name, row.reshape(2, 2))
+        # each check is written so that a NaN fails it
         tp = tp_residual(self)
-        if tp > TP_TOL:
+        if not tp <= TP_TOL:
             raise NonHermitianInput(f"trace preservation broken: image traces off by {tp:.3e}")
         choi = _choi(self)
-        if np.abs(choi - choi.conj().T).max() > HERM_TOL:
+        if not np.abs(choi - choi.conj().T).max() <= HERM_TOL:
             raise NonHermitianInput(
                 "E00 and E11 must be Hermitian and E10 must equal the adjoint of E01"
             )
         residual = _negative_part(choi)
-        if residual > self.cp_slack:
+        if not residual <= self.cp_slack:
             raise CPViolation(
                 f"Choi matrix has eigenvalue {-residual:.3e} below -{self.cp_slack:.1e}"
             )
@@ -105,7 +106,7 @@ class QubitChannel:
     @classmethod
     def from_unitary(cls, u) -> "QubitChannel":
         u = _as_2x2(u, "unitary")
-        if np.abs(u.conj().T @ u - np.eye(2)).max() > UNITARY_TOL:
+        if not (np.isfinite(u).all() and np.abs(u.conj().T @ u - np.eye(2)).max() <= UNITARY_TOL):
             raise NonHermitianInput("matrix is not unitary")
         # row-major vec(U rho U^dag) = (U kron conj(U)) vec(rho)
         return cls._from_transfer(np.kron(u, u.conj()))
@@ -122,7 +123,7 @@ class TargetGate:
 
     def __post_init__(self):
         u = _as_2x2(self.unitary, "gate")
-        if np.abs(u.conj().T @ u - np.eye(2)).max() > UNITARY_TOL:
+        if not (np.isfinite(u).all() and np.abs(u.conj().T @ u - np.eye(2)).max() <= UNITARY_TOL):
             raise NonHermitianInput("gate matrix is not unitary")
         u = u.copy()
         u.setflags(write=False)
@@ -147,7 +148,7 @@ class ChoiMatrix:
         s = np.asarray(self.entries, dtype=complex)
         if s.shape != (4, 4):
             raise DimensionMismatch(f"Choi matrix must be 4x4, got {s.shape}")
-        if np.abs(s - s.conj().T).max() > HERM_TOL:
+        if not (np.isfinite(s).all() and np.abs(s - s.conj().T).max() <= HERM_TOL):
             raise NonHermitianInput("Choi matrix is not Hermitian")
         # tracing out the output (second) factor must give the identity,
         # which is trace preservation seen from the Choi side

@@ -43,6 +43,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = _as_complex_matrix(self.matrix)
+        if not np.isfinite(a).all():
+            raise NonHermitianInput("matrix has non-finite entries")
         if np.abs(a - a.conj().T).max() > HERMITIAN_TOL:
             raise NonHermitianInput(
                 f"matrix deviates from Hermiticity by {np.abs(a - a.conj().T).max():.3e}"
@@ -91,7 +93,7 @@ class PureState:
     def __post_init__(self):
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > HERMITIAN_TOL:
+        if not abs(n - 1.0) <= HERMITIAN_TOL:
             raise DimensionMismatch(f"state norm is {n!r}, expected 1")
         v = v.copy()
         v.setflags(write=False)
@@ -135,7 +137,8 @@ class EnergyBasis:
             raise DimensionMismatch("levels and basis dimensions differ")
         if not np.all(np.diff(e) > 0):
             raise DimensionMismatch("energy levels must be strictly increasing")
-        if np.abs(b.conj().T @ b - np.eye(b.shape[0])).max() > ORTHO_TOL:
+        if not (np.isfinite(b).all()
+                and np.abs(b.conj().T @ b - np.eye(b.shape[0])).max() <= ORTHO_TOL):
             raise DimensionMismatch("basis columns are not orthonormal")
         object.__setattr__(self, "levels", e)
         object.__setattr__(self, "basis", b)

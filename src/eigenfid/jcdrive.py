@@ -68,13 +68,14 @@ class DriveDistribution:
         if self.n_min < 0:
             raise UnsupportedParameters("photon numbers must be nonnegative")
         w = np.abs(b) ** 2
-        if abs(w.sum() - 1.0) > NORMALIZATION_TOL:
+        # written so that a NaN fails each check
+        if not abs(w.sum() - 1.0) <= NORMALIZATION_TOL:
             raise UnsupportedParameters(
                 f"coefficients not normalized: sum |b_n|^2 = {w.sum():.15f}"
             )
         n = np.arange(self.n_min, self.n_max + 1)
         mean, var = _moments(w, n)
-        if abs(mean - self.mean) > MOMENT_TOL or abs(var - self.variance) > MOMENT_TOL:
+        if not (abs(mean - self.mean) <= MOMENT_TOL and abs(var - self.variance) <= MOMENT_TOL):
             raise UnsupportedParameters(
                 f"stored moments ({self.mean}, {self.variance}) disagree with "
                 f"realized ({mean}, {var})"
@@ -111,10 +112,12 @@ class JCConfig:
     coupling: float = 1.0
 
     def __post_init__(self):
-        if self.coupling <= 0:
-            raise UnsupportedParameters(f"coupling must be positive, got {self.coupling}")
-        if self.tau < 0:
-            raise UnsupportedParameters(f"reduced time must be nonnegative, got {self.tau}")
+        if not 0 < self.coupling < math.inf:
+            raise UnsupportedParameters(
+                f"coupling must be positive and finite, got {self.coupling}")
+        if not 0 <= self.tau < math.inf:
+            raise UnsupportedParameters(
+                f"reduced time must be nonnegative and finite, got {self.tau}")
 
     def interaction_time(self, nbar: float) -> float:
         """Physical duration t with tau = coupling * sqrt(nbar) * t."""
@@ -154,31 +157,91 @@ class FMatrixSet:
 # ---------------------------------------------------------------------------
 # drive constructors
 
+# the window search in poisson_drive evaluates this many levels per side at
+# a time, plus this many per unit standard deviation sqrt(nbar): enough for
+# the first chunk pair to hold the whole window at the default tail_tol
+_WINDOW_CHUNK_LEVELS = 64
+_WINDOW_CHUNK_SIGMAS = 8
+
+
+def _poisson_logpmf(nbar: float, start: int, stop: int) -> np.ndarray:
+    """log Poisson(nbar) pmf at n = start .. stop - 1.
+
+    Bit for bit the scalar -nbar + n log(nbar) - lgamma(n + 1): numpy has no
+    lgamma, and a cumulative sum of logs would round differently.
+    """
+    lgamma = np.fromiter(map(math.lgamma, range(start + 1, stop + 1)), float, stop - start)
+    return -nbar + np.arange(start, stop) * math.log(nbar) - lgamma
+
+
+def _math_exp(x: np.ndarray) -> np.ndarray:
+    """math.exp elementwise; np.exp may differ from it in the last bit."""
+    return np.fromiter(map(math.exp, x.tolist()), float, len(x))
+
+
 def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistribution:
     """Coherent-state amplitudes: |b_n|^2 Poisson with mean nbar.
 
-    The window grows outward from the mean until the clipped tail mass is
-    below tail_tol; the kept weights are renormalized.
+    The window grows greedily from n = int(nbar): each step adds whichever
+    of the next level below and the next level above has the larger pmf
+    term (the lower one on a tie), until the running sum of the kept terms
+    reaches 1 - tail_tol. The kept weights are then renormalized.
+
+    The running sum is rounded, and for some means from nbar ~ 2.4e3 up
+    (2754 and 3000, for example) it stalls just below 1 - tail_tol: the
+    search then never ends.
     """
-    if nbar <= 0:
-        raise InvalidMean(f"mean photon number must be positive, got {nbar}")
-
-    def logpmf(n: int) -> float:
-        return -nbar + n * math.log(nbar) - math.lgamma(n + 1)
-
+    if not 0 < nbar < math.inf:
+        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
+    if not 0 < tail_tol < math.inf:  # at tail_tol <= 0 the search cannot end
+        raise UnsupportedParameters(f"tail_tol must be positive and finite, got {tail_tol}")
+    threshold = 1.0 - tail_tol
+    chunk = _WINDOW_CHUNK_LEVELS + int(_WINDOW_CHUNK_SIGMAS * math.sqrt(nbar))
     lo = hi = int(nbar)
-    total = math.exp(logpmf(lo))
-    while total < 1.0 - tail_tol:
-        p_lo = math.exp(logpmf(lo - 1)) if lo > 0 else -1.0
-        p_hi = math.exp(logpmf(hi + 1))
-        if p_lo >= p_hi:
-            lo -= 1
-            total += p_lo
-        else:
-            hi += 1
-            total += p_hi
+    # log-weights of the first chunk on each side, shared by the search and
+    # the weights; levels past them are evaluated one chunk at a time
+    first = max(0, lo - chunk)
+    first_logs = _poisson_logpmf(nbar, first, hi + chunk + 1)
+
+    def logpmf(start: int, stop: int) -> np.ndarray:
+        if first <= start and stop <= first + len(first_logs):
+            return first_logs[start - first:stop - first]
+        return _poisson_logpmf(nbar, start, stop)
+
+    total = math.exp(first_logs[lo - first])
+    # The greedy rule compares the heads of the two outward sequences of
+    # terms. That is a stable descending merge of their running minima,
+    # lower side first on ties, so each chunk pair is merged in one pass.
+    floor_lo = floor_hi = math.inf  # smallest term taken so far on each side
+    order = np.arange(chunk)
+    while total < threshold:
+        below = np.full(chunk, -1.0)  # past n = 0 the lower side never wins
+        k = min(chunk, lo)
+        below[:k] = _math_exp(logpmf(lo - k, lo)[::-1])
+        above = _math_exp(logpmf(hi + 1, hi + 1 + chunk))
+        key_lo = np.minimum(np.minimum.accumulate(below), floor_lo)
+        key_hi = np.minimum(np.minimum.accumulate(above), floor_hi)
+        at_lo = order + np.searchsorted(-key_hi, -key_lo, "left")
+        at_hi = order + np.searchsorted(-key_lo, -key_hi, "right")
+        # merged terms are the rule's only until either chunk runs out
+        valid = min(at_lo[-1], at_hi[-1]) + 1
+        sums = np.empty(2 * chunk + 1)
+        sums[0] = total
+        sums[at_lo + 1] = below
+        sums[at_hi + 1] = above
+        sums = np.cumsum(sums[:valid + 1])  # sequential, so it rounds like total +=
+        steps = min(int(np.searchsorted(sums, threshold)), valid)
+        taken_lo = int(np.searchsorted(at_lo, steps))
+        taken_hi = steps - taken_lo
+        if taken_lo:
+            floor_lo = key_lo[taken_lo - 1]
+        if taken_hi:
+            floor_hi = key_hi[taken_hi - 1]
+        lo -= taken_lo
+        hi += taken_hi
+        total = float(sums[steps])
     n = np.arange(lo, hi + 1)
-    w = np.exp([logpmf(int(k)) for k in n])
+    w = np.exp(logpmf(lo, hi + 1))
     w /= w.sum()
     mean, var = _moments(w, n)
     return DriveDistribution(
@@ -189,13 +252,14 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
 
 
 def _binomial_weights(n_trials: int) -> np.ndarray:
-    k = np.arange(n_trials + 1)
-    logc = [math.lgamma(n_trials + 1) - math.lgamma(kk + 1) - math.lgamma(n_trials - kk + 1)
-            for kk in k]
-    return np.exp(np.array(logc) - n_trials * math.log(2.0))
+    lg = np.fromiter(map(math.lgamma, range(1, n_trials + 2)), float, n_trials + 1)
+    logc = math.lgamma(n_trials + 1) - lg - lg[::-1]  # log C(n_trials, k)
+    return np.exp(logc - n_trials * math.log(2.0))
 
 
 def _require_integer(value: float, what: str) -> int:
+    if not math.isfinite(value):
+        raise UnsupportedParameters(f"{what} = {value} must be a finite integer")
     r = round(value)
     if abs(value - r) > 1e-9:
         raise UnsupportedParameters(f"{what} = {value} must be an integer")
@@ -212,9 +276,9 @@ def binomial_drive(nbar: float, variance: float,
     realized moments are nbar - N/2 and N/4, and the mismatch with the
     requested values is flagged in metadata.
     """
-    if nbar <= 0:
-        raise InvalidMean(f"mean photon number must be positive, got {nbar}")
-    if variance <= 0 or variance > nbar:
+    if not 0 < nbar < math.inf:
+        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
+    if not 0 < variance <= nbar:
         raise UnsupportedParameters(
             f"need 0 < variance <= mean, got variance={variance}, mean={nbar}"
         )
@@ -255,7 +319,7 @@ def binomial_drive(nbar: float, variance: float,
 
 def fock_drive(n_photons: int) -> DriveDistribution:
     """Single photon-number state: b_N = 1."""
-    if n_photons < 0 or n_photons != int(n_photons):
+    if not 0 <= n_photons < math.inf or n_photons != int(n_photons):
         raise UnsupportedParameters(f"photon number must be a nonnegative integer, got {n_photons}")
     n_photons = int(n_photons)
     return DriveDistribution(
@@ -269,6 +333,9 @@ def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
     b = np.asarray(coefficients, dtype=complex)
     if b.ndim != 1 or len(b) == 0:
         raise DimensionMismatch("coefficients must be a nonempty vector")
+    if not np.isfinite(b).all():
+        raise UnsupportedParameters("coefficients must be finite")
+    n_min = _require_integer(n_min, "n_min")
     norm = np.linalg.norm(b)
     if norm == 0:
         raise UnsupportedParameters("coefficients must not all vanish")
@@ -576,12 +643,12 @@ def evolve_bipartite(drive: DriveDistribution, qubit: PureState,
     psi[drive.n_min - lo: drive.n_max - lo + 1, 0] = drive.coefficients * a0
     psi[drive.n_min - lo: drive.n_max - lo + 1, 1] = drive.coefficients * a1
     if cfg.tau != 0:
-        for m in range(max(1, lo), hi + 1):
-            theta = cfg.tau * math.sqrt(m / drive.mean)
-            cm, sm = math.cos(theta), math.sin(theta)
-            upper = psi[m - lo, 0]
-            lower = psi[m - 1 - lo, 1] if m - 1 >= lo else 0.0
-            psi[m - lo, 0] = cm * upper - sm * lower
-            if m - 1 >= lo:
-                psi[m - 1 - lo, 1] = sm * upper + cm * lower
+        # row r pairs psi[r, 0] with psi[r - 1, 1] at m = lo + r; the pair at
+        # m = lo, when lo > 0, holds no amplitude
+        theta = (cfg.tau * np.sqrt(np.arange(lo + 1, hi + 1) / drive.mean)).tolist()
+        c = np.fromiter(map(math.cos, theta), float, len(theta))
+        s = np.fromiter(map(math.sin, theta), float, len(theta))
+        upper, lower = psi[1:, 0].copy(), psi[:-1, 1].copy()
+        psi[1:, 0] = c * upper - s * lower
+        psi[:-1, 1] = s * upper + c * lower
     return BipartiteState(psi, lo)

@@ -89,6 +89,36 @@ class TestConstruction:
         with pytest.raises(NonHermitianInput):
             ChoiMatrix(np.diag([2.0, 0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 1, 0), (3, 1, 1)])
+    def test_rejects_non_finite_images(self, bad, entry):
+        images = [KET0.copy(), np.zeros((2, 2), dtype=complex),
+                  np.zeros((2, 2), dtype=complex), KET1.copy()]
+        k, i, j = entry
+        images[k][i, j] = bad
+        with pytest.raises(NonHermitianInput):
+            QubitChannel(*images)
+
+    def test_rejects_nan_cp_slack(self):
+        with pytest.raises(CPViolation):
+            QubitChannel(KET0, np.zeros((2, 2)), np.zeros((2, 2)), KET1, cp_slack=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_unitaries_must_be_finite(self, bad):
+        u = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(NonHermitianInput):
+            TargetGate(u)
+        with pytest.raises(NonHermitianInput):
+            QubitChannel.from_unitary(u)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 3)])
+    def test_choi_rejects_non_finite_entries(self, bad, entry):
+        s = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
+        s[entry] = bad
+        with pytest.raises(NonHermitianInput):
+            ChoiMatrix(s)
+
     def test_images_are_immutable(self, rng):
         chan = random_channel(rng)
         with pytest.raises(ValueError):

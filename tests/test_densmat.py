@@ -81,6 +81,23 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             EnergyBasis.computational([1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, bad, entry):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[entry] = bad
+        with pytest.raises(NonHermitianInput):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_pure_state_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(DimensionMismatch):
+            PureState(np.array([bad, 0.0]))
+
+    def test_energy_basis_rejects_non_finite_basis(self):
+        with pytest.raises(DimensionMismatch):
+            EnergyBasis(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, math.nan]]))
+
 
 # ---------------------------------------------------------------------------
 # spectra

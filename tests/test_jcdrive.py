@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -84,6 +85,16 @@ class TestPoissonDrive:
         with pytest.raises(InvalidMean):
             poisson_drive(nbar)
 
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    def test_rejects_non_finite_mean(self, nbar):
+        with pytest.raises(InvalidMean):
+            poisson_drive(nbar)
+
+    @pytest.mark.parametrize("tail_tol", [math.nan, math.inf, 0.0, -1e-12])
+    def test_rejects_a_tail_tolerance_outside_its_domain(self, tail_tol):
+        with pytest.raises(UnsupportedParameters):
+            poisson_drive(5.0, tail_tol=tail_tol)
+
 
 class TestBinomialDrive:
     def test_moment_matched_realizes_requested_moments(self):
@@ -136,6 +147,21 @@ class TestBinomialDrive:
         with pytest.raises((UnsupportedParameters, InvalidMean)):
             binomial_drive(nbar, var)
 
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["moment_matched", "paper_literal"])
+    def test_rejects_non_finite_mean(self, nbar, mode):
+        with pytest.raises(InvalidMean):
+            binomial_drive(nbar, 2.0, mode=mode)
+
+    @pytest.mark.parametrize("var", [math.nan, math.inf])
+    def test_rejects_non_finite_variance(self, var):
+        with pytest.raises(UnsupportedParameters):
+            binomial_drive(10.0, var)
+
+    def test_rejects_a_width_that_overflows(self):
+        with pytest.raises(UnsupportedParameters):
+            binomial_drive(1e308, 1e308)
+
 
 class TestFockDrive:
     def test_single_level(self):
@@ -150,6 +176,11 @@ class TestFockDrive:
 
     @pytest.mark.parametrize("n", [-1, 2.5])
     def test_rejects_bad_photon_number(self, n):
+        with pytest.raises(UnsupportedParameters):
+            fock_drive(n)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_rejects_non_finite_photon_number(self, n):
         with pytest.raises(UnsupportedParameters):
             fock_drive(n)
 
@@ -173,6 +204,16 @@ class TestCustomDrive:
         with pytest.raises(UnsupportedParameters):
             custom_drive([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(UnsupportedParameters):
+            custom_drive([bad, 1.0])
+
+    @pytest.mark.parametrize("n_min", [math.nan, math.inf])
+    def test_rejects_non_finite_window_start(self, n_min):
+        with pytest.raises(UnsupportedParameters):
+            custom_drive([1.0, 1.0], n_min=n_min)
+
 
 class TestDriveDistribution:
     def test_rejects_window_length_mismatch(self):
@@ -191,6 +232,13 @@ class TestDriveDistribution:
         with pytest.raises(UnsupportedParameters):
             DriveDistribution("custom", 5.0, 0.0, np.array([1.0 + 0j]), 2, 2)
 
+    @pytest.mark.parametrize("mean,variance,b", [
+        (math.nan, 0.0, [1.0]), (2.0, math.nan, [1.0]), (2.0, 0.0, [math.nan]),
+    ])
+    def test_nan_fails_the_checks(self, mean, variance, b):
+        with pytest.raises(UnsupportedParameters):
+            DriveDistribution("custom", mean, variance, np.array(b, dtype=complex), 2, 2)
+
 
 class TestJCConfig:
     def test_rejects_nonpositive_coupling(self):
@@ -200,6 +248,12 @@ class TestJCConfig:
     def test_rejects_negative_time(self):
         with pytest.raises(UnsupportedParameters):
             JCConfig(tau=-0.1)
+
+    @pytest.mark.parametrize("field", ["tau", "coupling"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        with pytest.raises(UnsupportedParameters):
+            JCConfig(**{"tau": 1.0, field: bad})
 
     def test_interaction_time_inverts_reduced_time(self):
         cfg = JCConfig(tau=math.pi, coupling=2.0)
@@ -442,6 +496,134 @@ class TestBuildChannelsExact:
             want = _per_tau_images(drive, taus[i])
             assert np.array_equal(channels[i].E00, want[0])
             assert np.array_equal(channels[i].E01, want[1])
+
+
+# ---------------------------------------------------------------------------
+# vectorized constructions against the scalar rules they replaced
+
+def _scalar_poisson(nbar: float, tail_tol: float) -> tuple[int, int, np.ndarray]:
+    """Window and renormalized weights from the level-by-level greedy loop."""
+    def logpmf(n: int) -> float:
+        return -nbar + n * math.log(nbar) - math.lgamma(n + 1)
+
+    lo = hi = int(nbar)
+    total = math.exp(logpmf(lo))
+    while total < 1.0 - tail_tol:
+        p_lo = math.exp(logpmf(lo - 1)) if lo > 0 else -1.0
+        p_hi = math.exp(logpmf(hi + 1))
+        if p_lo >= p_hi:
+            lo -= 1
+            total += p_lo
+        else:
+            hi += 1
+            total += p_hi
+    w = np.exp([logpmf(k) for k in range(lo, hi + 1)])
+    w /= w.sum()
+    return lo, hi, w
+
+
+def _scalar_binomial_weights(n_trials: int) -> np.ndarray:
+    logc = [math.lgamma(n_trials + 1) - math.lgamma(k + 1) - math.lgamma(n_trials - k + 1)
+            for k in range(n_trials + 1)]
+    return np.exp(np.array(logc) - n_trials * math.log(2.0))
+
+
+def _scalar_evolve(drive, qubit, tau: float) -> np.ndarray:
+    """Joint amplitudes from rotating each pair (|m, 0>, |m-1, 1>) in turn."""
+    lo, hi = max(0, drive.n_min - 1), drive.n_max + 1
+    psi = np.zeros((hi - lo + 1, 2), dtype=complex)
+    psi[drive.n_min - lo: drive.n_max - lo + 1] = np.outer(drive.coefficients, qubit.amplitudes)
+    if tau != 0:
+        for m in range(max(1, lo), hi + 1):
+            theta = tau * math.sqrt(m / drive.mean)
+            cm, sm = math.cos(theta), math.sin(theta)
+            upper = psi[m - lo, 0]
+            lower = psi[m - 1 - lo, 1] if m - 1 >= lo else 0.0
+            psi[m - lo, 0] = cm * upper - sm * lower
+            if m - 1 >= lo:
+                psi[m - 1 - lo, 1] = sm * upper + cm * lower
+    return psi
+
+
+def _assert_poisson_matches_scalar(nbar: float, tail_tol: float) -> None:
+    drive = poisson_drive(nbar, tail_tol=tail_tol)
+    lo, hi, w = _scalar_poisson(nbar, tail_tol)
+    assert (drive.n_min, drive.n_max) == (lo, hi), nbar
+    assert np.array_equal(drive.coefficients, np.sqrt(w)), nbar
+    n = np.arange(lo, hi + 1)
+    mean = float(np.sum(w * n))
+    assert drive.mean == mean, nbar
+    assert drive.variance == float(np.sum(w * (n - mean) ** 2)), nbar
+
+
+# below 2.4e3: from there up the greedy rule never ends for some means
+_POISSON_GRID = sorted({*np.logspace(-3, math.log10(2e3), 41).tolist(), 1.0, 2.0, 3.0, 100.0})
+
+_BINOMIAL_DRIVES = {
+    "moment-matched": lambda: binomial_drive(25.0, 5.0),
+    "paper-literal": lambda: binomial_drive(25.0, 5.0, mode="paper_literal"),
+    "clipped": lambda: binomial_drive(19.0, 10.0),
+    "wide": lambda: binomial_drive(1000.0, 200.0),
+    "wide-paper-literal": lambda: binomial_drive(600.0, 300.0, mode="paper_literal"),
+}
+
+
+def test_time_limit_stops_a_loop_that_never_ends(time_limit):
+    with pytest.raises(TimeoutError), time_limit(0.05):
+        while True:
+            pass
+
+
+class TestScalarRules:
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-10, 1e-6])
+    def test_poisson_drive_matches_the_greedy_loop(self, time_limit, tail_tol):
+        with time_limit(20):
+            for nbar in _POISSON_GRID:
+                _assert_poisson_matches_scalar(nbar, tail_tol)
+
+    @pytest.mark.parametrize("nbar", [0.3, 7.0, 50.0, 900.0])
+    def test_window_chunks_leave_the_drive_unchanged(self, monkeypatch, time_limit, nbar):
+        # one level per side and chunk: every step crosses a chunk boundary
+        monkeypatch.setattr(jcdrive, "_WINDOW_CHUNK_LEVELS", 1)
+        monkeypatch.setattr(jcdrive, "_WINDOW_CHUNK_SIGMAS", 0)
+        with time_limit(20):
+            _assert_poisson_matches_scalar(nbar, 1e-12)
+
+    def test_search_memory_stays_bounded(self, time_limit):
+        # at this mean the rounded running sum stalls below 1 - tail_tol and
+        # the search never ends; whether it ends or is stopped, it holds no
+        # more than one chunk at a time
+        tracemalloc.start()
+        try:
+            with contextlib.suppress(TimeoutError), time_limit(0.3):
+                poisson_drive(3000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_binomial_weights_match_the_comprehension(self, time_limit):
+        with time_limit(20):
+            for n_trials in [*range(0, 40), 399, 400, 4001, 40_000]:
+                assert np.array_equal(jcdrive._binomial_weights(n_trials),
+                                      _scalar_binomial_weights(n_trials)), n_trials
+
+    @pytest.mark.parametrize("name", list(_BINOMIAL_DRIVES))
+    def test_binomial_drive_matches_the_comprehension(self, name):
+        drive = _BINOMIAL_DRIVES[name]()
+        width = drive.metadata["width"]
+        w = _scalar_binomial_weights(width)[width + 1 - len(drive.coefficients):]
+        w = w / w.sum() if "clipped_mass" in drive.metadata else w
+        assert np.array_equal(drive.coefficients, np.sqrt(w))
+
+    @pytest.mark.parametrize("name", [*_BATCH_DRIVES, *_BINOMIAL_DRIVES])
+    @pytest.mark.parametrize("tau", [0.0, 0.7, 2.9])
+    def test_evolve_bipartite_matches_the_pair_loop(self, rng, name, tau):
+        drive = {**_BATCH_DRIVES, **_BINOMIAL_DRIVES}[name]()
+        qubit = _random_qubit(rng)
+        state = evolve_bipartite(drive, qubit, JCConfig(tau=tau))
+        assert state.n_lo == max(0, drive.n_min - 1)
+        assert np.array_equal(state.amplitudes, _scalar_evolve(drive, qubit, tau))
 
 
 # ---------------------------------------------------------------------------
