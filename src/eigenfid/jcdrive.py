@@ -6,7 +6,9 @@ Tracing out a drive prepared with amplitudes b_n leaves a qubit channel whose
 basis images are expectation values of per-level matrices F_ij(n) over the
 photon-number weights |b_n|^2. This module builds drive distributions, the
 exact truncated-sum channel, a second-order Taylor approximant in the photon
-number, and the closed-form asymptotic eigenerror laws.
+number, and the closed-form asymptotic eigenerror laws. The entries of F_ij(n)
+are written once, in _images: the exact sum, f_matrices and the approximant
+all call it.
 
 Times are handled in reduced form tau = g sqrt(nbar) t, the rotation angle
 accumulated at the mean photon number.
@@ -123,10 +125,10 @@ class JCConfig:
         """Physical duration t with tau = coupling * sqrt(nbar) * t."""
         if self.tau == 0:
             return 0.0
-        if nbar <= 0:
+        if not 0 < nbar < math.inf:  # written so that a NaN mean fails it
             raise InvalidMean(
-                "reduced time is undefined for a zero-mean drive; "
-                "tau = g sqrt(nbar) t requires nbar > 0"
+                "reduced time is undefined without a positive finite mean; "
+                f"tau = g sqrt(nbar) t requires 0 < nbar < inf, got {nbar}"
             )
         return self.tau / (self.coupling * math.sqrt(nbar))
 
@@ -145,12 +147,14 @@ class FMatrixSet:
             m = np.asarray(getattr(self, name), dtype=complex)
             if m.shape != (2, 2):
                 raise DimensionMismatch(f"{name} must be 2x2")
+            if not np.isfinite(m).all():
+                raise UnsupportedParameters(f"{name} must have finite entries")
             m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, name, m)
-        if abs(np.trace(self.F00) - 1) > 1e-12 or abs(np.trace(self.F11) - 1) > 1e-12:
+        if not (abs(np.trace(self.F00) - 1) <= 1e-12 and abs(np.trace(self.F11) - 1) <= 1e-12):
             raise UnsupportedParameters("diagonal F matrices must have unit trace")
-        if abs(np.trace(self.F01)) > 1e-12:
+        if not abs(np.trace(self.F01)) <= 1e-12:
             raise UnsupportedParameters("F01 must be traceless")
 
 
@@ -358,28 +362,49 @@ def _angles(k_lo: int, k_hi: int, tau, nbar: float) -> tuple[np.ndarray, np.ndar
     tau is a scalar or an array of reduced times; its shape leads the result's.
     """
     k = np.arange(k_lo, k_hi + 1)
-    if nbar <= 0:
-        if np.any(tau):
-            raise InvalidMean(
-                "reduced time is undefined for a zero-mean drive; "
-                "tau = g sqrt(nbar) t requires nbar > 0"
-            )
+    if not nbar > 0:  # JCConfig.interaction_time lets only tau = 0 through; no 0/0
         shape = np.shape(tau) + k.shape
         return np.ones(shape), np.zeros(shape)
     theta = np.multiply.outer(tau, np.sqrt(k / nbar))
     return np.cos(theta), np.sin(theta)
 
 
-def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMatrixSet:
-    """Per-level matrices F_ij(n) at reduced time tau.
+def _images(at, w, x1, y1, y2, total) -> np.ndarray:
+    """E00, E01, E11 from the per-level entries of F_ij(n), stacked on axis -3.
 
-    Off-diagonal entries carry amplitude ratios b_{n+1}/b_n and b_{n+2}/b_n;
-    they are set to zero when b_n vanishes, which keeps the drive expectation
-    of these matrices equal to the amplitude-product form used by
-    build_channel_exact for every drive without zero interior coefficients.
+    at(j, weight) gives cos and sin at level n + j for the levels that weight
+    covers. w weighs the diagonal terms, x1 the E00 and E11 coherences, y1
+    the E01 exchange and y2 its next-neighbour term; total reduces each
+    weighted term. Inputs meet only * (jets have no **), so window arrays,
+    one level's scalars and jets all fit; a leading axis, if any, leads the
+    result too. Each term is reduced over its own levels: zero-padding one
+    would regroup numpy's pairwise sum and change its rounding.
+    """
+    (c0, s0), (c1, s1) = at(0, w), at(1, w)
+    (c0x, _), (c1x, s1x), (c2x, _) = at(0, x1), at(1, y1), at(2, x1)  # x1, y1: same levels
+    (_, s1y), (_, s2y) = at(1, y2), at(2, y2)
+    coh00 = total(x1 * c0x * s1x)
+    coh11 = -total(x1 * s1x * c2x)
+    exchange = total(y1 * c1x * s1x)
+    e = np.array([total(w * (c0 * c0)), coh00, np.conj(coh00), total(w * (s0 * s0)),
+                  -exchange, total(w * c0 * c1), -total(y2 * s1y * s2y), exchange,
+                  total(w * (s1 * s1)), coh11, np.conj(coh11), total(w * (c1 * c1))])
+    return e.T.reshape(e.shape[1:] + (3, 2, 2))  # one leading axis at most
+
+
+def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMatrixSet:
+    """Per-level matrices F_ij(n) at reduced time tau: the one-level case of
+    _images, with weights 1, conj(r1), r1, r2 and no reduction.
+
+    The weights carry the amplitude ratios r1 = b_{n+1}/b_n and
+    r2 = b_{n+2}/b_n; they are set to zero when b_n vanishes, which keeps the
+    drive expectation of these matrices equal to the amplitude-product form
+    used by build_channel_exact for every drive without zero interior
+    coefficients.
     """
     if n < 0:
         raise UnsupportedParameters("photon number must be nonnegative")
+    JCConfig(tau=tau).interaction_time(nbar)  # tau >= 0; tau > 0 needs a mean
     c, s = _angles(n, n + 2, tau, nbar)  # c[j] = cos of level n + j
 
     def amp(k: int) -> complex:
@@ -393,14 +418,8 @@ def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMa
         r2 = amp(n + 2) / b0
     else:
         r1 = r2 = 0.0
-    f00 = np.array([[c[0] ** 2, np.conj(r1) * c[0] * s[1]],
-                    [r1 * c[0] * s[1], s[0] ** 2]], dtype=complex)
-    f00[1, 0] = np.conj(f00[0, 1])
-    f11 = np.array([[s[1] ** 2, -np.conj(r1) * s[1] * c[2]],
-                    [0.0, c[1] ** 2]], dtype=complex)
-    f11[1, 0] = np.conj(f11[0, 1])
-    f01 = np.array([[-r1 * c[1] * s[1], c[0] * c[1]],
-                    [-r2 * s[1] * s[2], r1 * c[1] * s[1]]], dtype=complex)
+    f00, f01, f11 = _images(lambda j, _: (c[j], s[j]), 1.0, np.conj(r1), r1, r2,
+                            lambda x: x)
     return FMatrixSet(f00, f01, f01.conj().T, f11)
 
 
@@ -413,11 +432,12 @@ def build_channels_exact(drive: DriveDistribution, taus) -> list[QubitChannel]:
     """Qubit channels from the truncated expectation of F_ij over the drive,
     one per reduced time in taus, in order.
 
-    Off-diagonal sums are evaluated as amplitude products
-    (e.g. sum_n conj(b_n) b_{n+1} c_{n+1} s_{n+1}), never as ratios, so
-    drives with zero coefficients are handled exactly. The window sums run
-    over a leading tau axis, in blocks of taus, so the memory they take is
-    bounded whatever len(taus) is.
+    The entries come from _images on (tau x window) arrays, weighted by
+    |b_n|^2 and the amplitude products b_n conj(b_{n+1}), conj(b_n) b_{n+1}
+    and conj(b_n) b_{n+2}, with total a sum over the window axis. Products,
+    never ratios, handle drives with zero coefficients exactly. The window
+    sums run over a leading tau axis, in blocks of taus, so the memory they
+    take is bounded whatever len(taus) is.
     """
     taus = np.asarray(taus, dtype=float)
     for tau in taus:
@@ -435,22 +455,12 @@ def build_channels_exact(drive: DriveDistribution, taus) -> list[QubitChannel]:
     for start in range(0, len(taus), step):
         # column j of c and s is level n_min + j
         c, s = _angles(drive.n_min, drive.n_max + 2, taus[start:start + step], drive.mean)
-        e00, e01, e11 = (images[start:start + step, k] for k in range(3))
-        e00[:, 0, 0] = np.sum(w * c[:, :m] ** 2, axis=1)
-        e00[:, 1, 1] = np.sum(w * s[:, :m] ** 2, axis=1)
-        e00[:, 0, 1] = np.sum(x1 * c[:, :m - 1] * s[:, 1:m], axis=1)
-        e00[:, 1, 0] = np.conj(e00[:, 0, 1])
 
-        e11[:, 0, 0] = np.sum(w * s[:, 1:m + 1] ** 2, axis=1)
-        e11[:, 1, 1] = np.sum(w * c[:, 1:m + 1] ** 2, axis=1)
-        e11[:, 0, 1] = -np.sum(x1 * s[:, 1:m] * c[:, 2:m + 1], axis=1)
-        e11[:, 1, 0] = np.conj(e11[:, 0, 1])
+        def at(j: int, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return c[:, j:j + len(weight)], s[:, j:j + len(weight)]
 
-        exchange = np.sum(y1 * c[:, 1:m] * s[:, 1:m], axis=1)
-        e01[:, 0, 0] = -exchange
-        e01[:, 1, 1] = exchange
-        e01[:, 0, 1] = np.sum(w * c[:, :m] * c[:, 1:m + 1], axis=1)
-        e01[:, 1, 0] = -np.sum(y2 * s[:, 1:m - 1] * s[:, 2:m], axis=1)
+        images[start:start + step] = _images(at, w, x1, y1, y2,
+                                              lambda x: np.sum(x, axis=1))
 
     traces = np.trace(images, axis1=2, axis2=3)  # tr E00, tr E01, tr E11
     residuals = np.abs(traces - (1, 0, 1)).max(axis=1)
@@ -477,17 +487,10 @@ class _Jet:
     def __init__(self, v: float, d1: float = 0.0, d2: float = 0.0):
         self.v, self.d1, self.d2 = v, d1, d2
 
-    def __mul__(self, other):
-        if isinstance(other, _Jet):
-            return _Jet(self.v * other.v,
-                        self.d1 * other.v + self.v * other.d1,
-                        self.d2 * other.v + 2 * self.d1 * other.d1 + self.v * other.d2)
-        return _Jet(self.v * other, self.d1 * other, self.d2 * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _Jet(-self.v, -self.d1, -self.d2)
+    def __mul__(self, other: _Jet) -> _Jet:
+        return _Jet(self.v * other.v,
+                    self.d1 * other.v + self.v * other.d1,
+                    self.d2 * other.v + 2 * self.d1 * other.d1 + self.v * other.d2)
 
 
 def _trig_jets(k: int, tau: float, nbar: float) -> tuple[_Jet, _Jet]:
@@ -512,9 +515,11 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
 
     The trigonometric n-dependence is differentiated analytically; the
     distribution-dependent amplitude-ratio factors are differentiated by
-    central finite differences with unit step. The result deviates from the
-    truncated exact sum by O(higher moments), so the channel is constructed
-    with a loosened complete-positivity slack.
+    central finite differences with unit step. The entries come from
+    _images on these jets, weighted 1, r1, r1, r2 (jets too), with total
+    the Taylor value above. The result deviates from the truncated exact sum by
+    O(higher moments), so the channel is constructed with a loosened
+    complete-positivity slack.
     """
     if nbar <= 0:
         raise InvalidMean(f"mean photon number must be positive, got {nbar}")
@@ -551,22 +556,13 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
     else:
         raise UnsupportedParameters(f"unsupported drive kind for expansion: {kind!r}")
 
-    tau = cfg.tau
-    c0, s0 = _trig_jets(0, tau, nbar)
-    c1, s1 = _trig_jets(1, tau, nbar)
-    c2, s2 = _trig_jets(2, tau, nbar)
+    jets = [_trig_jets(k, cfg.tau, nbar) for k in range(3)]  # cos, sin at nbar + k
     j1 = _fd_jet(r1, nbar)
-    j2 = _fd_jet(r2, nbar)
 
     def val(j: _Jet) -> float:
         return j.v + 0.5 * j.d2 * variance
 
-    e00 = np.array([[val(c0 * c0), val(j1 * c0 * s1)],
-                    [val(j1 * c0 * s1), val(s0 * s0)]], dtype=complex)
-    e11 = np.array([[val(s1 * s1), val(-(j1 * s1 * c2))],
-                    [val(-(j1 * s1 * c2)), val(c1 * c1)]], dtype=complex)
-    e01 = np.array([[val(-(j1 * c1 * s1)), val(c0 * c1)],
-                    [val(-(j2 * s1 * s2)), val(j1 * c1 * s1)]], dtype=complex)
+    e00, e01, e11 = _images(lambda j, _: jets[j], _Jet(1.0), j1, j1, _fd_jet(r2, nbar), val)
     return QubitChannel(e00, e01, e01.conj().T, e11, cp_slack=TAYLOR2_CP_SLACK)
 
 

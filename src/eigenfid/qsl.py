@@ -17,7 +17,7 @@ import numpy as np
 
 from .densmat import PureState
 from .errors import InvalidMean, NonpositiveMeanEnergy, UnsupportedParameters
-from .jcdrive import DriveDistribution, JCConfig
+from .jcdrive import DriveDistribution, JCConfig, asymptotic_eigenerror_lower_bound
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,7 @@ def qsl_eigenerror_bound(theta: float, nbar: float) -> float:
     Since the reduced interaction time can be no smaller than the rotation
     angle, this is the coherent-drive asymptotic law evaluated at tau = theta.
     """
-    if nbar <= 0:
-        raise InvalidMean(f"mean photon number must be positive, got {nbar}")
-    return (theta ** 2 + math.sin(theta) ** 2) / (6 * nbar)
+    return asymptotic_eigenerror_lower_bound("poisson", nbar, nbar, theta)
 
 
 def small_angle_eigenerror_bound(theta: float, nbar: float) -> float:

@@ -67,6 +67,12 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _complex(cell, path: str) -> complex:
+    if (not isinstance(cell, list)) or len(cell) != 2:
+        _fail(path, "expected an [re, im] pair")
+    return complex(_number(cell[0], f"{path}/0"), _number(cell[1], f"{path}/1"))
+
+
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {type(value).__name__}")
@@ -107,14 +113,7 @@ def decode_matrix(value, path: str) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             _fail(f"{path}/{i}", f"expected {width} entries, got {len(row)}")
-        entries = []
-        for j, cell in enumerate(row):
-            if (not isinstance(cell, list)) or len(cell) != 2:
-                _fail(f"{path}/{i}/{j}", "expected an [re, im] pair")
-            re = _number(cell[0], f"{path}/{i}/{j}/0")
-            im = _number(cell[1], f"{path}/{i}/{j}/1")
-            entries.append(complex(re, im))
-        rows.append(entries)
+        rows.append([_complex(cell, f"{path}/{i}/{j}") for j, cell in enumerate(row)])
     return np.array(rows, dtype=complex)
 
 
@@ -203,13 +202,8 @@ def drive_from_spec(spec: dict, binomial_mode: str = "moment_matched",
         raw = spec["coeffs"]
         if not isinstance(raw, list) or not raw:
             _fail(f"{path}/coeffs", "expected a non-empty array of [re, im] pairs")
-        coeffs = []
-        for i, cell in enumerate(raw):
-            if (not isinstance(cell, list)) or len(cell) != 2:
-                _fail(f"{path}/coeffs/{i}", "expected an [re, im] pair")
-            coeffs.append(complex(_number(cell[0], f"{path}/coeffs/{i}/0"),
-                                  _number(cell[1], f"{path}/coeffs/{i}/1")))
-        return custom_drive(np.array(coeffs))
+        return custom_drive(np.array([_complex(cell, f"{path}/coeffs/{i}")
+                                      for i, cell in enumerate(raw)]))
     _fail(f"{path}/kind", f"unknown drive kind {kind!r}")
 
 

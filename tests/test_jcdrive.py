@@ -815,3 +815,225 @@ class TestAsymptoticLowerBound:
     def test_rejects_unknown_kind(self):
         with pytest.raises(UnsupportedParameters):
             asymptotic_eigenerror_lower_bound("thermal", 10.0, 10.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# one per-level kernel against the entry blocks it replaced
+
+def _hand_written_exact(drive, taus) -> np.ndarray:
+    """E00, E01, E11 per tau from the window sums written entry by entry."""
+    b = drive.coefficients
+    m = len(b)
+    w = np.abs(b) ** 2
+    x1 = b[:-1] * np.conj(b[1:])
+    y1 = np.conj(b[:-1]) * b[1:]
+    y2 = np.conj(b[:-2]) * b[2:]
+    k = np.arange(drive.n_min, drive.n_max + 3)
+    theta = np.multiply.outer(np.asarray(taus, dtype=float), np.sqrt(k / drive.mean))
+    c, s = np.cos(theta), np.sin(theta)
+    images = np.zeros((len(taus), 3, 2, 2), dtype=complex)
+    e00, e01, e11 = (images[:, j] for j in range(3))
+    e00[:, 0, 0] = np.sum(w * c[:, :m] ** 2, axis=1)
+    e00[:, 1, 1] = np.sum(w * s[:, :m] ** 2, axis=1)
+    e00[:, 0, 1] = np.sum(x1 * c[:, :m - 1] * s[:, 1:m], axis=1)
+    e00[:, 1, 0] = np.conj(e00[:, 0, 1])
+
+    e11[:, 0, 0] = np.sum(w * s[:, 1:m + 1] ** 2, axis=1)
+    e11[:, 1, 1] = np.sum(w * c[:, 1:m + 1] ** 2, axis=1)
+    e11[:, 0, 1] = -np.sum(x1 * s[:, 1:m] * c[:, 2:m + 1], axis=1)
+    e11[:, 1, 0] = np.conj(e11[:, 0, 1])
+
+    exchange = np.sum(y1 * c[:, 1:m] * s[:, 1:m], axis=1)
+    e01[:, 0, 0] = -exchange
+    e01[:, 1, 1] = exchange
+    e01[:, 0, 1] = np.sum(w * c[:, :m] * c[:, 1:m + 1], axis=1)
+    e01[:, 1, 0] = -np.sum(y2 * s[:, 1:m - 1] * s[:, 2:m], axis=1)
+    return images
+
+
+def _hand_written_f_matrices(n: int, tau: float, nbar: float, drive) -> tuple:
+    """F00, F01, F11 of one level written entry by entry with amplitude ratios."""
+    theta = tau * np.sqrt(np.arange(n, n + 3) / nbar)
+    c, s = np.cos(theta), np.sin(theta)
+
+    def amp(k: int) -> complex:
+        if drive.n_min <= k <= drive.n_max:
+            return complex(drive.coefficients[k - drive.n_min])
+        return 0.0
+
+    b0 = amp(n)
+    r1, r2 = (amp(n + 1) / b0, amp(n + 2) / b0) if b0 != 0 else (0.0, 0.0)
+    f00 = np.array([[c[0] ** 2, np.conj(r1) * c[0] * s[1]],
+                    [r1 * c[0] * s[1], s[0] ** 2]], dtype=complex)
+    f00[1, 0] = np.conj(f00[0, 1])
+    f11 = np.array([[s[1] ** 2, -np.conj(r1) * s[1] * c[2]],
+                    [0.0, c[1] ** 2]], dtype=complex)
+    f11[1, 0] = np.conj(f11[0, 1])
+    f01 = np.array([[-r1 * c[1] * s[1], c[0] * c[1]],
+                    [-r2 * s[1] * s[2], r1 * c[1] * s[1]]], dtype=complex)
+    return f00, f01, f11
+
+
+class _RefJet:
+    """Value and first two derivatives, with the products and negation that
+    the hand-written Taylor entries take."""
+
+    def __init__(self, v: float, d1: float = 0.0, d2: float = 0.0):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    def __mul__(self, other):
+        return _RefJet(self.v * other.v,
+                       self.d1 * other.v + self.v * other.d1,
+                       self.d2 * other.v + 2 * self.d1 * other.d1 + self.v * other.d2)
+
+    def __neg__(self):
+        return _RefJet(-self.v, -self.d1, -self.d2)
+
+
+def _hand_written_taylor2(nbar: float, variance: float, kind: str, tau: float) -> tuple:
+    """E00, E01, E11 of the second-order approximant written entry by entry."""
+    if kind == "poisson":
+        def r1(x: float) -> float:
+            return math.sqrt(nbar / (x + 1))
+
+        def r2(x: float) -> float:
+            return nbar / math.sqrt((x + 1) * (x + 2))
+    else:
+        width, offset = 4.0 * variance, nbar - 2.0 * variance
+
+        def r1(x: float) -> float:
+            k = x - offset
+            return 0.0 if k + 1 <= 0 else math.sqrt(max(width - k, 0.0) / (k + 1))
+
+        def r2(x: float) -> float:
+            k = x - offset
+            if k + 1 <= 0:
+                return 0.0
+            return math.sqrt(max((width - k) * (width - k - 1), 0.0) / ((k + 1) * (k + 2)))
+
+    def ref(j) -> _RefJet:
+        return _RefJet(j.v, j.d1, j.d2)
+
+    (c0, s0), (c1, s1), (c2, s2) = ([ref(j) for j in jcdrive._trig_jets(k, tau, nbar)]
+                                    for k in range(3))
+    j1, j2 = ref(jcdrive._fd_jet(r1, nbar)), ref(jcdrive._fd_jet(r2, nbar))
+
+    def val(j: _RefJet) -> float:
+        return j.v + 0.5 * j.d2 * variance
+
+    e00 = np.array([[val(c0 * c0), val(j1 * c0 * s1)],
+                    [val(j1 * c0 * s1), val(s0 * s0)]], dtype=complex)
+    e11 = np.array([[val(s1 * s1), val(-(j1 * s1 * c2))],
+                    [val(-(j1 * s1 * c2)), val(c1 * c1)]], dtype=complex)
+    e01 = np.array([[val(-(j1 * c1 * s1)), val(c0 * c1)],
+                    [val(-(j2 * s1 * s2)), val(j1 * c1 * s1)]], dtype=complex)
+    return e00, e01, e11
+
+
+_KERNEL_DRIVES = {
+    **_BATCH_DRIVES,
+    "poisson-small": lambda: poisson_drive(0.1),
+    "poisson-2e3": lambda: poisson_drive(2e3),
+    "binomial-paper-literal": lambda: binomial_drive(25.0, 5.0, mode="paper_literal"),
+    "binomial-wide": lambda: binomial_drive(1000.0, 200.0),
+    "fock-one": lambda: fock_drive(1),
+    "custom-gaps-at-vacuum": lambda: custom_drive([0.0, 0.7, 0.0, 0.2, 0.1j]),
+}
+_KERNEL_TAUS = np.concatenate([[0.0], np.linspace(0.05, 2 * math.pi, 39)])
+
+# drives without zero interior coefficients, where the level sums of the ratio
+# form equal the amplitude products
+_RATIO_DRIVES = {
+    "poisson": lambda: poisson_drive(9.0),
+    "binomial": lambda: binomial_drive(25.0, 5.0),
+    "binomial-paper-literal": lambda: binomial_drive(25.0, 5.0, mode="paper_literal"),
+    "binomial-clipped": lambda: binomial_drive(2.0, 1.0),
+    "custom": lambda: custom_drive([0.3, -0.5j, 0.4 + 0.2j, 0.6, 0.1 - 0.1j], n_min=2),
+    "custom-at-vacuum": lambda: custom_drive([0.5, 0.5j, -0.5, 0.5]),
+}
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("name", list(_KERNEL_DRIVES))
+    def test_exact_channels_equal_the_entry_by_entry_sums(self, name):
+        drive = _KERNEL_DRIVES[name]()
+        want = _hand_written_exact(drive, _KERNEL_TAUS)
+        for chan, (e00, e01, e11) in zip(build_channels_exact(drive, _KERNEL_TAUS), want):
+            assert np.array_equal(chan.E00, e00)
+            assert np.array_equal(chan.E01, e01)
+            assert np.array_equal(chan.E11, e11)
+
+    @pytest.mark.parametrize("kind", ["poisson", "binomial"])
+    def test_taylor2_equals_the_entry_by_entry_jets(self, kind):
+        for nbar in (30.0, 200.0, 1000.0):
+            for variance in (0.25 * nbar, 0.5 * nbar, nbar):
+                for tau in (0.0, 0.3, 1.0, 2.5):
+                    chan = build_channel_taylor2(nbar, variance, kind, JCConfig(tau=tau))
+                    e00, e01, e11 = _hand_written_taylor2(nbar, variance, kind, tau)
+                    assert np.array_equal(chan.E00, e00), (nbar, variance, tau)
+                    assert np.array_equal(chan.E01, e01), (nbar, variance, tau)
+                    assert np.array_equal(chan.E11, e11), (nbar, variance, tau)
+
+    @pytest.mark.parametrize("name", list(_KERNEL_DRIVES))
+    def test_f_matrices_equal_the_ratio_entries_to_one_ulp(self, name):
+        # x ** 2 on a numpy scalar calls libm pow, which may round the last
+        # bit differently from the kernel's x * x
+        drive = _KERNEL_DRIVES[name]()
+        nbar = drive.mean if drive.mean > 0 else 1.0
+        lo = max(0, drive.n_min - 2)
+        for n in range(lo, min(drive.n_max + 2, lo + 10) + 1):
+            for tau in (0.0, 0.3, math.pi / 2, 2.9):
+                fm = f_matrices(n, tau, nbar, drive)
+                for got, want in zip((fm.F00, fm.F01, fm.F11),
+                                     _hand_written_f_matrices(n, tau, nbar, drive)):
+                    np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+                    np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+                np.testing.assert_array_equal(fm.F10, fm.F01.conj().T)
+
+    @pytest.mark.parametrize("name", list(_RATIO_DRIVES))
+    def test_level_sums_of_f_matrices_give_the_exact_channel(self, name):
+        drive = _RATIO_DRIVES[name]()
+        for tau in (0.4, 1.1, math.pi / 2, 3.0):
+            chan = build_channel_exact(drive, JCConfig(tau=tau))
+            sums = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
+            for n, w in zip(drive.support, drive.weights):
+                fm = f_matrices(int(n), tau, drive.mean, drive)
+                for k, m in enumerate((fm.F00, fm.F01, fm.F10, fm.F11)):
+                    sums[k] += w * m
+            for got, want in zip(sums, chan.images()):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestFMatricesDomain:
+    @pytest.mark.parametrize("tau", [math.nan, -1.0, math.inf, -math.inf])
+    def test_rejects_a_time_outside_its_domain(self, tau):
+        with pytest.raises(UnsupportedParameters):
+            f_matrices(3, tau, 5.0, poisson_drive(5.0))
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, 0.0, -2.0])
+    def test_positive_time_needs_a_positive_finite_mean(self, nbar):
+        with pytest.raises(InvalidMean):
+            f_matrices(3, 1.0, nbar, poisson_drive(5.0))
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -1.0])
+    def test_interaction_time_rejects_a_mean_outside_its_domain(self, nbar):
+        with pytest.raises(InvalidMean):
+            JCConfig(tau=1.0).interaction_time(nbar)
+
+    def test_zero_time_at_zero_mean_is_the_frozen_interaction(self):
+        fm = f_matrices(0, 0.0, 0.0, fock_drive(0))
+        np.testing.assert_array_equal(fm.F00, [[1, 0], [0, 0]])
+        np.testing.assert_array_equal(fm.F11, [[0, 0], [0, 1]])
+        np.testing.assert_array_equal(fm.F01, [[0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("name,entry", [("F00", (0, 0)), ("F00", (0, 1)),
+                                            ("F01", (1, 1)), ("F01", (1, 0)),
+                                            ("F11", (1, 1)), ("F10", (0, 1))])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_set_rejects_non_finite_entries(self, name, entry, bad):
+        fm = {"F00": np.diag([1.0, 0.0]), "F01": np.array([[0.0, 1.0], [0.0, 0.0]]),
+              "F10": np.array([[0.0, 0.0], [1.0, 0.0]]), "F11": np.diag([0.0, 1.0])}
+        fm[name] = fm[name].astype(complex)
+        fm[name][entry] = bad
+        with pytest.raises(UnsupportedParameters):
+            jcdrive.FMatrixSet(**fm)

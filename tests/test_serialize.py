@@ -281,6 +281,28 @@ class TestMatrixCodec:
             decode_matrix(doc, "/m")
         assert _path_of(excinfo) == path
 
+    @pytest.mark.parametrize(
+        "cell,suffix",
+        [
+            ("oops", ""),
+            ([1.0], ""),
+            ([1.0, 0.0, 0.0], ""),
+            ([None, 0.0], "/0"),
+            ([0.0, "i"], "/1"),
+            ([0.0, True], "/1"),
+            ([math.inf, 0.0], "/0"),
+        ],
+    )
+    def test_pairs_parse_like_custom_drive_coefficients(self, cell, suffix):
+        with pytest.raises(SchemaError) as in_matrix:
+            decode_matrix([[cell]], "/m")
+        with pytest.raises(SchemaError) as in_drive:
+            drive_from_spec({"kind": "custom", "coeffs": [cell]})
+        assert _path_of(in_matrix) == "/m/0/0" + suffix
+        assert _path_of(in_drive) == "/drive/coeffs/0" + suffix
+        message = str(in_matrix.value).removeprefix(_path_of(in_matrix))
+        assert str(in_drive.value).removeprefix(_path_of(in_drive)) == message
+
 
 class TestStateDocument:
     def test_round_trip_is_exact(self, rng):
