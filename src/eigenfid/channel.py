@@ -15,6 +15,7 @@ the gate-twisted channel traced against a fixed 4x4 averaging matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,18 +256,35 @@ def average_gate_fidelity(channel: QubitChannel, gate: TargetGate) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimators (vectorized over Haar samples)
+# Monte Carlo estimators (vectorized over Haar samples, in real arithmetic)
 
-def _output_entries(channel: QubitChannel, amps: np.ndarray):
-    """Output density-matrix entries (00, 01, 11) for a batch of pure inputs."""
-    a0, a1 = amps[:, 0], amps[:, 1]
-    vec = np.empty((len(amps), 4), dtype=complex)  # row k is vec(rho_k)
-    vec[:, 0] = np.abs(a0) ** 2
-    np.multiply(a0, a1.conj(), out=vec[:, 1])
-    np.conjugate(vec[:, 1], out=vec[:, 2])
-    vec[:, 3] = np.abs(a1) ** 2
-    out = vec @ channel._transfer[[0, 1, 3]].T
-    return out[:, 0].real, out[:, 1], out[:, 2].real
+# Pauli components (t, m) of a 2x2 matrix (t + m.sigma)/2 from its row-major vec,
+# and back: vec = _TO_PAULI^dag (t, m) / 2
+_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+_FROM_PAULI = _TO_PAULI.conj().T / 2
+
+
+def _pauli_form(s: np.ndarray) -> np.ndarray:
+    """Real 4x4 map R of transfer matrix s in the Pauli basis: (t - 1, m) = R (1, n).
+
+    n is the input Bloch vector, t the output trace and m the output Bloch
+    vector. The trace is kept rather than taken as 1, since a channel passes
+    its trace check only up to TP_TOL. Row 0 holds the defect t - 1, with
+    its constant term tr(E00 + E11)/2 - 1 summed exactly: near a maximally
+    mixed output 1 - t^2 competes with a small |m|^2, and one rounding of t
+    would bias every sample alike.
+    """
+    r = (_TO_PAULI @ s @ _FROM_PAULI).real
+    r[0, 0] = math.fsum([*s[0::3, 0::3].real.flat, -2.0]) / 2
+    return r
+
+
+def _outputs(channel: QubitChannel, bloch: np.ndarray):
+    """Output trace defects t - 1 (N,) and Bloch vectors m (3, N) for input Bloch rows (N, 3)."""
+    r = _pauli_form(channel._transfer)
+    out = r[:, 1:] @ bloch.T
+    out += r[:, :1]
+    return out[0], out[1:]
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
@@ -276,35 +294,36 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
 
 
 def mc_average_purity(channel: QubitChannel, sampler: SeededSampler, n_samples: int) -> tuple[float, float]:
-    """Monte Carlo Haar average of the output purity."""
-    amps = sampler.sample_amplitudes(n_samples)
-    out00, out01, out11 = _output_entries(channel, amps)
-    return _mean_stderr(out00**2 + out11**2 + 2 * np.abs(out01)**2)
+    """Monte Carlo Haar average of the output purity (t^2 + |m|^2)/2."""
+    d, m = _outputs(channel, sampler.sample_bloch(n_samples))
+    t = 1.0 + d
+    return _mean_stderr((t * t + np.einsum("ij,ij->j", m, m)) / 2)
 
 
 def mc_channel_eigenfidelity(channel: QubitChannel, sampler: SeededSampler, n_samples: int) -> tuple[float, float]:
     """Monte Carlo Haar average of the output eigenfidelity.
 
-    Uses the qubit closed form r = 1/2 + sqrt(1/4 - det) on the output
-    entries, which avoids per-sample eigendecompositions.
+    The larger eigenvalue of the output (t + m.sigma)/2 is
+    1/2 + sqrt(1 - t^2 + |m|^2)/2, the qubit closed form
+    1/2 + sqrt(1/4 - det), which avoids per-sample eigendecompositions.
+    1 - t^2 is formed as -d (2 + d) from the trace defect d = t - 1.
     """
-    amps = sampler.sample_amplitudes(n_samples)
-    out00, out01, out11 = _output_entries(channel, amps)
-    det = out00 * out11 - np.abs(out01) ** 2
-    r = 0.5 + np.sqrt(np.clip(0.25 - det, 0.0, None))
+    d, m = _outputs(channel, sampler.sample_bloch(n_samples))
+    r = 0.5 + 0.5 * np.sqrt(np.clip(np.einsum("ij,ij->j", m, m) - d * (2.0 + d), 0.0, None))
     return _mean_stderr(r)
 
 
 def mc_gate_fidelity(channel: QubitChannel, gate: TargetGate, sampler: SeededSampler,
                      n_samples: int) -> tuple[float, float]:
-    """Monte Carlo Haar average of <a|U^dag E[rho_a] U|a>."""
-    amps = sampler.sample_amplitudes(n_samples)
-    out00, out01, out11 = _output_entries(channel, amps)
-    targets = amps @ gate.unitary.T  # row k is U @ amps[k]
-    b0, b1 = targets[:, 0], targets[:, 1]
-    f = (np.abs(b0)**2 * out00 + np.abs(b1)**2 * out11
-         + 2 * np.real(np.conj(b0) * b1 * out01))
-    return _mean_stderr(f)
+    """Monte Carlo Haar average of <a|U^dag E[rho_a] U|a> = (t + (R_U n).m)/2.
+
+    R_U rotates the input Bloch vector n to that of the target U|a>.
+    """
+    bloch = sampler.sample_bloch(n_samples)
+    d, m = _outputs(channel, bloch)
+    u = gate.unitary
+    targets = _pauli_form(np.kron(u, u.conj()))[1:, 1:] @ bloch.T
+    return _mean_stderr((1.0 + d + np.einsum("ij,ij->j", targets, m)) / 2)
 
 
 def _choi(channel: QubitChannel) -> np.ndarray:

@@ -402,8 +402,9 @@ def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMa
     used by build_channel_exact for every drive without zero interior
     coefficients.
     """
-    if n < 0:
-        raise UnsupportedParameters("photon number must be nonnegative")
+    if not 0 <= n < math.inf or n != int(n):
+        raise UnsupportedParameters(f"photon number must be a nonnegative integer, got {n}")
+    n = int(n)
     JCConfig(tau=tau).interaction_time(nbar)  # tau >= 0; tau > 0 needs a mean
     c, s = _angles(n, n + 2, tau, nbar)  # c[j] = cos of level n + j
 
@@ -521,10 +522,10 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
     O(higher moments), so the channel is constructed with a loosened
     complete-positivity slack.
     """
-    if nbar <= 0:
-        raise InvalidMean(f"mean photon number must be positive, got {nbar}")
-    if variance < 0:
-        raise UnsupportedParameters("variance must be nonnegative")
+    if not 0 < nbar < math.inf:
+        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
+    if not variance >= 0:
+        raise UnsupportedParameters(f"variance must be nonnegative, got {variance}")
     if math.sqrt(variance) > nbar:
         raise ApproximationDomain(
             f"expansion requires spread <= mean, got sqrt(variance)="
@@ -575,14 +576,14 @@ def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,
     The binomial form diverges as the variance goes to zero; that limit
     returns inf rather than raising.
     """
-    if nbar <= 0:
-        raise InvalidMean(f"mean photon number must be positive, got {nbar}")
+    if not 0 < nbar < math.inf:
+        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
     kind_l = kind.lower()
     if kind_l == "poisson":
         return (tau ** 2 + math.sin(tau) ** 2) / (6 * nbar)
     if kind_l == "binomial":
-        if variance < 0:
-            raise UnsupportedParameters("variance must be nonnegative")
+        if not variance >= 0:
+            raise UnsupportedParameters(f"variance must be nonnegative, got {variance}")
         if variance == 0:
             return math.inf
         return (tau ** 2 * variance / (6 * nbar ** 2)

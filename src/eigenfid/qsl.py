@@ -154,8 +154,8 @@ def qsl_eigenerror_bound(theta: float, nbar: float) -> float:
 
 def small_angle_eigenerror_bound(theta: float, nbar: float) -> float:
     """Leading small-angle form theta^2 / (3 nbar)."""
-    if nbar <= 0:
-        raise InvalidMean(f"mean photon number must be positive, got {nbar}")
+    if not 0 < nbar < math.inf:
+        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
     return theta ** 2 / (3 * nbar)
 
 

@@ -12,6 +12,7 @@ from conftest import random_channel
 from eigenfid import (
     ChoiMatrix,
     DensityMatrix,
+    JCConfig,
     PureState,
     QubitChannel,
     SeededSampler,
@@ -20,6 +21,8 @@ from eigenfid import (
     apply,
     average_gate_fidelity,
     average_purity,
+    binomial_drive,
+    build_channel_exact,
     channel_eigenerror_bounds,
     channel_eigenfidelity_bounds,
     choi_matrix,
@@ -30,10 +33,12 @@ from eigenfid import (
     mc_average_purity,
     mc_channel_eigenfidelity,
     mc_gate_fidelity,
+    poisson_drive,
     purity,
     random_density_matrix,
     tp_residual,
 )
+from eigenfid.channel import _pauli_form
 from eigenfid.errors import CPViolation, DimensionMismatch, NonHermitianInput
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -436,3 +441,173 @@ class TestMonteCarlo:
         _, small = mc_average_purity(chan, SeededSampler(6, 2), 1_000)
         _, big = mc_average_purity(chan, SeededSampler(6, 2), 64_000)
         assert big < small / math.sqrt(32)
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo estimators in real Bloch arithmetic, against the complex
+# amplitude path they replaced (kept here as the reference)
+
+def _complex_entries(channel, amps: np.ndarray):
+    a0, a1 = amps[:, 0], amps[:, 1]
+    vec = np.empty((len(amps), 4), dtype=complex)  # row k is vec(rho_k)
+    vec[:, 0] = np.abs(a0) ** 2
+    np.multiply(a0, a1.conj(), out=vec[:, 1])
+    np.conjugate(vec[:, 1], out=vec[:, 2])
+    vec[:, 3] = np.abs(a1) ** 2
+    out = vec @ oracles.transfer_matrix(channel.images())[[0, 1, 3]].T
+    return out[:, 0].real, out[:, 1], out[:, 2].real
+
+
+def _mean_stderr(vals: np.ndarray) -> tuple:
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+
+
+def _complex_purity(channel, sampler, n: int) -> tuple:
+    out00, out01, out11 = _complex_entries(channel, sampler.sample_amplitudes(n))
+    return _mean_stderr(out00**2 + out11**2 + 2 * np.abs(out01)**2)
+
+
+def _complex_eigenfidelity(channel, sampler, n: int) -> tuple:
+    out00, out01, out11 = _complex_entries(channel, sampler.sample_amplitudes(n))
+    det = out00 * out11 - np.abs(out01) ** 2
+    return _mean_stderr(0.5 + np.sqrt(np.clip(0.25 - det, 0.0, None)))
+
+
+def _complex_gate_fidelity(channel, gate, sampler, n: int) -> tuple:
+    amps = sampler.sample_amplitudes(n)
+    out00, out01, out11 = _complex_entries(channel, amps)
+    targets = amps @ gate.unitary.T
+    b0, b1 = targets[:, 0], targets[:, 1]
+    return _mean_stderr(np.abs(b0)**2 * out00 + np.abs(b1)**2 * out11
+                        + 2 * np.real(np.conj(b0) * b1 * out01))
+
+
+_DRIVES = {
+    "poisson-10": lambda: poisson_drive(10.0),
+    "poisson-100": lambda: poisson_drive(100.0),
+    "poisson-1000": lambda: poisson_drive(1000.0),
+    "binomial-100-20": lambda: binomial_drive(100.0, 20.0),
+    "binomial-400-100": lambda: binomial_drive(400.0, 100.0),
+}
+_TAUS = (0.01, 0.1, 0.5, 1.0, math.pi / 2, 3.0)
+_COUNTS = (1, 8, 64)
+
+
+def _gate_channels(drive):
+    for tau in _TAUS:
+        gate = build_channel_exact(drive, JCConfig(tau=tau))
+        for count in _COUNTS:
+            yield concatenate(gate, count)
+
+
+def _assert_estimators_match_complex_reference(channels, rng, n: int = 5000) -> None:
+    for seed, chan in enumerate(channels):
+        gate = TargetGate(oracles.random_unitary(rng))
+        pairs = [
+            (mc_average_purity(chan, SeededSampler(seed, 2), n),
+             _complex_purity(chan, SeededSampler(seed, 2), n)),
+            (mc_channel_eigenfidelity(chan, SeededSampler(seed, 2), n),
+             _complex_eigenfidelity(chan, SeededSampler(seed, 2), n)),
+            (mc_gate_fidelity(chan, gate, SeededSampler(seed, 2), n),
+             _complex_gate_fidelity(chan, gate, SeededSampler(seed, 2), n)),
+        ]
+        for (mean, err), (ref_mean, ref_err) in pairs:
+            # the reference itself strays up to 7.8e-16 from a long-double
+            # evaluation of the same draws at C = 64 and tau = 0.01, where the
+            # real path stays within 4.4e-16 (test below)
+            assert abs(mean - ref_mean) <= 8.8e-16, (seed, mean, ref_mean)
+            assert abs(err - ref_err) <= 4.4e-16, (seed, err, ref_err)
+
+
+def _extended_estimates(channel, gate, seed: int, n: int) -> tuple:
+    """Long-double purity, eigenfidelity and gate fidelity of the sampler's draws."""
+    z = np.random.default_rng(seed).standard_normal((n, 4)).astype(np.longdouble)
+    amps = (z[:, :2] + 1j * z[:, 2:]).astype(np.clongdouble)
+    amps /= np.sqrt((z * z).sum(axis=1))[:, None]
+    vec = np.stack([amps[:, 0] * amps[:, 0].conj(), amps[:, 0] * amps[:, 1].conj(),
+                    amps[:, 1] * amps[:, 0].conj(), amps[:, 1] * amps[:, 1].conj()], axis=1)
+    s = oracles.transfer_matrix(channel.images()).astype(np.clongdouble)
+    o00, o01, o10, o11 = (vec @ s.T).T
+    pur = (o00 * o00 + o11 * o11 + 2 * o01 * o10).real
+    det = (o00 * o11 - o01 * o10).real
+    eig = 0.5 + np.sqrt(np.clip(0.25 - det, 0.0, None))
+    b = amps @ gate.unitary.T.astype(np.clongdouble)
+    fid = (b[:, 0].conj() * (o00 * b[:, 0] + o01 * b[:, 1])
+           + b[:, 1].conj() * (o10 * b[:, 0] + o11 * b[:, 1])).real
+    return pur.mean(), eig.mean(), fid.mean()
+
+
+class TestPauliForm:
+    def test_matches_bloch_affine_oracle(self, rng):
+        for _ in range(20):
+            images = random_channel(rng).images()
+            r = _pauli_form(oracles.transfer_matrix(images))
+            m, c = oracles.bloch_affine(images)
+            np.testing.assert_allclose(r[1:, 1:], m, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(r[1:, 0], c, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(r[0], 0.0, rtol=0, atol=1e-15)
+
+    def test_trace_row_of_a_map_that_changes_the_trace(self, rng):
+        for _ in range(20):
+            g = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+            e00, e11 = (x + x.conj().T for x in g)
+            e01 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            images = (e00, e01, e01.conj().T, e11)
+            r = _pauli_form(oracles.transfer_matrix(images))
+            trace = [np.trace(e00 + e11).real / 2 - 1,
+                     np.trace(e01 + e01.conj().T).real / 2,
+                     np.trace(1j * (e01.conj().T - e01)).real / 2,
+                     np.trace(e00 - e11).real / 2]
+            np.testing.assert_allclose(r[0], trace, rtol=0, atol=1e-14)
+            m, c = oracles.bloch_affine(images)
+            np.testing.assert_allclose(r[1:, 1:], m, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(r[1:, 0], c, rtol=0, atol=1e-14)
+
+    def test_unitary_block_is_the_bloch_rotation(self, rng):
+        for _ in range(20):
+            u = oracles.random_unitary(rng)
+            rot = _pauli_form(np.kron(u, u.conj()))[1:, 1:]
+            np.testing.assert_allclose(rot @ rot.T, np.eye(3), rtol=0, atol=1e-14)
+            assert abs(np.linalg.det(rot) - 1.0) < 1e-14
+            n = rng.standard_normal(3)
+            n /= np.linalg.norm(n)
+            rho = (np.eye(2) + n[0] * oracles.SX + n[1] * oracles.SY + n[2] * oracles.SZ) / 2
+            out = u @ rho @ u.conj().T
+            want = [np.trace(out @ s).real for s in (oracles.SX, oracles.SY, oracles.SZ)]
+            np.testing.assert_allclose(rot @ n, want, rtol=0, atol=1e-14)
+
+
+class TestRealBlochEstimators:
+    def test_random_channels_match_complex_reference(self, rng):
+        _assert_estimators_match_complex_reference([random_channel(rng) for _ in range(12)], rng)
+
+    @pytest.mark.parametrize("drive", sorted(_DRIVES))
+    def test_exact_gate_channels_match_complex_reference(self, rng, drive):
+        _assert_estimators_match_complex_reference(_gate_channels(_DRIVES[drive]()), rng)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("drive", [poisson_drive(4.0), poisson_drive(100.0),
+                                       binomial_drive(16.0, 4.0), binomial_drive(100.0, 20.0)],
+                             ids=["poisson-4", "poisson-100", "binomial-16-4", "binomial-100-20"])
+    def test_within_two_ulp_of_extended_precision(self, rng, drive):
+        # includes near-maximally-mixed outputs (small n-bar, C = 64), where
+        # 1 - t^2 competes with a small |m|^2
+        for seed, chan in enumerate(_gate_channels(drive)):
+            gate = TargetGate(oracles.random_unitary(rng))
+            want = _extended_estimates(chan, gate, seed, 5000)
+            got = (mc_average_purity(chan, SeededSampler(seed, 2), 5000)[0],
+                   mc_channel_eigenfidelity(chan, SeededSampler(seed, 2), 5000)[0],
+                   mc_gate_fidelity(chan, gate, SeededSampler(seed, 2), 5000)[0])
+            for g, w in zip(got, want):
+                assert abs(np.longdouble(g) - w) <= 4.4e-16, (seed, g, float(w))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_estimators_need_a_qubit_sampler(self, dim):
+        chan = build_channel_exact(poisson_drive(4.0), JCConfig(tau=1.0))
+        gate = TargetGate.identity()
+        for estimate in (lambda s: mc_average_purity(chan, s, 100),
+                         lambda s: mc_channel_eigenfidelity(chan, s, 100),
+                         lambda s: mc_gate_fidelity(chan, gate, s, 100)):
+            with pytest.raises(DimensionMismatch):
+                estimate(SeededSampler(3, dim))

@@ -6,7 +6,10 @@ import csv
 import glob
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +17,15 @@ import pytest
 from eigenfid import (
     JCConfig,
     QubitChannel,
+    SeededSampler,
     SweepConfig,
     SweepResult,
     asymptotic_eigenerror_lower_bound,
     binomial_drive,
     build_channel_exact,
     channel_eigenerror_bounds,
+    concatenate,
+    mc_channel_eigenfidelity,
     poisson_drive,
     run_concat,
     run_scaling,
@@ -27,6 +33,7 @@ from eigenfid import (
     write_csv,
     write_sidecar,
 )
+import eigenfid
 from eigenfid import experiments
 from eigenfid.experiments import VERSION_STRING, run, sidecar_dict
 from eigenfid.serialize import dump_object
@@ -353,6 +360,35 @@ class TestWorkUnits:
         a = run(cfg)
         b = run(replace(cfg, jobs=2))
         assert TestDeterminism._strip_runtime(a) == TestDeterminism._strip_runtime(b)
+
+
+class TestMonteCarloDraws:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_row_i_draws_from_child_i_of_the_config_seed(self, jobs):
+        res = run(SweepConfig(mode="concat", nbar_grid=(25.0, 60.0), tau_grid=(PI / 4, PI / 2),
+                              concat_grid=(1, 3), seed=9, mc_samples=300, jobs=jobs))
+        idx = {n: k for k, n in enumerate(res.columns)}
+        base = SeededSampler(9, 2)
+        for i, row in enumerate(res.rows):
+            gate = build_channel_exact(poisson_drive(row[idx["nbar"]]),
+                                       JCConfig(tau=row[idx["tau"]]))
+            mean, err = mc_channel_eigenfidelity(concatenate(gate, row[idx["concatenations"]]),
+                                                 base.child(i), 300)
+            assert row[idx["eigenerror_mc"]] == 1.0 - mean
+            assert row[idx["eigenerror_mc_stderr"]] == err
+
+    def test_a_sweep_without_monte_carlo_never_loads_numpy_random(self):
+        # loading numpy.random costs a CLI process about 15 ms and 5 MB
+        code = ("import sys\n"
+                "from eigenfid import SweepConfig, run\n"
+                "run(SweepConfig(mode='concat', nbar_grid=(25.0, 60.0), tau_grid=(1.0,),"
+                " concat_grid=(1, 2)))\n"
+                "print('numpy.random' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(eigenfid.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

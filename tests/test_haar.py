@@ -129,3 +129,75 @@ class TestRandomDensityMatrix:
         rho = random_density_matrix(rng, 4)
         vals, _ = oracles.power_spectrum(rho.matrix)
         assert vals.min() > 1e-6
+
+
+def _bloch_of(amps: np.ndarray) -> np.ndarray:
+    coherence = amps[:, 0].conj() * amps[:, 1]
+    return np.stack([2 * coherence.real, 2 * coherence.imag,
+                     np.abs(amps[:, 0]) ** 2 - np.abs(amps[:, 1]) ** 2], axis=1)
+
+
+class TestSampleBloch:
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 5000])
+    def test_bloch_vectors_of_the_same_draw(self, seed, n):
+        bloch = SeededSampler(seed, 2).sample_bloch(n)
+        amps = SeededSampler(seed, 2).sample_amplitudes(n)
+        assert bloch.shape == (n, 3)
+        np.testing.assert_allclose(bloch, _bloch_of(amps), rtol=0, atol=1e-15)
+
+    def test_stream_continues_where_amplitudes_leave_it(self):
+        a, b = SeededSampler(11, 2), SeededSampler(11, 2)
+        a.sample_bloch(300)
+        b.sample_amplitudes(300)
+        np.testing.assert_array_equal(a.sample_amplitudes(40), b.sample_amplitudes(40))
+        np.testing.assert_array_equal(a.sample_bloch(40), b.sample_bloch(40))
+
+    def test_unit_vectors(self):
+        bloch = SeededSampler(3, 2).sample_bloch(10_000)
+        np.testing.assert_allclose(np.linalg.norm(bloch, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_zero_samples(self):
+        assert SeededSampler(3, 2).sample_bloch(0).shape == (0, 3)
+
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_needs_a_qubit_sampler(self, dim):
+        with pytest.raises(DimensionMismatch):
+            SeededSampler(3, dim).sample_bloch(10)
+
+
+class TestSamplerDomain:
+    @pytest.mark.parametrize("seed", [float("nan"), float("inf"), 1.5, True, -1, 2 ** 64,
+                                      "3", None, np.float64("nan")])
+    def test_rejects_a_seed_outside_the_unsigned_64_bit_integers(self, seed):
+        with pytest.raises(DimensionMismatch):
+            SeededSampler(seed, 2)
+
+    @pytest.mark.parametrize("seed", [3.0, np.int64(3), np.uint64(3)])
+    def test_integral_seeds_of_any_type_give_the_int_stream(self, seed):
+        sampler = SeededSampler(seed, 2)
+        assert sampler.seed == 3 and type(sampler.seed) is int
+        np.testing.assert_array_equal(sampler.sample_amplitudes(8),
+                                      SeededSampler(3, 2).sample_amplitudes(8))
+
+    def test_largest_seed(self):
+        assert SeededSampler(np.uint64(2 ** 64 - 1), 2).seed == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("dim", [float("nan"), float("inf"), 2.5, True, 0, -3, "2"])
+    def test_rejects_a_dimension_that_is_not_a_positive_integer(self, dim):
+        with pytest.raises(DimensionMismatch):
+            SeededSampler(3, dim)
+
+    @pytest.mark.parametrize("k", [-1, 1.5, float("nan"), float("inf"), True, "1"])
+    def test_rejects_a_child_index_that_is_not_a_nonnegative_integer(self, k):
+        with pytest.raises(DimensionMismatch):
+            SeededSampler(3, 2).child(k)
+
+    def test_integral_float_dimension(self):
+        assert SeededSampler(3, 2.0).dim == 2
+
+    @pytest.mark.parametrize("n", [-1, 2.5, float("nan"), float("inf"), True, "4"])
+    @pytest.mark.parametrize("draw", ["sample_amplitudes", "sample_bloch"])
+    def test_rejects_a_sample_count_that_is_not_a_nonnegative_integer(self, draw, n):
+        with pytest.raises(DimensionMismatch):
+            getattr(SeededSampler(3, 2), draw)(n)

@@ -1037,3 +1037,37 @@ class TestFMatricesDomain:
         fm[name][entry] = bad
         with pytest.raises(UnsupportedParameters):
             jcdrive.FMatrixSet(**fm)
+
+
+class TestClosedFormDomain:
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["poisson", "binomial"])
+    def test_asymptotic_law_rejects_a_mean_that_is_not_finite(self, kind, nbar):
+        with pytest.raises(InvalidMean):
+            asymptotic_eigenerror_lower_bound(kind, nbar, 2.0, 1.0)
+
+    def test_asymptotic_law_rejects_a_nan_variance(self):
+        with pytest.raises(UnsupportedParameters):
+            asymptotic_eigenerror_lower_bound("binomial", 10.0, math.nan, 1.0)
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["poisson", "binomial"])
+    def test_taylor2_rejects_a_mean_that_is_not_finite(self, kind, nbar):
+        with pytest.raises(InvalidMean):
+            build_channel_taylor2(nbar, 2.0, kind, JCConfig(tau=0.3))
+
+    @pytest.mark.parametrize("kind", ["poisson", "binomial"])
+    def test_taylor2_rejects_a_nan_variance(self, kind):
+        with pytest.raises(UnsupportedParameters):
+            build_channel_taylor2(10.0, math.nan, kind, JCConfig(tau=0.3))
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -1, -0.5])
+    def test_f_matrices_rejects_a_level_that_is_not_a_nonnegative_integer(self, n):
+        with pytest.raises(UnsupportedParameters):
+            f_matrices(n, 1.0, 5.0, poisson_drive(5.0))
+
+    def test_f_matrices_takes_an_integral_float_level(self):
+        drive = poisson_drive(5.0)
+        a, b = f_matrices(3.0, 1.0, 5.0, drive), f_matrices(3, 1.0, 5.0, drive)
+        for name in ("F00", "F01", "F10", "F11"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))

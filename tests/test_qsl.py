@@ -263,3 +263,11 @@ class TestRequiredPhotons:
     def test_rejects_nonpositive_error(self):
         with pytest.raises(UnsupportedParameters):
             required_mean_photons(1.0, 0.0)
+
+
+class TestClosedFormDomain:
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    @pytest.mark.parametrize("law", [qsl_eigenerror_bound, small_angle_eigenerror_bound])
+    def test_rejects_a_mean_that_is_not_finite(self, law, nbar):
+        with pytest.raises(InvalidMean):
+            law(0.5, nbar)
