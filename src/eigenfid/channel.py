@@ -16,6 +16,7 @@ the gate-twisted channel traced against a fixed 4x4 averaging matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ TP_TOL = 1e-10
 HERM_TOL = 1e-10
 CP_TOL = 1e-8
 UNITARY_TOL = 1e-12
+_TRACES = np.array([1.0, 0.0, 0.0, 1.0])  # tr E_ij: 1 for i == j, else 0
 
 
 def _as_2x2(m, name: str) -> np.ndarray:
@@ -64,30 +66,27 @@ class QubitChannel:
     cp_slack: float = CP_TOL
 
     def __post_init__(self):
-        rows = np.stack([_as_2x2(getattr(self, name), name) for name in _IMAGES])
+        rows = np.array([_as_2x2(getattr(self, name), name) for name in _IMAGES])
         rows = rows.reshape(4, 4)  # row 2i+j is vec(E_ij), so S = rows.T
+        self._adopt(rows, self.cp_slack, _check_transfers(rows.T[None], self.cp_slack)[0])
+
+    def _adopt(self, rows: np.ndarray, cp_slack, residual) -> "QubitChannel":
         rows.setflags(write=False)
+        object.__setattr__(self, "cp_slack", cp_slack)
         object.__setattr__(self, "_transfer", rows.T)
+        object.__setattr__(self, "_residual", float(residual))
         for name, row in zip(_IMAGES, rows):
             object.__setattr__(self, name, row.reshape(2, 2))
-        # each check is written so that a NaN fails it
-        tp = tp_residual(self)
-        if not tp <= TP_TOL:
-            raise NonHermitianInput(f"trace preservation broken: image traces off by {tp:.3e}")
-        choi = _choi(self)
-        if not np.abs(choi - choi.conj().T).max() <= HERM_TOL:
-            raise NonHermitianInput(
-                "E00 and E11 must be Hermitian and E10 must equal the adjoint of E01"
-            )
-        residual = _negative_part(choi)
-        if not residual <= self.cp_slack:
-            raise CPViolation(
-                f"Choi matrix has eigenvalue {-residual:.3e} below -{self.cp_slack:.1e}"
-            )
+        return self
+
+    @classmethod
+    def _trusted(cls, s: np.ndarray, cp_slack, residual) -> "QubitChannel":
+        """Channel of a transfer matrix that _check_transfers passed, not checked again."""
+        return object.__new__(cls)._adopt(np.ascontiguousarray(s.T), cp_slack, residual)
 
     @classmethod
     def _from_transfer(cls, s: np.ndarray, cp_slack: float = CP_TOL) -> "QubitChannel":
-        return cls(*s.T.reshape(4, 2, 2), cp_slack=cp_slack)
+        return cls._trusted(s, cp_slack, _check_transfers(s[None], cp_slack)[0])
 
     @classmethod
     def from_images(cls, e00, e01, e11, cp_slack: float = CP_TOL) -> "QubitChannel":
@@ -193,8 +192,8 @@ def concatenate(channel: QubitChannel, count: int) -> QubitChannel:
     A single application is the channel itself, which is frozen and already
     validated.
     """
-    if count < 1:
-        raise DimensionMismatch("count must be at least 1")
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise DimensionMismatch(f"count must be an integer of at least 1, got {count!r}")
     if count == 1:
         return channel
     slack = CP_TOL + count * cp_residual(channel)
@@ -205,11 +204,17 @@ def concatenate(channel: QubitChannel, count: int) -> QubitChannel:
 # ---------------------------------------------------------------------------
 # averaged diagnostics
 
+def _purities(s: np.ndarray) -> np.ndarray:
+    """Haar-averaged output purity of each transfer matrix in a (T, 4, 4) stack."""
+    rows = np.ascontiguousarray(s.transpose(0, 2, 1))  # as a channel stores its images
+    e00, e01, e10, e11 = rows.reshape(-1, 4, 2, 2).transpose(1, 0, 2, 3)
+    g = np.trace(e00 @ e00 + e00 @ e11 + e11 @ e11 + e01 @ e10, axis1=1, axis2=2)
+    return g.real / 3.0
+
+
 def average_purity(channel: QubitChannel) -> float:
     """Haar-averaged output purity, in closed form."""
-    e00, e01, e10, e11 = channel.images()
-    g = np.trace(e00 @ e00 + e00 @ e11 + e11 @ e11 + e01 @ e10)
-    return float(np.real(g)) / 3.0
+    return float(_purities(channel._transfer[None])[0])
 
 
 def channel_eigenfidelity_bounds(channel: QubitChannel) -> tuple[float, float]:
@@ -241,12 +246,8 @@ def choi_matrix(channel: QubitChannel, gate: TargetGate) -> ChoiMatrix:
     tr[(rho_a^T kron rho_a) S] = <a| U^dag E[rho_a] U |a> holds exactly.
     """
     u = gate.unitary
-    s = np.zeros((4, 4), dtype=complex)
-    imgs = {(0, 0): channel.E00, (0, 1): channel.E01,
-            (1, 0): channel.E10, (1, 1): channel.E11}
-    for (i, j), img in imgs.items():
-        s[2*i:2*i+2, 2*j:2*j+2] = u.conj().T @ img @ u
-    return ChoiMatrix(s)
+    twisted = u.conj().T @ np.stack(channel.images()) @ u  # U^dag E_ij U
+    return ChoiMatrix(twisted.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
 
 
 def average_gate_fidelity(channel: QubitChannel, gate: TargetGate) -> float:
@@ -326,23 +327,38 @@ def mc_gate_fidelity(channel: QubitChannel, gate: TargetGate, sampler: SeededSam
     return _mean_stderr((1.0 + d + np.einsum("ij,ij->j", targets, m)) / 2)
 
 
-def _choi(channel: QubitChannel) -> np.ndarray:
-    """[[E00, E01], [E10, E11]]: entry (2i+a, 2j+b) is E_ij[a, b] = S[2a+b, 2i+j]."""
-    return channel._transfer.T.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+def _check_transfers(s: np.ndarray, cp_slack) -> np.ndarray:
+    """Choi residuals of a (T, 4, 4) stack of transfer matrices checked as channels.
 
-
-def _negative_part(choi: np.ndarray) -> float:
-    wmin = np.linalg.eigvalsh((choi + choi.conj().T) / 2).min()
-    return float(max(0.0, -wmin))
+    A channel's checks (trace preservation, a Hermitian Choi matrix, complete
+    positivity at cp_slack, a scalar or one value per row) run in order over
+    the stack, each failing on NaN. The first row that fails one raises what
+    that row alone would raise.
+    """
+    tp = np.abs(s[:, 0] + s[:, 3] - _TRACES)  # rows 0 and 3 of S sum to tr E_ij
+    if not tp.max(initial=0.0) <= TP_TOL:
+        k = int(np.argmax(~(tp.max(axis=1) <= TP_TOL)))
+        raise NonHermitianInput(f"trace preservation broken: image traces off by {tp[k].max():.3e}")
+    # Choi [[E00, E01], [E10, E11]]: entry (2i+a, 2j+b) is E_ij[a, b] = S[2a+b, 2i+j]
+    choi = s.transpose(0, 2, 1).reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    adjoint = choi.conj().transpose(0, 2, 1)
+    if not np.abs(choi - adjoint).max(initial=0.0) <= HERM_TOL:
+        raise NonHermitianInput("E00 and E11 must be Hermitian and E10 must equal "
+                                "the adjoint of E01")
+    # every entry is finite now; 0 - min(w, 0) is max(0, -w) with +0 for any zero
+    residual = 0.0 - np.minimum(np.linalg.eigvalsh((choi + adjoint) / 2)[:, 0], 0.0)
+    if not (residual <= cp_slack).all():
+        k = int(np.argmax(~(residual <= cp_slack)))
+        slack = np.broadcast_to(cp_slack, residual.shape)[k]
+        raise CPViolation(f"Choi matrix has eigenvalue {-residual[k]:.3e} below -{slack:.1e}")
+    return residual
 
 
 def tp_residual(channel: QubitChannel) -> float:
     """Largest trace-preservation defect across the four images."""
-    # row 0 plus row 3 of S holds tr E_ij, which must be 1 for i == j, else 0
-    s = channel._transfer
-    return float(np.abs(s[0] + s[3] - np.array([1.0, 0.0, 0.0, 1.0])).max())
+    return float(np.abs(channel._transfer[0] + channel._transfer[3] - _TRACES).max())
 
 
 def cp_residual(channel: QubitChannel) -> float:
-    """Magnitude of the most negative Choi eigenvalue (0 if none)."""
-    return _negative_part(_choi(channel))
+    """Magnitude of the most negative Choi eigenvalue (0 if none), found at construction."""
+    return channel._residual

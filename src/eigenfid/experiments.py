@@ -12,10 +12,11 @@ the deterministic lower edge; Monte Carlo estimates of the true channel
 eigenerror are opt-in via mc_samples and carried in extra columns.
 
 A drive depends only on (nbar, fano), so the grid points that share one
-form a work unit: the drive is built once and its channels for all the
-unit's tau values in one batched pass. A row's runtime_ms is its share of
-its unit's wall time. Units are independent, so jobs > 1 evaluates them in
-a process pool; row order is always the grid order, never completion order.
+form a work unit: one drive, one batched pass and one stacked check for its
+channels at all its tau values, and one matrix power, check and purity per
+C. A row's runtime_ms is its share of its unit's wall time. Units are
+independent, so a Monte Carlo sweep with jobs > 1 evaluates them in a
+process pool; row order is always the grid order, never completion order.
 """
 
 from __future__ import annotations
@@ -33,16 +34,19 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from ._version import __version__
-from .channel import channel_eigenerror_bounds, concatenate, mc_channel_eigenfidelity
+from .channel import CP_TOL, QubitChannel, _check_transfers, _purities, mc_channel_eigenfidelity
 from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
 from .haar import SeededSampler
 from .jcdrive import (
+    _exact_transfers,
     asymptotic_eigenerror_lower_bound,
     binomial_drive,
-    build_channels_exact,
     poisson_drive,
 )
+from .channel import channel_eigenerror_bounds, concatenate  # noqa: F401  for benchmarks/child.py
 from .jcdrive import build_channel_exact  # noqa: F401  benchmarks/child.py traces this name
 
 logger = logging.getLogger("eigenfid.experiments")
@@ -276,20 +280,29 @@ def _evaluate(work: tuple) -> list:
     head = _MODES[config.mode].head
     drive = _drive(config, *key)
     gates = [head(config, drive, *point) for _, point in points]
-    taus = list(dict.fromkeys(tau for _, tau, _, _ in gates))
-    channels = dict(zip(taus, build_channels_exact(drive, taus)))
+    column = {tau: k for k, tau in enumerate(dict.fromkeys(gate[1] for gate in gates))}
+    base, base_residual = _exact_transfers(drive, list(column))
     # row i draws from child(i). Built only for Monte Carlo sweeps: the first
     # sampler loads numpy.random, about 15 ms and 5 MB
     sampler = SeededSampler(config.seed, 2) if config.mc_samples else None
-    rows = []
-    for (index, _), (cells, tau, count, asymptote) in zip(points, gates):
-        ch = concatenate(channels[tau], count)
-        lo, hi = channel_eigenerror_bounds(ch)
-        mc = ()
-        if config.mc_samples:
-            mean, err = mc_channel_eigenfidelity(ch, sampler.child(index), config.mc_samples)
-            mc = (1.0 - mean, err)
-        rows.append((index, cells + (lo, lo, hi, asymptote), mc))
+    rows = [None] * len(points)
+    for count in dict.fromkeys(gate[2] for gate in gates):
+        members = [i for i, gate in enumerate(gates) if gate[2] == count]
+        ks = [column[gates[i][1]] for i in members]
+        s, slack, residual = base[ks], np.full(len(ks), CP_TOL), base_residual[ks]
+        if count > 1:
+            slack = CP_TOL + count * residual
+            s = np.linalg.matrix_power(s, count)
+            residual = _check_transfers(s, slack)
+        s_bar = 1.0 - _purities(s)
+        for j, (i, lo, hi) in enumerate(zip(members, (s_bar / 2.0).tolist(), s_bar.tolist())):
+            (index, _), (cells, _, _, asymptote) = points[i], gates[i]
+            mc = ()
+            if sampler:
+                ch = QubitChannel._trusted(s[j], float(slack[j]), residual[j])
+                mean, err = mc_channel_eigenfidelity(ch, sampler.child(index), config.mc_samples)
+                mc = (1.0 - mean, err)
+            rows[i] = (index, cells + (lo, lo, hi, asymptote), mc)
     ms = (time.perf_counter() - t0) * 1e3 / len(rows)
     return [(index, lead + (ms,) + mc) for index, lead, mc in rows]
 
@@ -302,7 +315,7 @@ def run(config: SweepConfig) -> SweepResult:
     for i, point in enumerate(grid):
         units.setdefault(mode.drive_key(config, *point), []).append((i, point))
     work = [(config, key, points) for key, points in units.items()]
-    if config.jobs > 1 and len(work) > 1:
+    if config.jobs > 1 and config.mc_samples and len(work) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly import, only pools pay it
 
         chunk = max(1, len(work) // (4 * config.jobs))

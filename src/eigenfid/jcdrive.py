@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import TP_TOL, QubitChannel
+from .channel import CP_TOL, TP_TOL, QubitChannel, _check_transfers
 from .densmat import DensityMatrix, PureState
 from .errors import (
     ApproximationDomain,
@@ -429,17 +429,8 @@ def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMa
 _TAU_BLOCK_ELEMENTS = 1 << 16
 
 
-def build_channels_exact(drive: DriveDistribution, taus) -> list[QubitChannel]:
-    """Qubit channels from the truncated expectation of F_ij over the drive,
-    one per reduced time in taus, in order.
-
-    The entries come from _images on (tau x window) arrays, weighted by
-    |b_n|^2 and the amplitude products b_n conj(b_{n+1}), conj(b_n) b_{n+1}
-    and conj(b_n) b_{n+2}, with total a sum over the window axis. Products,
-    never ratios, handle drives with zero coefficients exactly. The window
-    sums run over a leading tau axis, in blocks of taus, so the memory they
-    take is bounded whatever len(taus) is.
-    """
+def _exact_transfers(drive: DriveDistribution, taus) -> tuple[np.ndarray, np.ndarray]:
+    """build_channels_exact as arrays: the checked (T, 4, 4) transfer matrices, residuals."""
     taus = np.asarray(taus, dtype=float)
     for tau in taus:
         JCConfig(tau=tau).interaction_time(drive.mean)  # tau >= 0; tau > 0 needs a mean
@@ -451,7 +442,7 @@ def build_channels_exact(drive: DriveDistribution, taus) -> list[QubitChannel]:
     y1 = np.conj(b[:-1]) * b[1:]
     y2 = np.conj(b[:-2]) * b[2:]
 
-    images = np.zeros((len(taus), 3, 2, 2), dtype=complex)  # E00, E01, E11 per tau
+    images = np.zeros((len(taus), 4, 2, 2), dtype=complex)  # E00, E01, E10, E11 per tau
     step = max(1, _TAU_BLOCK_ELEMENTS // (m + 2))
     for start in range(0, len(taus), step):
         # column j of c and s is level n_min + j
@@ -460,18 +451,35 @@ def build_channels_exact(drive: DriveDistribution, taus) -> list[QubitChannel]:
         def at(j: int, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return c[:, j:j + len(weight)], s[:, j:j + len(weight)]
 
-        images[start:start + step] = _images(at, w, x1, y1, y2,
-                                              lambda x: np.sum(x, axis=1))
+        images[start:start + step, [0, 1, 3]] = _images(at, w, x1, y1, y2,
+                                                        lambda x: np.sum(x, axis=1))
+    images[:, 2] = images[:, 1].conj().transpose(0, 2, 1)
 
-    traces = np.trace(images, axis1=2, axis2=3)  # tr E00, tr E01, tr E11
-    residuals = np.abs(traces - (1, 0, 1)).max(axis=1)
+    residuals = np.abs(np.trace(images, axis1=2, axis2=3) - (1, 0, 0, 1)).max(axis=1)
     lost = np.flatnonzero(residuals > TP_TOL)
     if lost.size:
         raise TruncationError(
             f"trace-preservation residual {residuals[lost[0]]:.3e} exceeds {TP_TOL:.0e}; "
             "drive support window is too small"
         )
-    return [QubitChannel(e00, e01, e01.conj().T, e11) for e00, e01, e11 in images]
+    images.setflags(write=False)
+    s = images.reshape(-1, 4, 4).transpose(0, 2, 1)  # row 2i+j of S.T is vec(E_ij)
+    return s, _check_transfers(s, CP_TOL)
+
+
+def build_channels_exact(drive: DriveDistribution, taus) -> list[QubitChannel]:
+    """Qubit channels from the truncated expectation of F_ij over the drive,
+    one per reduced time in taus, in order.
+
+    The entries come from _images on (tau x window) arrays, weighted by
+    |b_n|^2 and the amplitude products b_n conj(b_{n+1}), conj(b_n) b_{n+1}
+    and conj(b_n) b_{n+2}, with total a sum over the window axis. Products,
+    never ratios, handle drives with zero coefficients exactly. The window
+    sums run over a leading tau axis, in blocks of taus, so the memory they
+    take is bounded whatever len(taus) is. The channels are checked as one
+    stack, not one by one; their images are read-only views of it.
+    """
+    return [QubitChannel._trusted(t, CP_TOL, r) for t, r in zip(*_exact_transfers(drive, taus))]
 
 
 def build_channel_exact(drive: DriveDistribution, cfg: JCConfig) -> QubitChannel:
@@ -578,12 +586,14 @@ def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,
     """
     if not 0 < nbar < math.inf:
         raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
+    if not math.isfinite(tau):
+        raise UnsupportedParameters(f"reduced time must be finite, got {tau}")
     kind_l = kind.lower()
     if kind_l == "poisson":
         return (tau ** 2 + math.sin(tau) ** 2) / (6 * nbar)
     if kind_l == "binomial":
-        if not variance >= 0:
-            raise UnsupportedParameters(f"variance must be nonnegative, got {variance}")
+        if not 0 <= variance < math.inf:
+            raise UnsupportedParameters(f"variance must be finite and nonnegative, got {variance}")
         if variance == 0:
             return math.inf
         return (tau ** 2 * variance / (6 * nbar ** 2)

@@ -38,8 +38,8 @@ from eigenfid import (
     random_density_matrix,
     tp_residual,
 )
-from eigenfid.channel import _pauli_form
-from eigenfid.errors import CPViolation, DimensionMismatch, NonHermitianInput
+from eigenfid.channel import CP_TOL, _check_transfers, _pauli_form, _purities
+from eigenfid.errors import CPViolation, DimensionMismatch, EigenfidError, NonHermitianInput
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -250,9 +250,18 @@ class TestCompose:
         chan = random_channel(rng)
         assert concatenate(chan, 1) is chan
 
-    def test_concatenate_rejects_zero(self, rng):
+    @pytest.mark.parametrize("count", [0, -1, 2.5, math.nan, math.inf, 3.0, True, False, "2",
+                                       np.float64(2.0), np.bool_(True)])
+    def test_concatenate_rejects_zero(self, rng, count):
+        # and every other count that is not an integer of at least 1
         with pytest.raises(DimensionMismatch):
-            concatenate(random_channel(rng), 0)
+            concatenate(random_channel(rng), count)
+
+    @pytest.mark.parametrize("count", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_concatenate_takes_numpy_integers(self, rng, count):
+        chan = random_channel(rng)
+        for x, y in zip(concatenate(chan, count).images(), concatenate(chan, 3).images()):
+            np.testing.assert_array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +328,98 @@ class TestChannelBounds:
 
 
 # ---------------------------------------------------------------------------
+# stacked checks, purity and powers
+
+_Z = np.zeros((2, 2), dtype=complex)
+_UPPER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def _nan_coherence() -> tuple:
+    e01 = _Z.copy()
+    e01[0, 1] = math.nan
+    return KET0, e01, e01.conj().T, KET1
+
+
+# images of a row that fails one check, and what it fails
+_BROKEN_ROWS = {
+    "trace": lambda: (KET0 * 1.5, _Z, _Z, KET1),
+    "infinite-trace": lambda: (np.diag([math.inf, 0.0]).astype(complex), _Z, _Z, KET1),
+    "hermiticity": lambda: (KET0, _UPPER, _UPPER, KET1),
+    "nan-coherence": _nan_coherence,
+    "positivity": lambda: (KET0, _UPPER.T, _UPPER, KET1),  # the transpose map
+}
+
+
+def _transfers(rows) -> np.ndarray:
+    """(T, 4, 4) stack of the transfer matrices of image tuples, built by the oracle."""
+    return np.stack([oracles.transfer_matrix(images) for images in rows])
+
+
+def _purity_2x2(channel) -> float:
+    """The closed form on the channel's own 2x2 images, one channel at a time."""
+    e00, e01, e10, e11 = channel.images()
+    return float(np.real(np.trace(e00 @ e00 + e00 @ e11 + e11 @ e11 + e01 @ e10))) / 3.0
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("broken", sorted(_BROKEN_ROWS))
+    def test_a_broken_row_raises_what_it_raises_alone(self, rng, broken, k):
+        rows = [random_channel(rng).images() for _ in range(5)]
+        rows[k] = _BROKEN_ROWS[broken]()
+        with pytest.raises(EigenfidError) as alone:
+            QubitChannel(*rows[k])
+        with pytest.raises(EigenfidError) as stacked:
+            _check_transfers(_transfers(rows), CP_TOL)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_each_row_has_its_own_slack(self, rng):
+        rows = [random_channel(rng).images() for _ in range(4)]
+        rows[2] = _BROKEN_ROWS["positivity"]()
+        s = _transfers(rows)
+        slack = np.full(4, CP_TOL)
+        slack[2] = 1.5
+        assert _check_transfers(s, slack)[2] == cp_residual(QubitChannel(*rows[2], cp_slack=1.5))
+        slack[2] = 0.5
+        with pytest.raises(CPViolation) as stacked:
+            _check_transfers(s, slack)
+        with pytest.raises(CPViolation) as alone:
+            QubitChannel(*rows[2], cp_slack=0.5)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_residuals_are_those_of_each_channel(self, rng):
+        channels = [random_channel(rng) for _ in range(6)] + [QubitChannel.identity()]
+        residual = _check_transfers(_transfers([c.images() for c in channels]), CP_TOL)
+        assert residual.tolist() == [cp_residual(c) for c in channels]
+        # max(0, -w) is +0.0 whatever the sign of a zero eigenvalue
+        assert math.copysign(1.0, cp_residual(QubitChannel.identity())) == 1.0
+
+    def test_an_empty_stack_passes(self):
+        assert _check_transfers(np.zeros((0, 4, 4), dtype=complex), CP_TOL).shape == (0,)
+
+    def test_stacked_purity_is_the_2x2_formula_bit_for_bit(self, rng):
+        channels = [random_channel(rng) for _ in range(6)]
+        channels += [QubitChannel.identity(), QubitChannel.depolarizing(),
+                     concatenate(channels[0], 5)]
+        got = _purities(np.stack([c._transfer for c in channels]))
+        assert got.tolist() == [_purity_2x2(c) for c in channels]
+        assert [average_purity(c) for c in channels] == got.tolist()
+
+    @pytest.mark.parametrize("count", [2, 3, 8, 64])
+    def test_a_stacked_power_is_each_concatenation_bit_for_bit(self, rng, count):
+        # what a sweep does for the rows of one C
+        channels = [random_channel(rng) for _ in range(5)]
+        residual = np.array([cp_residual(c) for c in channels])
+        power = np.linalg.matrix_power(np.stack([c._transfer for c in channels]), count)
+        power_residual = _check_transfers(power, CP_TOL + count * residual)
+        for c, p, r in zip(channels, power, power_residual):
+            cat = concatenate(c, count)
+            assert np.array_equal(p, cat._transfer)
+            assert (r, CP_TOL + count * cp_residual(c)) == (cp_residual(cat), cat.cp_slack)
+
+
+# ---------------------------------------------------------------------------
 # gate fidelity
 
 class TestAMatrix:
@@ -366,6 +467,16 @@ class TestChoiMatrix:
                 target = gate.unitary @ alpha
                 direct = np.real(target.conj() @ out @ target)
                 assert abs(via_choi - direct) < 1e-10
+
+    def test_blocks_are_the_twisted_images_bit_for_bit(self, rng):
+        # block (i, j) is U^dag E_ij U, one image at a time
+        for _ in range(20):
+            chan = random_channel(rng)
+            u = TargetGate(oracles.random_unitary(rng, 2)).unitary
+            want = np.zeros((4, 4), dtype=complex)
+            for (i, j), img in zip([(0, 0), (0, 1), (1, 0), (1, 1)], chan.images()):
+                want[2 * i:2 * i + 2, 2 * j:2 * j + 2] = u.conj().T @ img @ u
+            assert np.array_equal(choi_matrix(chan, TargetGate(u)).entries, want)
 
 
 class TestAverageGateFidelity:

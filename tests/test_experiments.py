@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import glob
+import itertools
 import math
 import os
 import subprocess
@@ -346,6 +347,66 @@ class TestWorkUnits:
             one = run(SweepConfig(mode="concat", drive_kind="binomial", nbar_grid=(nbar,),
                                   fano_grid=(0.2,), tau_grid=(tau,), concat_grid=(count,)))
             assert one.rows[0][:k] == point[:k]
+
+    @pytest.mark.parametrize("cfg", [
+        dict(mode="scaling", nbar_grid=(10.0, 60.0, 300.0), tau_grid=(0.0, 0.4, PI / 2, 3.0)),
+        dict(mode="scaling", drive_kind="binomial", nbar_grid=(25.0, 100.0),
+             fano_grid=(0.2, 0.5), tau_grid=(0.3, PI / 2)),
+        dict(mode="concat", drive_kind="binomial", nbar_grid=(25.0, 100.0), fano_grid=(0.2,),
+             tau_grid=(0.3, PI / 2), concat_grid=(1, 2, 5, 16)),
+        dict(mode="concat", nbar_grid=(40.0,), tau_grid=(0.3, 1.0), concat_grid=(3, 1, 3)),
+        dict(mode="split", nbar_grid=(64.0, 128.0), tau_grid=(0.5, PI / 2),
+             concat_grid=(1, 2, 4, 8)),
+    ], ids=["scaling-poisson", "scaling-binomial", "concat-binomial", "concat-repeats", "split"])
+    def test_cells_equal_a_per_row_recomputation(self, cfg):
+        # each row alone: build_channel_exact -> concatenate -> channel_eigenerror_bounds
+        res = run(SweepConfig(**cfg))
+        idx = {name: k for k, name in enumerate(res.columns)}
+        fanos = cfg.get("fano_grid", (None,))
+        if cfg["mode"] == "split":
+            points = [(row[idx["sub_nbar"]], None) for row in res.rows]
+        else:
+            repeats = len(cfg["tau_grid"]) * len(cfg.get("concat_grid", (1,)))
+            points = [p for p in itertools.product(cfg["nbar_grid"], fanos)
+                      for _ in range(repeats)]
+        assert len(points) == len(res.rows)
+        for (nbar, fano), row in zip(points, res.rows):
+            drive = poisson_drive(nbar) if fano is None else binomial_drive(nbar, fano * nbar)
+            tau = row[idx["sub_tau" if cfg["mode"] == "split" else "tau"]]
+            count = row[idx["concatenations"]] if "concatenations" in idx else 1
+            lo, hi = channel_eigenerror_bounds(
+                concatenate(build_channel_exact(drive, JCConfig(tau=tau)), count))
+            assert row[idx["eigenerror_exact"]] == lo
+            assert row[idx["eigenerror_bound_lower"]] == lo
+            assert row[idx["eigenerror_bound_upper"]] == hi
+
+    def test_a_pool_starts_only_for_monte_carlo(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = SweepConfig(mode="concat", nbar_grid=(25.0, 60.0, 100.0),
+                          tau_grid=(0.5, PI / 2), concat_grid=(1, 3))
+        serial = TestDeterminism._strip_runtime(run(cfg))
+        parallel = TestDeterminism._strip_runtime(run(replace(cfg, jobs=2)))
+        assert started == []
+        assert repr(parallel) == repr(serial)
+        run(replace(cfg, jobs=2, mc_samples=20))
+        assert started == [2]
 
     def test_runtime_is_the_unit_time_shared_by_its_rows(self):
         res = run(_scaling_config(nbar_grid=(25.0, 50.0), tau_grid=(0.5, 1.0, 1.5)))

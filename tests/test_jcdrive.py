@@ -18,6 +18,7 @@ from eigenfid import (
     DriveDistribution,
     JCConfig,
     PureState,
+    QubitChannel,
     asymptotic_eigenerror_lower_bound,
     apply,
     binomial_drive,
@@ -26,6 +27,7 @@ from eigenfid import (
     build_channels_exact,
     channel_eigenerror_bounds,
     concatenate,
+    cp_residual,
     eigenerror,
     custom_drive,
     evolve_bipartite,
@@ -458,6 +460,17 @@ class TestBuildChannelsExact:
         for drive, want in zip(drives, whole):
             got = build_channels_exact(drive, taus)
             assert all(np.array_equal(a.images(), b.images()) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("name", list(_BATCH_DRIVES))
+    def test_channels_are_those_a_fresh_check_builds(self, name):
+        for chan in build_channels_exact(_BATCH_DRIVES[name](), _BATCH_TAUS):
+            fresh = QubitChannel(*chan.images())
+            for got, want in zip(chan.images(), fresh.images()):
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0, 0] = 0.5
+            assert (chan.cp_slack, cp_residual(chan)) == (fresh.cp_slack, cp_residual(fresh))
 
     def test_no_times_give_no_channels(self):
         assert build_channels_exact(poisson_drive(7.0), ()) == []
@@ -1049,6 +1062,16 @@ class TestClosedFormDomain:
     def test_asymptotic_law_rejects_a_nan_variance(self):
         with pytest.raises(UnsupportedParameters):
             asymptotic_eigenerror_lower_bound("binomial", 10.0, math.nan, 1.0)
+
+    @pytest.mark.parametrize("kind, variance, tau", [
+        ("poisson", 10.0, math.nan), ("poisson", 10.0, math.inf), ("poisson", 10.0, -math.inf),
+        ("binomial", 2.0, math.nan), ("binomial", 2.0, math.inf),
+        ("binomial", math.inf, 0.0), ("binomial", math.inf, 1.0),
+    ])
+    def test_asymptotic_law_rejects_a_time_or_variance_that_is_not_finite(self, kind, variance,
+                                                                          tau):
+        with pytest.raises(UnsupportedParameters):
+            asymptotic_eigenerror_lower_bound(kind, 10.0, variance, tau)
 
     @pytest.mark.parametrize("nbar", [math.nan, math.inf])
     @pytest.mark.parametrize("kind", ["poisson", "binomial"])
