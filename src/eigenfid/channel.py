@@ -42,7 +42,7 @@ def _as_2x2(m, name: str) -> np.ndarray:
 _IMAGES = ("E00", "E01", "E10", "E11")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitChannel:
     """CPTP qubit map; validated at construction.
 
@@ -115,7 +115,7 @@ class QubitChannel:
         return self.E00, self.E01, self.E10, self.E11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetGate:
     """2x2 unitary target."""
 
@@ -138,7 +138,7 @@ class TargetGate:
         return cls(np.array([[0, 1], [1, 0]], dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """4x4 Choi matrix; Hermitian, with output partial trace equal to identity."""
 

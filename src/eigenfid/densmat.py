@@ -35,7 +35,7 @@ def _as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Positive-semidefinite, unit-trace complex matrix."""
 
@@ -84,7 +84,7 @@ class DensityMatrix:
         return cls(np.diag(p).astype(complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex state vector."""
 
@@ -115,7 +115,7 @@ class PureState:
         return DensityMatrix.pure(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues sorted descending with matching orthonormal eigenvector columns."""
 
@@ -123,7 +123,7 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyBasis:
     """Strictly increasing energy levels with orthonormal basis columns."""
 

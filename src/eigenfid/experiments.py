@@ -368,12 +368,16 @@ def run_split(config: SweepConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 # output
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value) or math.isnan(value):
-            return str(value)
-        return f"{value:.11e}"
-    return str(value)
+def _format_column(values: tuple) -> list:
+    """A CSV column's cells as text: floats as "{:.11e}" (which writes inf and
+    nan as str does), anything else as str. A column of one kind is formatted
+    in one map call; only a mixed column is dispatched cell by cell."""
+    floats = [issubclass(t, float) for t in set(map(type, values))]
+    if all(floats):
+        return list(map("{:.11e}".format, values))
+    if not any(floats):
+        return list(map(str, values))
+    return [f"{v:.11e}" if isinstance(v, float) else str(v) for v in values]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -408,8 +412,7 @@ def write_csv(result: SweepResult, path: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(result.columns)
-    for row in result.rows:
-        writer.writerow([_format_cell(v) for v in row])
+    writer.writerows(zip(*map(_format_column, zip(*result.rows))))
     _atomic_write(path, buf.getvalue())
 
 

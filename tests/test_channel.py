@@ -10,8 +10,10 @@ import pytest
 import oracles
 from conftest import random_channel
 from eigenfid import (
+    BipartiteState,
     ChoiMatrix,
     DensityMatrix,
+    EnergyBasis,
     JCConfig,
     PureState,
     QubitChannel,
@@ -29,7 +31,9 @@ from eigenfid import (
     compose,
     concatenate,
     cp_residual,
+    eigendecompose,
     eigenfidelity,
+    f_matrices,
     mc_average_purity,
     mc_channel_eigenfidelity,
     mc_gate_fidelity,
@@ -722,3 +726,29 @@ class TestRealBlochEstimators:
                          lambda s: mc_gate_fidelity(chan, gate, s, 100)):
             with pytest.raises(DimensionMismatch):
                 estimate(SeededSampler(3, dim))
+
+
+# every frozen dataclass that holds arrays compares by identity: a generated
+# field-wise __eq__ would ask numpy for the truth value of an array
+_ARRAY_HOLDERS = {
+    "QubitChannel": QubitChannel.identity,
+    "TargetGate": TargetGate.identity,
+    "ChoiMatrix": lambda: choi_matrix(QubitChannel.identity(), TargetGate.identity()),
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2),
+    "PureState": lambda: PureState(np.array([1.0, 0.0])),
+    "Spectrum": lambda: eigendecompose(DensityMatrix(np.eye(2) / 2)),
+    "EnergyBasis": lambda: EnergyBasis(np.array([0.0, 1.0]), np.eye(2)),
+    "DriveDistribution": lambda: poisson_drive(4.0),
+    "FMatrixSet": lambda: f_matrices(4, 0.3, 4.0, poisson_drive(4.0)),
+    "BipartiteState": lambda: BipartiteState(np.eye(2), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_HOLDERS))
+def test_array_holders_compare_and_hash_by_identity(name):
+    a, b = _ARRAY_HOLDERS[name](), _ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, a, b}) == 2

@@ -216,6 +216,11 @@ class TestCustomDrive:
         with pytest.raises(UnsupportedParameters):
             custom_drive([1.0, 1.0], n_min=n_min)
 
+    @pytest.mark.parametrize("n_min", [True, "2", None])
+    def test_rejects_a_window_start_that_is_not_a_number(self, n_min):
+        with pytest.raises(UnsupportedParameters, match="must be a number"):
+            custom_drive([1.0, 1.0], n_min=n_min)
+
 
 class TestDriveDistribution:
     def test_rejects_window_length_mismatch(self):
@@ -240,6 +245,32 @@ class TestDriveDistribution:
     def test_nan_fails_the_checks(self, mean, variance, b):
         with pytest.raises(UnsupportedParameters):
             DriveDistribution("custom", mean, variance, np.array(b, dtype=complex), 2, 2)
+
+    @pytest.mark.parametrize("n_min,n_max", [
+        (1.5, 2.5), (True, True), (False, 0), (0, True), (2, 2.000001), ("2", 2), (None, 2),
+        (math.nan, 2), (2, math.inf), (np.float64(1.5), 2), (np.bool_(True), 1),
+    ])
+    def test_rejects_bounds_that_are_not_integers(self, n_min, n_max):
+        with pytest.raises(UnsupportedParameters, match="integer photon number"):
+            DriveDistribution("custom", 1.5, 0.25, np.array([0.5 ** 0.5] * 2), n_min, n_max)
+
+    @pytest.mark.parametrize("n_min,n_max", [
+        (np.float64(1.0), np.float64(2.0)), (np.int64(1), np.int32(2)), (1.0, 2), (1, 2),
+    ])
+    def test_stores_integral_bounds_as_int(self, n_min, n_max):
+        drive = DriveDistribution("custom", 1.5, 0.25, np.array([0.5 ** 0.5] * 2), n_min, n_max)
+        assert (type(drive.n_min), type(drive.n_max)) == (int, int)
+        assert (drive.n_min, drive.n_max) == (1, 2)
+
+    @pytest.mark.parametrize("b", [
+        ["a"], ["1"], [b"1"], [None], [1.0, None], [[1.0], [1.0, 2.0]],
+        np.array([1.0], dtype=object), {"x": 1.0},
+    ])
+    def test_rejects_coefficients_that_are_not_numbers(self, b):
+        with pytest.raises(UnsupportedParameters, match="coefficients must be"):
+            DriveDistribution("custom", 2.0, 0.0, b, 2, 2)
+        with pytest.raises(UnsupportedParameters, match="coefficients must be"):
+            custom_drive(b)
 
 
 class TestJCConfig:
@@ -637,6 +668,205 @@ class TestScalarRules:
         state = evolve_bipartite(drive, qubit, JCConfig(tau=tau))
         assert state.n_lo == max(0, drive.n_min - 1)
         assert np.array_equal(state.amplitudes, _scalar_evolve(drive, qubit, tau))
+
+
+# ---------------------------------------------------------------------------
+# drives checked as given against the drive code that checked a complex copy
+
+def _copied_moments(w: np.ndarray, n: np.ndarray) -> tuple[float, float]:
+    mean = float(np.sum(w * n))
+    return mean, float(np.sum(w * (n - mean) ** 2))
+
+
+def _copied_drive(kind, mean, variance, coefficients, n_min, n_max, metadata=None):
+    """DriveDistribution as it was: its checks run on a complex copy."""
+    b = np.asarray(coefficients, dtype=complex).copy()
+    if b.ndim != 1 or len(b) != n_max - n_min + 1:
+        raise DimensionMismatch(
+            f"need {n_max - n_min + 1} coefficients for window "
+            f"[{n_min}, {n_max}], got {b.shape}"
+        )
+    if n_min < 0:
+        raise UnsupportedParameters("photon numbers must be nonnegative")
+    w = np.abs(b) ** 2
+    if not abs(w.sum() - 1.0) <= jcdrive.NORMALIZATION_TOL:
+        raise UnsupportedParameters(
+            f"coefficients not normalized: sum |b_n|^2 = {w.sum():.15f}"
+        )
+    n = np.arange(n_min, n_max + 1)
+    realized_mean, realized_var = _copied_moments(w, n)
+    if not (abs(realized_mean - mean) <= jcdrive.MOMENT_TOL
+            and abs(realized_var - variance) <= jcdrive.MOMENT_TOL):
+        raise UnsupportedParameters(
+            f"stored moments ({mean}, {variance}) disagree with "
+            f"realized ({realized_mean}, {realized_var})"
+        )
+    return SimpleNamespace(kind=kind, mean=mean, variance=variance, coefficients=b,
+                           n_min=n_min, n_max=n_max, metadata=dict(metadata or {}))
+
+
+def _copied_require_integer(value: float, what: str) -> int:
+    if not math.isfinite(value):
+        raise UnsupportedParameters(f"{what} = {value} must be a finite integer")
+    r = round(value)
+    if abs(value - r) > 1e-9:
+        raise UnsupportedParameters(f"{what} = {value} must be an integer")
+    return int(r)
+
+
+def _copied_poisson_drive(nbar: float, tail_tol: float = 1e-12):
+    # the greedy loop's window and weights equal poisson_drive's bit for bit
+    # (TestScalarRules); what follows them is the code under test
+    lo, hi, w = _scalar_poisson(nbar, tail_tol)
+    mean, var = _copied_moments(w, np.arange(lo, hi + 1))
+    return _copied_drive("poisson", mean, var, np.sqrt(w), lo, hi,
+                         {"requested_mean": nbar, "tail_tol": tail_tol})
+
+
+def _copied_binomial_weights(n_trials: int) -> np.ndarray:
+    lg = np.fromiter(map(math.lgamma, range(1, n_trials + 2)), float, n_trials + 1)
+    logc = math.lgamma(n_trials + 1) - lg - lg[::-1]
+    return np.exp(logc - n_trials * math.log(2.0))
+
+
+def _copied_binomial_drive(nbar: float, variance: float, mode: str = "moment_matched"):
+    if not 0 < nbar < math.inf:
+        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
+    if not 0 < variance <= nbar:
+        raise UnsupportedParameters(
+            f"need 0 < variance <= mean, got variance={variance}, mean={nbar}"
+        )
+    if mode == "moment_matched":
+        n_trials = _copied_require_integer(4 * variance, "width 4*variance")
+        offset = _copied_require_integer(nbar - 2 * variance, "support shift mean - 2*variance")
+        metadata = {"mode": mode, "width": n_trials,
+                    "requested_mean": nbar, "requested_variance": variance}
+    elif mode == "paper_literal":
+        n_trials = _copied_require_integer(2 * variance, "width 2*variance")
+        offset = _copied_require_integer(nbar - n_trials, "support shift mean - width")
+        metadata = {"mode": mode, "width": n_trials,
+                    "requested_mean": nbar, "requested_variance": variance,
+                    "moment_mismatch": True,
+                    "realized_mean": nbar - n_trials / 2,
+                    "realized_variance": n_trials / 4}
+    else:
+        raise UnsupportedParameters(f"unknown binomial mode {mode!r}")
+    w = _copied_binomial_weights(n_trials)
+    n = offset + np.arange(n_trials + 1)
+    if n[0] < 0:
+        clipped = w[n < 0].sum()
+        if clipped >= jcdrive.DEFAULT_TAIL_TOL:
+            raise UnsupportedParameters(
+                f"support would put mass {clipped:.3e} on negative photon numbers"
+            )
+        w = w[n >= 0]
+        n = n[n >= 0]
+        w = w / w.sum()
+        metadata["clipped_mass"] = float(clipped)
+    mean, var = _copied_moments(w, n)
+    return _copied_drive("binomial", mean, var, np.sqrt(w), int(n[0]), int(n[-1]), metadata)
+
+
+def _copied_fock_drive(n_photons):
+    if not 0 <= n_photons < math.inf or n_photons != int(n_photons):
+        raise UnsupportedParameters(f"photon number must be a nonnegative integer, got {n_photons}")
+    n_photons = int(n_photons)
+    return _copied_drive("fock", float(n_photons), 0.0, np.array([1.0 + 0j]), n_photons, n_photons)
+
+
+def _copied_custom_drive(coefficients, n_min=0):
+    b = np.asarray(coefficients, dtype=complex)
+    if b.ndim != 1 or len(b) == 0:
+        raise DimensionMismatch("coefficients must be a nonempty vector")
+    if not np.isfinite(b).all():
+        raise UnsupportedParameters("coefficients must be finite")
+    n_min = _copied_require_integer(n_min, "n_min")
+    norm = np.linalg.norm(b)
+    if norm == 0:
+        raise UnsupportedParameters("coefficients must not all vanish")
+    b = b / norm
+    n = np.arange(n_min, n_min + len(b))
+    mean, var = _copied_moments(np.abs(b) ** 2, n)
+    return _copied_drive("custom", mean, var, b, int(n_min), int(n_min + len(b) - 1))
+
+
+def _outcome(build, *args, **kwargs) -> tuple:
+    """Everything a drive holds, byte for byte, or its error's class and message."""
+    try:
+        d = build(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (d.kind, d.mean, d.variance, d.coefficients.dtype, d.coefficients.tobytes(),
+            type(d.n_min), type(d.n_max), d.n_min, d.n_max, repr(d.metadata))
+
+
+_COPIED = {poisson_drive: _copied_poisson_drive, binomial_drive: _copied_binomial_drive,
+           fock_drive: _copied_fock_drive, custom_drive: _copied_custom_drive,
+           DriveDistribution: _copied_drive}
+_HALF = 0.5 ** 0.5
+_REFERENCE_CASES = [
+    *[(poisson_drive, (nbar,), {}) for nbar in
+      (1e-3, 0.3, 1.0, 2.0, 7.0, 100.0, 900.0, 2e3, 5e4, 1e5)],
+    (poisson_drive, (50.0,), {"tail_tol": 1e-6}),
+    # widths up to 4e5, clipped tails, failed normalizations and shifts
+    *[(binomial_drive, (nbar, fano * nbar), {"mode": mode})
+      for nbar in (2.0, 10.0, 19.0, 25.0, 1e3, 4e3, 1e4, 1e5)
+      for fano in (0.1, 0.25, 0.5, 1.0) for mode in ("moment_matched", "paper_literal")],
+    (binomial_drive, (10.0, 0.0), {}), (binomial_drive, (10.0, 11.0), {}),
+    (binomial_drive, (10.0, 2.6), {}), (binomial_drive, (25.0, 5.0), {"mode": "other"}),
+    *[(fock_drive, (n,), {}) for n in (0, 3, 10 ** 6, 2.5, -1, 4.0)],
+    *[(custom_drive, (b,), {"n_min": n_min})
+      for b in ([0.3, 0.0, 0.5j, 0.0, -0.4 + 0.2j], [3, 4], np.float32([0.6, 0.8]),
+                np.linspace(-1.0, 2.0, 101), [1j])
+      for n_min in (0, 7, 2.0000000001, 2.5)],
+    (custom_drive, ([],), {}), (custom_drive, ([0.0, 0.0],), {}),
+    (custom_drive, ([math.nan, 1.0],), {}), (custom_drive, ([[1.0, 0.0]],), {}),
+    (custom_drive, ([1.0],), {"n_min": math.inf}),
+    *[(DriveDistribution, ("custom", 2.5, 0.25, b, 2, 3), {})
+      for b in ([_HALF, _HALF], np.array([_HALF, -_HALF]), np.float32([_HALF, _HALF]),
+                np.complex64([_HALF, 1j * _HALF]), [_HALF, 1j * _HALF], [1, 0], [_HALF])],
+    (DriveDistribution, ("custom", 2.0, 0.0, [2.0], 2, 2), {}),
+    (DriveDistribution, ("custom", 5.0, 0.0, [1.0], 2, 2), {}),
+    (DriveDistribution, ("custom", 0.0, 0.0, [1.0], -1, -1), {}),
+    (DriveDistribution, ("custom", 2.0, 0.0, [[1.0]], 2, 2), {}),
+    (DriveDistribution, ("custom", 2.0, 0.0, 1.0, 2, 2), {}),
+    (DriveDistribution, ("custom", 2.0, math.nan, [1.0], 2, 2), {}),
+    (DriveDistribution, ("custom", 2.0, 0.0, [math.nan], 2, 2), {}),
+]
+
+
+class TestDrivesCheckedAsGiven:
+    @pytest.mark.parametrize("build,args,kwargs", _REFERENCE_CASES,
+                             ids=[f"{c[0].__name__}-{i}" for i, c in enumerate(_REFERENCE_CASES)])
+    def test_drives_and_errors_match_the_complex_copy_checks(self, time_limit, build, args,
+                                                             kwargs):
+        with time_limit(20):
+            assert _outcome(build, *args, **kwargs) == _outcome(_COPIED[build], *args, **kwargs)
+
+    def test_moments_round_as_written(self, rng):
+        for size in (1, 2, 7, 1000, 100_001):
+            w, n = rng.random(size), np.arange(3, 3 + size)
+            assert jcdrive._moments(w, n) == _copied_moments(w, n)
+
+    @pytest.mark.parametrize("variance,levels,per_level", [
+        (1e5, 300_001, 36),  # keeps 300001 of 400001 levels; 64 B a level on a complex copy
+        (5e4, 200_001, 28),  # 200001 levels wide, fails its normalization check; was 56
+    ])
+    def test_wide_binomial_drive_transients_stay_bounded(self, variance, levels, per_level):
+        tracemalloc.start()
+        try:
+            try:
+                result = binomial_drive(1e5, variance)
+            except UnsupportedParameters as exc:
+                result = exc
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_level * levels, peak / levels
+        if variance == 1e5:
+            assert len(result.coefficients) == levels
+        else:
+            assert "not normalized" in str(result)
 
 
 # ---------------------------------------------------------------------------
