@@ -29,7 +29,9 @@ TP_TOL = 1e-10
 HERM_TOL = 1e-10
 CP_TOL = 1e-8
 UNITARY_TOL = 1e-12
-_TRACES = np.array([1.0, 0.0, 0.0, 1.0])  # tr E_ij: 1 for i == j, else 0
+# tr E_ij: 1 for i == j, else 0; complex, as the traces it is subtracted
+# from are, so that numpy need not cast it on every check
+_TRACES = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
 
 
 def _as_2x2(m, name: str) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CP_TOL, TP_TOL, QubitChannel, _check_transfers
+from .channel import _TRACES, CP_TOL, TP_TOL, QubitChannel, _check_transfers
 from .densmat import DensityMatrix, PureState
 from .errors import (
     ApproximationDomain,
@@ -42,18 +42,32 @@ def _moments(w: np.ndarray, n: np.ndarray) -> tuple[float, float]:
     """Mean and variance of photon numbers n under weights w, in one scratch array:
     sum(w * n) and sum(w * (n - mean) ** 2), rounded as written."""
     scratch = np.multiply(w, n)
-    mean = float(scratch.sum())
+    mean = float(np.add.reduce(scratch))  # scratch.sum(), without its Python wrapper
     np.square(np.subtract(n, mean, out=scratch), out=scratch)
     scratch *= w
-    return mean, float(scratch.sum())
+    return mean, float(np.add.reduce(scratch))
 
 
-def _window_bound(value, what: str) -> int:
-    """value as an int photon number; a bool, a non-number or a fraction raises."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not (math.isfinite(value) and value == int(value)):
-        raise UnsupportedParameters(f"{what} must be an integer photon number, got {value!r}")
-    return int(value)
+def _require_real(value, what: str, error: type = UnsupportedParameters) -> None:
+    """Raise error unless value is a real number; a bool is not one."""
+    # a float is let through first: the numbers.Real check alone takes ~0.7 us
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise error(f"{what} must be a real number, got {value!r}")
+
+
+def _integer(value, message: str, lo: float = -math.inf) -> int:
+    """value as an int of at least lo. A bool, a non-number, a non-finite
+    value, a fraction or a value below lo raises UnsupportedParameters with
+    message and the value."""
+    if type(value) is not int:  # an int skips the numbers.Real check
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not (math.isfinite(value) and value == int(value)):
+            raise UnsupportedParameters(f"{message}, got {value!r}")
+        value = int(value)
+    if value < lo:
+        raise UnsupportedParameters(f"{message}, got {value!r}")
+    return value
 
 
 def _amplitudes(coefficients) -> np.ndarray:
@@ -91,7 +105,10 @@ class DriveDistribution:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n_min, n_max = _window_bound(self.n_min, "n_min"), _window_bound(self.n_max, "n_max")
+        _require_real(self.mean, "mean")
+        _require_real(self.variance, "variance")
+        n_min = _integer(self.n_min, "n_min must be an integer photon number")
+        n_max = _integer(self.n_max, "n_max must be an integer photon number")
         b = _amplitudes(self.coefficients)
         if b.ndim != 1 or len(b) != n_max - n_min + 1:
             raise DimensionMismatch(
@@ -148,6 +165,8 @@ class JCConfig:
     coupling: float = 1.0
 
     def __post_init__(self):
+        _require_real(self.tau, "reduced time")
+        _require_real(self.coupling, "coupling")
         if not 0 < self.coupling < math.inf:
             raise UnsupportedParameters(
                 f"coupling must be positive and finite, got {self.coupling}")
@@ -157,6 +176,7 @@ class JCConfig:
 
     def interaction_time(self, nbar: float) -> float:
         """Physical duration t with tau = coupling * sqrt(nbar) * t."""
+        _require_real(nbar, "mean photon number", InvalidMean)
         if self.tau == 0:
             return 0.0
         if not 0 < nbar < math.inf:  # written so that a NaN mean fails it
@@ -196,10 +216,13 @@ class FMatrixSet:
 # drive constructors
 
 # the window search in poisson_drive evaluates this many levels per side at
-# a time, plus this many per unit standard deviation sqrt(nbar): enough for
-# the first chunk pair to hold the whole window at the default tail_tol
-_WINDOW_CHUNK_LEVELS = 64
-_WINDOW_CHUNK_SIGMAS = 8
+# a time, plus this many per unit standard deviation sqrt(nbar). At the
+# default tail_tol the window reaches at most 7.5 sigma + 7.2 levels past
+# int(nbar) on either side (7.17 at nbar ~ 2.93, the most over 60000 means
+# in (0, 60] and 400 log-spaced means in [1e-3, 1e5]), so the first chunk
+# pair holds the whole window and the search takes one pass
+_WINDOW_CHUNK_LEVELS = 12
+_WINDOW_CHUNK_SIGMAS = 7.5
 
 
 def _poisson_logpmf(nbar: float, start: int, stop: int) -> np.ndarray:
@@ -229,6 +252,8 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
     (2754 and 3000, for example) it stalls just below 1 - tail_tol: the
     search then never ends.
     """
+    _require_real(nbar, "mean photon number", InvalidMean)
+    _require_real(tail_tol, "tail_tol")
     if not 0 < nbar < math.inf:
         raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
     if not 0 < tail_tol < math.inf:  # at tail_tol <= 0 the search cannot end
@@ -259,8 +284,9 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
         above = _math_exp(logpmf(hi + 1, hi + 1 + chunk))
         key_lo = np.minimum(np.minimum.accumulate(below), floor_lo)
         key_hi = np.minimum(np.minimum.accumulate(above), floor_hi)
-        at_lo = order + np.searchsorted(-key_hi, -key_lo, "left")
-        at_hi = order + np.searchsorted(-key_lo, -key_hi, "right")
+        down_lo, down_hi = -key_lo, -key_hi  # ascending, for searchsorted
+        at_lo = order + down_hi.searchsorted(down_lo, "left")
+        at_hi = order + down_lo.searchsorted(down_hi, "right")
         # merged terms are the rule's only until either chunk runs out
         valid = min(at_lo[-1], at_hi[-1]) + 1
         sums = np.empty(2 * chunk + 1)
@@ -268,8 +294,8 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
         sums[at_lo + 1] = below
         sums[at_hi + 1] = above
         sums = np.cumsum(sums[:valid + 1])  # sequential, so it rounds like total +=
-        steps = min(int(np.searchsorted(sums, threshold)), valid)
-        taken_lo = int(np.searchsorted(at_lo, steps))
+        steps = min(int(sums.searchsorted(threshold)), valid)
+        taken_lo = int(at_lo.searchsorted(steps))
         taken_hi = steps - taken_lo
         if taken_lo:
             floor_lo = key_lo[taken_lo - 1]
@@ -296,13 +322,19 @@ def _binomial_weights(n_trials: int) -> np.ndarray:
     return np.exp(logc, out=logc)
 
 
-def _require_integer(value: float, what: str) -> int:
+# binomial widths and shifts are products of the caller's numbers and may
+# miss their integer by rounding: 4 * (0.7 * 45) = 125.99999999999999
+_PRODUCT_SLACK = 1e-9
+
+
+def _require_integer(value: float, what: str, slack: float = 0.0) -> int:
+    """value as an int; a bool, a non-number, or a value more than slack from an integer raises."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise UnsupportedParameters(f"{what} = {value!r} must be a number")
     if not math.isfinite(value):
         raise UnsupportedParameters(f"{what} = {value} must be a finite integer")
     r = round(value)
-    if abs(value - r) > 1e-9:
+    if abs(value - r) > slack:
         raise UnsupportedParameters(f"{what} = {value} must be an integer")
     return int(r)
 
@@ -317,6 +349,8 @@ def binomial_drive(nbar: float, variance: float,
     realized moments are nbar - N/2 and N/4, and the mismatch with the
     requested values is flagged in metadata.
     """
+    _require_real(nbar, "mean photon number", InvalidMean)
+    _require_real(variance, "variance")
     if not 0 < nbar < math.inf:
         raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
     if not 0 < variance <= nbar:
@@ -324,13 +358,14 @@ def binomial_drive(nbar: float, variance: float,
             f"need 0 < variance <= mean, got variance={variance}, mean={nbar}"
         )
     if mode == "moment_matched":
-        n_trials = _require_integer(4 * variance, "width 4*variance")
-        offset = _require_integer(nbar - 2 * variance, "support shift mean - 2*variance")
+        n_trials = _require_integer(4 * variance, "width 4*variance", _PRODUCT_SLACK)
+        offset = _require_integer(nbar - 2 * variance, "support shift mean - 2*variance",
+                                  _PRODUCT_SLACK)
         metadata = {"mode": mode, "width": n_trials,
                     "requested_mean": nbar, "requested_variance": variance}
     elif mode == "paper_literal":
-        n_trials = _require_integer(2 * variance, "width 2*variance")
-        offset = _require_integer(nbar - n_trials, "support shift mean - width")
+        n_trials = _require_integer(2 * variance, "width 2*variance", _PRODUCT_SLACK)
+        offset = _require_integer(nbar - n_trials, "support shift mean - width", _PRODUCT_SLACK)
         metadata = {"mode": mode, "width": n_trials,
                     "requested_mean": nbar, "requested_variance": variance,
                     "moment_mismatch": True,
@@ -359,9 +394,7 @@ def binomial_drive(nbar: float, variance: float,
 
 def fock_drive(n_photons: int) -> DriveDistribution:
     """Single photon-number state: b_N = 1."""
-    if not 0 <= n_photons < math.inf or n_photons != int(n_photons):
-        raise UnsupportedParameters(f"photon number must be a nonnegative integer, got {n_photons}")
-    n_photons = int(n_photons)
+    n_photons = _integer(n_photons, "photon number must be a nonnegative integer", 0)
     return DriveDistribution(
         kind="fock", mean=float(n_photons), variance=0.0,
         coefficients=np.array([1.0 + 0j]), n_min=n_photons, n_max=n_photons,
@@ -385,7 +418,7 @@ def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
     mean, var = _moments(w, n)
     return DriveDistribution(
         kind="custom", mean=mean, variance=var, coefficients=b,
-        n_min=int(n_min), n_max=int(n_min + len(b) - 1),
+        n_min=n_min, n_max=n_min + len(b) - 1,
     )
 
 
@@ -438,9 +471,7 @@ def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMa
     used by build_channel_exact for every drive without zero interior
     coefficients.
     """
-    if not 0 <= n < math.inf or n != int(n):
-        raise UnsupportedParameters(f"photon number must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = _integer(n, "photon number must be a nonnegative integer", 0)
     JCConfig(tau=tau).interaction_time(nbar)  # tau >= 0; tau > 0 needs a mean
     c, s = _angles(n, n + 2, tau, nbar)  # c[j] = cos of level n + j
 
@@ -468,7 +499,7 @@ _TAU_BLOCK_ELEMENTS = 1 << 16
 def _exact_transfers(drive: DriveDistribution, taus) -> tuple[np.ndarray, np.ndarray]:
     """build_channels_exact as arrays: the checked (T, 4, 4) transfer matrices, residuals."""
     taus = np.asarray(taus, dtype=float)
-    for tau in taus:
+    for tau in taus.tolist():
         JCConfig(tau=tau).interaction_time(drive.mean)  # tau >= 0; tau > 0 needs a mean
     b = drive.coefficients
     m = len(b)  # window levels n_min .. n_max; angles run to n_max + 2
@@ -487,15 +518,16 @@ def _exact_transfers(drive: DriveDistribution, taus) -> tuple[np.ndarray, np.nda
         def at(j: int, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return c[:, j:j + len(weight)], s[:, j:j + len(weight)]
 
+        # np.sum(x, axis=1) bit for bit, without np.sum's Python wrapper
         images[start:start + step, [0, 1, 3]] = _images(at, w, x1, y1, y2,
-                                                        lambda x: np.sum(x, axis=1))
+                                                        lambda x: np.add.reduce(x, axis=1))
     images[:, 2] = images[:, 1].conj().transpose(0, 2, 1)
 
-    residuals = np.abs(np.trace(images, axis1=2, axis2=3) - (1, 0, 0, 1)).max(axis=1)
-    lost = np.flatnonzero(residuals > TP_TOL)
-    if lost.size:
+    residuals = np.abs(images.trace(axis1=2, axis2=3) - _TRACES).max(axis=1)
+    lost = residuals > TP_TOL
+    if lost.any():
         raise TruncationError(
-            f"trace-preservation residual {residuals[lost[0]]:.3e} exceeds {TP_TOL:.0e}; "
+            f"trace-preservation residual {residuals[lost.argmax()]:.3e} exceeds {TP_TOL:.0e}; "
             "drive support window is too small"
         )
     images.setflags(write=False)
@@ -566,6 +598,8 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
     O(higher moments), so the channel is constructed with a loosened
     complete-positivity slack.
     """
+    _require_real(nbar, "mean photon number", InvalidMean)
+    _require_real(variance, "variance")
     if not 0 < nbar < math.inf:
         raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
     if not variance >= 0:
@@ -620,6 +654,8 @@ def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,
     The binomial form diverges as the variance goes to zero; that limit
     returns inf rather than raising.
     """
+    _require_real(nbar, "mean photon number", InvalidMean)
+    _require_real(tau, "reduced time")
     if not 0 < nbar < math.inf:
         raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
     if not math.isfinite(tau):
@@ -628,6 +664,7 @@ def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,
     if kind_l == "poisson":
         return (tau ** 2 + math.sin(tau) ** 2) / (6 * nbar)
     if kind_l == "binomial":
+        _require_real(variance, "variance")
         if not 0 <= variance < math.inf:
             raise UnsupportedParameters(f"variance must be finite and nonnegative, got {variance}")
         if variance == 0:

@@ -464,6 +464,11 @@ _BATCH_DRIVES = {
     # zero interior coefficients, complex phases, a window off the vacuum
     "custom-gaps": lambda: custom_drive([0.3, 0.0, 0.5j, 0.0, 0.0, -0.4 + 0.2j, 0.6], n_min=2),
     "custom-single": lambda: custom_drive([1j], n_min=4),
+    # windows of the sizes the domain benchmark evaluates: 215 to 662 levels
+    "poisson-542": lambda: poisson_drive(542.0),
+    "poisson-1219.5": lambda: poisson_drive(1219.5),
+    "binomial-535": lambda: binomial_drive(535.0, 53.5),
+    "binomial-330.5": lambda: binomial_drive(330.5, 165.25),
 }
 _BATCH_TAUS = (0.0, 0.1, 0.7, math.pi / 2, 2.0, math.pi, 5.9, 0.7, 0.0)
 
@@ -633,6 +638,25 @@ class TestScalarRules:
         with time_limit(20):
             _assert_poisson_matches_scalar(nbar, 1e-12)
 
+    def test_default_search_takes_one_pass(self, monkeypatch):
+        # the first chunk pair holds the whole window at the default
+        # tail_tol, so the log-weights are computed once, and on no more
+        # than 12 + 7.5 sigma levels on either side of int(nbar)
+        calls = []
+        logpmf = jcdrive._poisson_logpmf
+
+        def spy(nbar, start, stop):
+            calls.append((start, stop))
+            return logpmf(nbar, start, stop)
+
+        monkeypatch.setattr(jcdrive, "_poisson_logpmf", spy)
+        for nbar in _POISSON_GRID:
+            calls.clear()
+            poisson_drive(nbar)
+            assert len(calls) == 1, (nbar, calls)
+            (start, stop), reach = calls[0], 12 + 7.5 * math.sqrt(nbar)
+            assert int(nbar) - start <= reach and stop - 1 - int(nbar) <= reach, (nbar, calls)
+
     def test_search_memory_stays_bounded(self, time_limit):
         # at this mean the rounded running sum stalls below 1 - tail_tol and
         # the search never ends; whether it ends or is stopped, it holds no
@@ -705,11 +729,12 @@ def _copied_drive(kind, mean, variance, coefficients, n_min, n_max, metadata=Non
                            n_min=n_min, n_max=n_max, metadata=dict(metadata or {}))
 
 
-def _copied_require_integer(value: float, what: str) -> int:
+def _copied_require_integer(value: float, what: str, slack: float = 1e-9) -> int:
+    # slack 0 where the caller gives the integer itself (a window start)
     if not math.isfinite(value):
         raise UnsupportedParameters(f"{what} = {value} must be a finite integer")
     r = round(value)
-    if abs(value - r) > 1e-9:
+    if abs(value - r) > slack:
         raise UnsupportedParameters(f"{what} = {value} must be an integer")
     return int(r)
 
@@ -780,7 +805,7 @@ def _copied_custom_drive(coefficients, n_min=0):
         raise DimensionMismatch("coefficients must be a nonempty vector")
     if not np.isfinite(b).all():
         raise UnsupportedParameters("coefficients must be finite")
-    n_min = _copied_require_integer(n_min, "n_min")
+    n_min = _copied_require_integer(n_min, "n_min", 0.0)
     norm = np.linalg.norm(b)
     if norm == 0:
         raise UnsupportedParameters("coefficients must not all vanish")
@@ -1324,3 +1349,67 @@ class TestClosedFormDomain:
         a, b = f_matrices(3.0, 1.0, 5.0, drive), f_matrices(3, 1.0, 5.0, drive)
         for name in ("F00", "F01", "F10", "F11"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+# ---------------------------------------------------------------------------
+# scalar arguments: a non-number or a bool is a typed error, not a TypeError
+
+_NOT_NUMBERS = {
+    "poisson-mean-str": (lambda: poisson_drive("5"), InvalidMean),
+    "poisson-mean-none": (lambda: poisson_drive(None), InvalidMean),
+    "poisson-mean-bool": (lambda: poisson_drive(True), InvalidMean),
+    "poisson-tail-tol-str": (lambda: poisson_drive(5.0, tail_tol="x"), UnsupportedParameters),
+    "binomial-mean-str": (lambda: binomial_drive("5", 1), InvalidMean),
+    "binomial-mean-bool": (lambda: binomial_drive(True, 0.25), InvalidMean),
+    "binomial-variance-str": (lambda: binomial_drive(5, "1"), UnsupportedParameters),
+    "jcconfig-tau-str": (lambda: JCConfig(tau="1"), UnsupportedParameters),
+    "jcconfig-tau-bool": (lambda: JCConfig(tau=True), UnsupportedParameters),
+    "jcconfig-coupling-str": (lambda: JCConfig(tau=1.0, coupling="1"), UnsupportedParameters),
+    "interaction-time-mean-str": (lambda: JCConfig(tau=1.0).interaction_time("5"), InvalidMean),
+    "distribution-mean-str": (lambda: DriveDistribution("custom", "x", 0.0, [1.0], 2, 2),
+                              UnsupportedParameters),
+    "distribution-mean-str-variance-none": (
+        lambda: DriveDistribution("custom", "x", None, [1.0], 2, 2), UnsupportedParameters),
+    "distribution-variance-none": (lambda: DriveDistribution("custom", 2.0, None, [1.0], 2, 2),
+                                   UnsupportedParameters),
+    "distribution-mean-bool": (lambda: DriveDistribution("fock", True, 0.0, [1.0], 1, 1),
+                               UnsupportedParameters),
+    "fock-bool": (lambda: fock_drive(True), UnsupportedParameters),
+    "fock-str": (lambda: fock_drive("3"), UnsupportedParameters),
+    "f-matrices-level-bool": (lambda: f_matrices(True, 1.0, 5.0, poisson_drive(5.0)),
+                              UnsupportedParameters),
+    "taylor2-mean-str": (lambda: build_channel_taylor2("5", 1.0, "poisson", JCConfig(tau=0.3)),
+                         InvalidMean),
+    "taylor2-variance-str": (
+        lambda: build_channel_taylor2(5.0, "1", "poisson", JCConfig(tau=0.3)),
+        UnsupportedParameters),
+    "asymptotic-mean-str": (lambda: asymptotic_eigenerror_lower_bound("poisson", "5", 1.0, 1.0),
+                            InvalidMean),
+    "asymptotic-tau-str": (lambda: asymptotic_eigenerror_lower_bound("poisson", 5.0, 1.0, "1"),
+                           UnsupportedParameters),
+    "asymptotic-variance-str": (
+        lambda: asymptotic_eigenerror_lower_bound("binomial", 5.0, "1", 1.0),
+        UnsupportedParameters),
+}
+
+
+class TestScalarArguments:
+    @pytest.mark.parametrize("name", list(_NOT_NUMBERS))
+    def test_a_non_number_raises_a_typed_error(self, name):
+        call, error = _NOT_NUMBERS[name]
+        with pytest.raises(error, match="must be"):
+            call()
+
+    @pytest.mark.parametrize("n_min", [2.0000000001, 1.9999999999, 2.5])
+    def test_a_window_start_must_be_an_exact_integer(self, n_min):
+        with pytest.raises(UnsupportedParameters, match="must be an integer"):
+            custom_drive([1.0], n_min=n_min)
+
+    def test_an_integral_float_window_start_is_kept_as_int(self):
+        drive = custom_drive([1.0, 1.0], n_min=2.0)
+        assert (type(drive.n_min), drive.n_min, drive.n_max) == (int, 2, 3)
+
+    def test_binomial_products_keep_their_rounding_slack(self):
+        # 4 * (0.7 * 45) = 125.99999999999999 and 63 - 2 * (0.7 * 45) = 7e-15
+        drive = binomial_drive(63.0, 0.7 * 45)
+        assert (drive.metadata["width"], drive.n_min, drive.n_max) == (126, 0, 126)
