@@ -9,8 +9,8 @@ Haar-averaged output purity has the closed form
 
 which brackets the channel eigenfidelity r_bar (the Haar average of the
 output-state eigenfidelity) via gamma_bar <= r_bar <= (1 + gamma_bar)/2.
-Average gate fidelity against a target unitary comes from the Choi matrix of
-the gate-twisted channel traced against a fixed 4x4 averaging matrix.
+Average gate fidelity against a target unitary comes in closed form from the
+real Pauli form of the gate-twisted channel, the affine map of Bloch vectors.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ TP_TOL = 1e-10
 HERM_TOL = 1e-10
 CP_TOL = 1e-8
 UNITARY_TOL = 1e-12
-# tr E_ij: 1 for i == j, else 0; complex, as the traces it is subtracted
-# from are, so that numpy need not cast it on every check
-_TRACES = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+_TRACES = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)  # tr E_ij; complex, so no cast per check
 
 
 def _as_2x2(m, name: str) -> np.ndarray:
@@ -189,18 +187,23 @@ def compose(outer: QubitChannel, inner: QubitChannel) -> QubitChannel:
 
 
 def concatenate(channel: QubitChannel, count: int) -> QubitChannel:
-    """count successive applications of the same channel: one matrix power.
-
-    A single application is the channel itself, which is frozen and already
-    validated.
-    """
+    """count successive applications of the same channel: one matrix power, or
+    for count 1 the channel itself, which is frozen and already validated."""
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise DimensionMismatch(f"count must be an integer of at least 1, got {count!r}")
     if count == 1:
         return channel
-    slack = CP_TOL + count * cp_residual(channel)
-    return QubitChannel._from_transfer(np.linalg.matrix_power(channel._transfer, count),
-                                       cp_slack=slack)
+    s, slack, residual = _powers(channel._transfer[None], channel._residual, count)
+    return QubitChannel._trusted(s[0], slack, residual[0])
+
+
+def _powers(s: np.ndarray, residual, count: int) -> tuple:
+    """(count-th powers, slacks CP_TOL + count residual, Choi residuals) of a checked stack."""
+    if count == 1:
+        return s, np.full(len(s), CP_TOL), residual
+    slack = CP_TOL + count * residual
+    s = np.linalg.matrix_power(s, count)
+    return s, slack, _check_transfers(s, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +256,11 @@ def choi_matrix(channel: QubitChannel, gate: TargetGate) -> ChoiMatrix:
 
 
 def average_gate_fidelity(channel: QubitChannel, gate: TargetGate) -> float:
-    """Haar-averaged fidelity between channel outputs and gate targets."""
-    s = choi_matrix(channel, gate).entries
-    return float(np.real(np.trace(a_matrix() @ s)))
+    """Haar-averaged fidelity (1 + d + tr M/3)/2 between outputs and gate targets, with (d, M)
+    the Pauli form of rho -> U^dag E[rho] U and E[n n^T] = I/3 (Nielsen, PLA 303, 249)."""
+    u = gate.unitary
+    r = _pauli_form(np.kron(u, u.conj()).conj().T @ channel._transfer)
+    return float((1.0 + r[0, 0] + np.trace(r[1:, 1:]) / 3.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +342,7 @@ def _check_transfers(s: np.ndarray, cp_slack) -> np.ndarray:
     the stack, each failing on NaN. The first row that fails one raises what
     that row alone would raise.
     """
-    tp = np.abs(s[:, 0] + s[:, 3] - _TRACES)  # rows 0 and 3 of S sum to tr E_ij
+    tp = _trace_defects(s)
     if not tp.max(initial=0.0) <= TP_TOL:
         k = int(np.argmax(~(tp.max(axis=1) <= TP_TOL)))
         raise NonHermitianInput(f"trace preservation broken: image traces off by {tp[k].max():.3e}")
@@ -356,9 +361,13 @@ def _check_transfers(s: np.ndarray, cp_slack) -> np.ndarray:
     return residual
 
 
+def _trace_defects(s: np.ndarray) -> np.ndarray:
+    return np.abs(s[..., 0, :] + s[..., 3, :] - _TRACES)  # |tr E_ij - delta_ij|: rows 0 + 3 of S
+
+
 def tp_residual(channel: QubitChannel) -> float:
     """Largest trace-preservation defect across the four images."""
-    return float(np.abs(channel._transfer[0] + channel._transfer[3] - _TRACES).max())
+    return float(_trace_defects(channel._transfer).max())
 
 
 def cp_residual(channel: QubitChannel) -> float:

@@ -11,6 +11,7 @@ temperature) supports or consumes that number.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,11 +208,16 @@ def _clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
 
 
 def schatten_norm(rho: DensityMatrix, p: float) -> float:
-    """Schatten p-norm (sum of eigenvalues**p)**(1/p) for a density matrix."""
-    if p <= 0:
-        raise InvalidOrder(f"Schatten order must be positive, got {p}")
+    """Schatten p-norm (sum of eigenvalues**p)**(1/p) for a density matrix.
+
+    Evaluated as r (sum (w/r)**p)**(1/p) with r the largest eigenvalue w, so
+    no large order underflows and p = inf gives r, the limit of the norms.
+    """
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not p > 0:
+        raise InvalidOrder(f"Schatten order must be a positive number, got {p!r}")
     w = _clamped_eigenvalues(rho)
-    return float(np.sum(w ** p) ** (1.0 / p))
+    r = w.max()
+    return float(r * np.sum((w / r) ** float(p)) ** (1.0 / p))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -34,10 +34,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from ._version import __version__
-from .channel import CP_TOL, QubitChannel, _check_transfers, _purities, mc_channel_eigenfidelity
+from .channel import QubitChannel, _powers, _purities, mc_channel_eigenfidelity
 from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
 from .haar import SeededSampler
 from .jcdrive import (
@@ -289,11 +287,7 @@ def _evaluate(work: tuple) -> list:
     for count in dict.fromkeys(gate[2] for gate in gates):
         members = [i for i, gate in enumerate(gates) if gate[2] == count]
         ks = [column[gates[i][1]] for i in members]
-        s, slack, residual = base[ks], np.full(len(ks), CP_TOL), base_residual[ks]
-        if count > 1:
-            slack = CP_TOL + count * residual
-            s = np.linalg.matrix_power(s, count)
-            residual = _check_transfers(s, slack)
+        s, slack, residual = _powers(base[ks], base_residual[ks], count)
         s_bar = 1.0 - _purities(s)
         for j, (i, lo, hi) in enumerate(zip(members, (s_bar / 2.0).tolist(), s_bar.tolist())):
             (index, _), (cells, _, _, asymptote) = points[i], gates[i]

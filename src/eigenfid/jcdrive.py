@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _TRACES, CP_TOL, TP_TOL, QubitChannel, _check_transfers
+from .channel import CP_TOL, QubitChannel, _check_transfers
 from .densmat import DensityMatrix, PureState
 from .errors import (
     ApproximationDomain,
     DimensionMismatch,
     InvalidMean,
+    NonHermitianInput,
     TruncationError,
     UnsupportedParameters,
 )
@@ -522,17 +523,13 @@ def _exact_transfers(drive: DriveDistribution, taus) -> tuple[np.ndarray, np.nda
         images[start:start + step, [0, 1, 3]] = _images(at, w, x1, y1, y2,
                                                         lambda x: np.add.reduce(x, axis=1))
     images[:, 2] = images[:, 1].conj().transpose(0, 2, 1)
-
-    residuals = np.abs(images.trace(axis1=2, axis2=3) - _TRACES).max(axis=1)
-    lost = residuals > TP_TOL
-    if lost.any():
-        raise TruncationError(
-            f"trace-preservation residual {residuals[lost.argmax()]:.3e} exceeds {TP_TOL:.0e}; "
-            "drive support window is too small"
-        )
     images.setflags(write=False)
     s = images.reshape(-1, 4, 4).transpose(0, 2, 1)  # row 2i+j of S.T is vec(E_ij)
-    return s, _check_transfers(s, CP_TOL)
+    try:
+        return s, _check_transfers(s, CP_TOL)
+    except NonHermitianInput as exc:
+        # E00, E11 Hermitian and E10 = E01^dag by construction: only the trace check fails
+        raise TruncationError(f"{exc}; drive support window is too small") from None
 
 
 def build_channels_exact(drive: DriveDistribution, taus) -> list[QubitChannel]:

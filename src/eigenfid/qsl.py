@@ -17,7 +17,15 @@ import numpy as np
 
 from .densmat import PureState
 from .errors import InvalidMean, NonpositiveMeanEnergy, UnsupportedParameters
-from .jcdrive import DriveDistribution, JCConfig, asymptotic_eigenerror_lower_bound
+from .jcdrive import DriveDistribution, JCConfig, _require_real, asymptotic_eigenerror_lower_bound
+
+
+def _require(value, what: str, ok, domain: str, error: type = UnsupportedParameters) -> None:
+    """Raise error unless value is a real number, not a bool, for which ok holds;
+    every ok here is false for NaN."""
+    _require_real(value, what, error)
+    if not ok(value):
+        raise error(f"{what} must {domain}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +36,9 @@ class HamiltonianMoments:
     stdev: float
 
     def __post_init__(self):
-        if self.stdev < 0:
-            raise UnsupportedParameters(f"energy spread must be nonnegative, got {self.stdev}")
+        _require(self.mean, "mean energy", math.isfinite, "be finite")
+        _require(self.stdev, "energy spread", lambda v: 0 <= v < math.inf,
+                 "be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -39,10 +48,8 @@ class RotationTarget:
     theta: float
 
     def __post_init__(self):
-        if not 0 <= self.theta <= math.pi / 2 + 1e-15:
-            raise UnsupportedParameters(
-                f"rotation angle must lie in [0, pi/2], got {self.theta}"
-            )
+        _require(self.theta, "rotation angle", lambda v: 0 <= v <= math.pi / 2 + 1e-15,
+                 "lie in [0, pi/2]")
 
 
 def mt_time(target: RotationTarget, moments: HamiltonianMoments,
@@ -154,8 +161,9 @@ def qsl_eigenerror_bound(theta: float, nbar: float) -> float:
 
 def small_angle_eigenerror_bound(theta: float, nbar: float) -> float:
     """Leading small-angle form theta^2 / (3 nbar)."""
-    if not 0 < nbar < math.inf:
-        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
+    _require(nbar, "mean photon number", lambda v: 0 < v < math.inf, "be positive and finite",
+             InvalidMean)
+    _require(theta, "rotation angle", math.isfinite, "be finite")
     return theta ** 2 / (3 * nbar)
 
 
@@ -165,6 +173,6 @@ def required_mean_photons(theta: float, epsilon: float) -> float:
     Inverts qsl_eigenerror_bound: nbar = (theta^2 + sin^2 theta) / (6 eps),
     the 1/epsilon energy cost of gate accuracy.
     """
-    if epsilon <= 0:
-        raise UnsupportedParameters(f"target error must be positive, got {epsilon}")
+    _require(theta, "rotation angle", math.isfinite, "be finite")
+    _require(epsilon, "target error", lambda v: 0 < v < math.inf, "be positive and finite")
     return (theta ** 2 + math.sin(theta) ** 2) / (6 * epsilon)

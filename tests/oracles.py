@@ -12,6 +12,7 @@ meaningful evidence rather than the same code tested against itself.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 from scipy import stats
 
@@ -181,6 +182,24 @@ def compose_images(outer, inner):
                 + mat[1, 0] * outer[2] + mat[1, 1] * outer[3])
 
     return tuple(app(inner[k]) for k in range(4))
+
+
+def gate_fidelity_mp(images, unitary: np.ndarray, digits: int = 40) -> float:
+    """Average gate fidelity at `digits` significant digits, from the same doubles.
+
+    With T_ij = U^dag E_ij U, the Haar average of <a|U^dag E[|a><a|] U|a> is
+    (sum_i tr T_ii + sum_ij <i|T_ij|j>) / 6: the twisted map's output trace
+    over its inputs plus four times its entanglement fidelity (Horodecki,
+    Nielsen), summed term by term in mpmath rather than through a Pauli or
+    Choi matrix in floating point.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        u = mpmath.matrix(unitary.tolist())  # each double converts exactly
+        t = [u.H * mpmath.matrix(e.tolist()) * u for e in images]
+        total = t[0][0, 0] + t[0][1, 1] + t[3][0, 0] + t[3][1, 1]
+        total += t[0][0, 0] + t[1][0, 1] + t[2][1, 0] + t[3][1, 1]
+        return float(mpmath.re(total) / 6)
 
 
 def random_cptp_images(rng: np.random.Generator, env_dim: int = 4):

@@ -42,7 +42,7 @@ from eigenfid import (
     random_density_matrix,
     tp_residual,
 )
-from eigenfid.channel import CP_TOL, _check_transfers, _pauli_form, _purities
+from eigenfid.channel import CP_TOL, _check_transfers, _pauli_form, _powers, _purities
 from eigenfid.errors import CPViolation, DimensionMismatch, EigenfidError, NonHermitianInput
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -422,6 +422,22 @@ class TestStackedChecks:
             assert np.array_equal(p, cat._transfer)
             assert (r, CP_TOL + count * cp_residual(c)) == (cp_residual(cat), cat.cp_slack)
 
+    @pytest.mark.parametrize("count", [1, 2, 8])
+    def test_powers_is_the_concatenation_rule_of_a_stack(self, rng, count):
+        channels = [random_channel(rng) for _ in range(4)]
+        stack = np.stack([c._transfer for c in channels])
+        residual = np.array([cp_residual(c) for c in channels])
+        power, slack, power_residual = _powers(stack, residual, count)
+        if count == 1:
+            # one application: the stack itself, at the default slack
+            assert power is stack and power_residual is residual
+            assert slack.tolist() == [CP_TOL] * len(channels)
+            return
+        for c, p, s, r in zip(channels, power, slack, power_residual):
+            cat = concatenate(c, count)
+            assert np.array_equal(p, cat._transfer)
+            assert (r, s) == (cp_residual(cat), cat.cp_slack)
+
 
 # ---------------------------------------------------------------------------
 # gate fidelity
@@ -504,6 +520,22 @@ class TestAverageGateFidelity:
         exact = average_gate_fidelity(chan, gate)
         mean, err = mc_gate_fidelity(chan, gate, SeededSampler(8, 2), 100_000)
         assert abs(mean - exact) <= 3 * err
+
+    def test_matches_a_40_digit_oracle_and_the_choi_route(self, rng):
+        # exact drive channels, once and concatenated, and Stinespring channels
+        exact = []
+        for drive in [poisson_drive(nbar) for nbar in (10.0, 100.0, 1000.0)] + [
+                binomial_drive(100.0, 25.0)]:
+            for tau in (0.3, 1.5, 2.9):
+                chan = build_channel_exact(drive, JCConfig(tau=tau))
+                exact += [chan, concatenate(chan, 4)]
+        for chan in exact + [random_channel(rng) for _ in range(40)]:
+            for gate in (TargetGate.x(), TargetGate.identity(),
+                         TargetGate(oracles.random_unitary(rng, 2))):
+                fbar = average_gate_fidelity(chan, gate)
+                assert abs(fbar - oracles.gate_fidelity_mp(chan.images(), gate.unitary)) <= 4.4e-16
+                via_choi = np.trace(a_matrix() @ choi_matrix(chan, gate).entries).real
+                assert abs(fbar - via_choi) <= 4.4e-16
 
     def test_never_exceeds_eigenfidelity_ceiling(self, rng):
         for _ in range(10):

@@ -201,7 +201,8 @@ class TestSchattenNorm:
         rho = DensityMatrix.diagonal([0.75, 0.25])
         assert abs(schatten_norm(rho, 2) - math.sqrt(0.625)) < 1e-14
 
-    @pytest.mark.parametrize("p", [0.0, -1.0])
+    @pytest.mark.parametrize("p", [0.0, -1.0, -math.inf, math.nan, True, False, "2", None,
+                                   1j, np.bool_(True)])
     def test_invalid_order(self, p):
         with pytest.raises(InvalidOrder):
             schatten_norm(DensityMatrix.maximally_mixed(2), p)
@@ -215,6 +216,33 @@ class TestSchattenNorm:
         for p in (1.0, 2.0, 3.5):
             ref = oracles.schatten_from_spectrum(rho.matrix, p)
             assert abs(schatten_norm(rho, p) - ref) < 1e-12
+
+    @pytest.mark.parametrize("p", [0.5, 1, 2, 3, 64, np.int64(3), np.float64(2.0)])
+    def test_matches_a_40_digit_reference(self, rng, p):
+        mpmath = pytest.importorskip("mpmath")
+        for _ in range(50):
+            rho = random_density_matrix(rng, int(rng.integers(2, 9)))
+            with mpmath.workdps(40):
+                w = [mpmath.mpf(float(x)) for x in np.clip(eigendecompose(rho).eigenvalues, 0, None)]
+                order = mpmath.mpf(float(p))
+                ref = float(mpmath.fsum([x ** order for x in w]) ** (1 / order))
+            assert abs(schatten_norm(rho, p) - ref) <= 1e-15 * ref
+
+    def test_diagonal_example_at_large_orders(self):
+        # plain sum(w**p)**(1/p) gives 1.0 at p = inf and 0.0 once w**p underflows
+        rho = DensityMatrix.diagonal([0.7, 0.3])
+        for p in (1e3, 1e6, 1e308, math.inf):
+            assert schatten_norm(rho, p) == 0.7
+
+    @pytest.mark.parametrize("p", [1e3, 1e6, 1e308, math.inf])
+    def test_norm_brackets_eigenfidelity_at_large_orders(self, rng, p):
+        # Proposition 2's sandwich ||rho||_p / d^(1/p) <= r <= ||rho||_p
+        for _ in range(20):
+            dim = int(rng.integers(2, 9))
+            rho = random_density_matrix(rng, dim)
+            r = eigenfidelity(rho)
+            norm = schatten_norm(rho, p)
+            assert norm / dim ** (1 / p) <= r <= norm
 
     @pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
     def test_norm_brackets_eigenfidelity(self, rng, p):

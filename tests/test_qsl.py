@@ -271,3 +271,47 @@ class TestClosedFormDomain:
     def test_rejects_a_mean_that_is_not_finite(self, law, nbar):
         with pytest.raises(InvalidMean):
             law(0.5, nbar)
+
+
+class TestTypedDomainErrors:
+    """Every entry point fails on NaN, infinity where the domain is finite,
+    bools and non-numbers with a package error, never a NaN result or a bare
+    TypeError or ValueError."""
+
+    _CASES = [
+        (HamiltonianMoments, (math.nan, math.nan), UnsupportedParameters),
+        (HamiltonianMoments, (math.nan, 1.0), UnsupportedParameters),
+        (HamiltonianMoments, (math.inf, 1.0), UnsupportedParameters),
+        (HamiltonianMoments, (1.0, math.inf), UnsupportedParameters),
+        (HamiltonianMoments, (1.0, math.nan), UnsupportedParameters),
+        (HamiltonianMoments, (1.0, "x"), UnsupportedParameters),
+        (HamiltonianMoments, ("x", 1.0), UnsupportedParameters),
+        (HamiltonianMoments, (1.0, True), UnsupportedParameters),
+        (RotationTarget, ("x",), UnsupportedParameters),
+        (RotationTarget, (math.nan,), UnsupportedParameters),
+        (RotationTarget, (None,), UnsupportedParameters),
+        (RotationTarget, (True,), UnsupportedParameters),
+        (small_angle_eigenerror_bound, (math.nan, 10.0), UnsupportedParameters),
+        (small_angle_eigenerror_bound, (math.inf, 10.0), UnsupportedParameters),
+        (small_angle_eigenerror_bound, ("x", 10.0), UnsupportedParameters),
+        (small_angle_eigenerror_bound, (0.5, "x"), InvalidMean),
+        (small_angle_eigenerror_bound, (0.5, True), InvalidMean),
+        (required_mean_photons, (math.nan, 1e-3), UnsupportedParameters),
+        (required_mean_photons, (math.inf, 1e-3), UnsupportedParameters),
+        (required_mean_photons, (1.0, math.nan), UnsupportedParameters),
+        (required_mean_photons, (1.0, math.inf), UnsupportedParameters),
+        (required_mean_photons, (1.0, "x"), UnsupportedParameters),
+        (required_mean_photons, (None, 1e-3), UnsupportedParameters),
+    ]
+
+    @pytest.mark.parametrize("fn, args, error", _CASES,
+                             ids=[f"{fn.__name__}{args!r}" for fn, args, _ in _CASES])
+    def test_rejects(self, fn, args, error):
+        with pytest.raises(error):
+            fn(*args)
+
+    def test_finite_values_still_pass(self):
+        assert HamiltonianMoments(-2.0, 0.0).mean == -2.0
+        assert RotationTarget(np.float64(0.5)).theta == 0.5
+        assert small_angle_eigenerror_bound(-0.1, 10) == pytest.approx(0.01 / 30)
+        assert required_mean_photons(np.float64(0.0), 1e-3) == 0.0
