@@ -11,6 +11,10 @@ which brackets the channel eigenfidelity r_bar (the Haar average of the
 output-state eigenfidelity) via gamma_bar <= r_bar <= (1 + gamma_bar)/2.
 Average gate fidelity against a target unitary comes in closed form from the
 real Pauli form of the gate-twisted channel, the affine map of Bloch vectors.
+The Monte Carlo estimators stream the sampler's unchanged draw through Bloch
+blocks of haar._BLOCK (4096) rows: a call holds 8 B per sample, the values
+whose mean and standard error it returns, plus about 0.5 MB of block buffers,
+and its estimates equal a full-array pass over the same draw bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .densmat import DensityMatrix
 from .errors import CPViolation, DimensionMismatch, NonHermitianInput
-from .haar import SeededSampler
+from .haar import _BLOCK, SeededSampler, sample_count
 
 TP_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -287,25 +291,50 @@ def _pauli_form(s: np.ndarray) -> np.ndarray:
     return r
 
 
-def _outputs(channel: QubitChannel, bloch: np.ndarray):
-    """Output trace defects t - 1 (N,) and Bloch vectors m (3, N) for input Bloch rows (N, 3)."""
+def _mc_estimate(channel: QubitChannel, sampler: SeededSampler, n_samples: int,
+                 fill) -> tuple[float, float]:
+    """Mean and standard error of a per-sample value over n_samples Haar inputs.
+
+    One loop over the sampler's Bloch blocks serves every estimator. For
+    each block it forms the output trace defects d = t - 1 (k,) and Bloch
+    vectors m (3, k) in a reused buffer, and fill(d, m, bloch, out) writes
+    the block's values into its slice out of one (n,) array. A call holds 8 B
+    per sample plus the block buffers; the values are those of one
+    full-array pass over the same draws, bit for bit.
+    """
+    n = sample_count(n_samples)
+    if n < 2:
+        raise DimensionMismatch("need at least 2 samples for a standard error")
     r = _pauli_form(channel._transfer)
-    out = r[:, 1:] @ bloch.T
-    out += r[:, :1]
-    return out[0], out[1:]
+    vals = np.empty(n)
+    flat = np.empty(4 * min(n, _BLOCK))  # a block of k rows is its first 4k entries, as (4, k)
+    for rows, bloch in sampler.bloch_blocks(n):
+        out = np.matmul(r[:, 1:], bloch, out=flat[:4 * bloch.shape[1]].reshape(4, -1))
+        out += r[:, :1]
+        fill(out[0], out[1:], bloch, vals[rows])
+    return _mean_stderr(vals)
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
-    if len(vals) < 2:
-        raise DimensionMismatch("need at least 2 samples for a standard error")
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    """vals.mean() and vals.std(ddof=1) / sqrt(n), bit for bit, overwriting vals."""
+    n = len(vals)
+    mean = vals.sum() / n
+    vals -= mean
+    np.square(vals, out=vals)
+    return float(mean), float(np.sqrt(vals.sum() / (n - 1)) / np.sqrt(n))
 
 
 def mc_average_purity(channel: QubitChannel, sampler: SeededSampler, n_samples: int) -> tuple[float, float]:
     """Monte Carlo Haar average of the output purity (t^2 + |m|^2)/2."""
-    d, m = _outputs(channel, sampler.sample_bloch(n_samples))
-    t = 1.0 + d
-    return _mean_stderr((t * t + np.einsum("ij,ij->j", m, m)) / 2)
+
+    def values(d, m, bloch, out):
+        t = d + 1.0
+        t *= t
+        np.einsum("ij,ij->j", m, m, out=out)
+        out += t
+        out /= 2
+
+    return _mc_estimate(channel, sampler, n_samples, values)
 
 
 def mc_channel_eigenfidelity(channel: QubitChannel, sampler: SeededSampler, n_samples: int) -> tuple[float, float]:
@@ -316,9 +345,18 @@ def mc_channel_eigenfidelity(channel: QubitChannel, sampler: SeededSampler, n_sa
     1/2 + sqrt(1/4 - det), which avoids per-sample eigendecompositions.
     1 - t^2 is formed as -d (2 + d) from the trace defect d = t - 1.
     """
-    d, m = _outputs(channel, sampler.sample_bloch(n_samples))
-    r = 0.5 + 0.5 * np.sqrt(np.clip(np.einsum("ij,ij->j", m, m) - d * (2.0 + d), 0.0, None))
-    return _mean_stderr(r)
+
+    def values(d, m, bloch, out):
+        np.einsum("ij,ij->j", m, m, out=out)
+        d2 = d + 2.0
+        d2 *= d
+        out -= d2
+        np.clip(out, 0.0, None, out=out)
+        np.sqrt(out, out=out)
+        out *= 0.5
+        out += 0.5
+
+    return _mc_estimate(channel, sampler, n_samples, values)
 
 
 def mc_gate_fidelity(channel: QubitChannel, gate: TargetGate, sampler: SeededSampler,
@@ -327,11 +365,16 @@ def mc_gate_fidelity(channel: QubitChannel, gate: TargetGate, sampler: SeededSam
 
     R_U rotates the input Bloch vector n to that of the target U|a>.
     """
-    bloch = sampler.sample_bloch(n_samples)
-    d, m = _outputs(channel, bloch)
     u = gate.unitary
-    targets = _pauli_form(np.kron(u, u.conj()))[1:, 1:] @ bloch.T
-    return _mean_stderr((1.0 + d + np.einsum("ij,ij->j", targets, m)) / 2)
+    rotation = _pauli_form(np.kron(u, u.conj()))[1:, 1:]
+
+    def values(d, m, bloch, out):
+        np.einsum("ij,ij->j", rotation @ bloch, m, out=out)
+        d += 1.0
+        out += d
+        out /= 2
+
+    return _mc_estimate(channel, sampler, n_samples, values)
 
 
 def _check_transfers(s: np.ndarray, cp_slack) -> np.ndarray:

@@ -215,9 +215,13 @@ def schatten_norm(rho: DensityMatrix, p: float) -> float:
     """
     if isinstance(p, bool) or not isinstance(p, numbers.Real) or not p > 0:
         raise InvalidOrder(f"Schatten order must be a positive number, got {p!r}")
+    try:
+        p = float(p)
+    except OverflowError:  # an integer order past the float range: the p = inf limit
+        p = math.inf
     w = _clamped_eigenvalues(rho)
     r = w.max()
-    return float(r * np.sum((w / r) ** float(p)) ** (1.0 / p))
+    return float(r * np.sum((w / r) ** p) ** (1.0 / p))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 from ._version import __version__
 from .channel import QubitChannel, _powers, _purities, mc_channel_eigenfidelity
 from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
-from .haar import SeededSampler
+from .haar import MAX_SAMPLES, SeededSampler
 from .jcdrive import (
     _exact_transfers,
     asymptotic_eigenerror_lower_bound,
@@ -78,8 +78,8 @@ def _integral(value, path: str) -> int:
 # field -> (entry type, domain test, domain); grids apply the rule to each entry
 _SCALAR_RULES = {
     "seed": (_integral, lambda v: 0 <= v < 2 ** 64, "must fit in an unsigned 64-bit integer"),
-    "mc_samples": (_integral, lambda v: v == 0 or v >= 2,
-                   "must be 0 (off) or at least 2 for a standard error"),
+    "mc_samples": (_integral, lambda v: v == 0 or 2 <= v <= MAX_SAMPLES,
+                   f"must be 0 (off), or at least 2 for a standard error and at most {MAX_SAMPLES}"),
     "jobs": (_integral, lambda v: v >= 1, "must be at least 1"),
 }
 _GRID_RULES = {

@@ -3,9 +3,12 @@
 Sampling draws 2d independent standard normals, forms d complex amplitudes,
 and normalizes; the resulting distribution on the unit sphere is exactly the
 Haar measure. A qubit sampler can also hand out the Bloch vectors of those
-same states, computed in real arithmetic from the same draws. Samplers are
-deterministic given (seed, dim), and parallel workers must use independently
-derived child samplers rather than sharing one stream.
+same states, computed in real arithmetic from the same draws, either all at
+once or streamed in blocks of _BLOCK (4096) rows through about 0.3 MB of
+reused buffers; the blocks continue one stream, so they hold exactly the
+values of the single draw, and the stream ends where that draw leaves it.
+Samplers are deterministic given (seed, dim), and parallel workers must use
+independently derived child samplers rather than sharing one stream.
 """
 
 from __future__ import annotations
@@ -21,6 +24,15 @@ from .densmat import DensityMatrix, PureState
 from .errors import DimensionMismatch
 
 _U64 = 2 ** 64
+# sample counts are array lengths, so they must fit in an index
+MAX_SAMPLES = int(np.iinfo(np.intp).max)
+# rows per Bloch block. With 4096, a Monte Carlo estimate at 10^6 samples
+# peaks at 8.5 B per sample under tracemalloc (80 B as one full-array pass),
+# and at 2e4 samples it takes 1.9-2.7 ms against the full pass's 2.4-3.0 ms
+# (best of 7 per run, 2-vCPU Xeon). On the benchmark's Monte Carlo sweep
+# (20k samples a row, 2 workers) 8192-row blocks ran as fast but peaked at
+# 35.8 MB RSS against 35.4 MB for 4096 and 36.7 MB for the full pass
+_BLOCK = 4096
 
 
 def _integral(value, lo: int, hi, what: str) -> int:
@@ -29,6 +41,12 @@ def _integral(value, lo: int, hi, what: str) -> int:
             or not lo <= value < hi or value != int(value)):
         raise DimensionMismatch(f"{what}, got {value!r}")
     return int(value)
+
+
+def sample_count(n) -> int:
+    """n as an int number of samples in [0, MAX_SAMPLES]; anything else raises DimensionMismatch."""
+    return _integral(n, 0, MAX_SAMPLES + 1,
+                     "sample count must be a nonnegative integer that fits in an index")
 
 
 @dataclass
@@ -55,8 +73,7 @@ class SeededSampler:
         return SeededSampler(seed=derived, dim=self.dim)
 
     def _normals(self, n: int) -> np.ndarray:
-        n = _integral(n, 0, math.inf, "sample count must be a nonnegative integer")
-        return self._rng.standard_normal((n, 2 * self.dim))
+        return self._rng.standard_normal((sample_count(n), 2 * self.dim))
 
     def sample_amplitudes(self, n: int) -> np.ndarray:
         """n Haar-random unit vectors as rows of an (n, dim) complex array."""
@@ -68,25 +85,64 @@ class SeededSampler:
     def sample_bloch(self, n: int) -> np.ndarray:
         """Bloch vectors of the qubit states sample_amplitudes(n) would return.
 
-        Rows of an (n, 3) real array. The draw is the same, so the stream ends
-        where sample_amplitudes(n) leaves it. With amplitudes
+        Rows of an (n, 3) real array: bloch_blocks(n) copied into one array.
+        The draw is the same, so the stream ends where sample_amplitudes(n)
+        leaves it.
+        """
+        b = np.empty((3, sample_count(n)))
+        for rows, block in self.bloch_blocks(n):
+            b[:, rows] = block
+        return b.T
+
+    def bloch_blocks(self, n: int):
+        """Yield (rows, bloch) for the Bloch vectors of sample_amplitudes(n), _BLOCK at a time.
+
+        bloch is a contiguous (3, k) array whose columns are the Bloch vectors
+        of the samples in rows, a slice of range(n). Blocks have k = _BLOCK rows
+        except at the end, where no block is left with one row unless n is 1.
+        Each block is drawn into a reused (k, 4) buffer, which continues the
+        stream, so the values and the stream's end are those of one (n, 4)
+        draw. bloch is scratch that the next block overwrites. With amplitudes
         (z0 + i z2, z1 + i z3) / |z|, the vector is
         (2 (z0 z1 + z2 z3), 2 (z0 z3 - z1 z2), z0^2 + z2^2 - z1^2 - z3^2) / |z|^2.
         """
         if self.dim != 2:
             raise DimensionMismatch(f"Bloch vectors need a qubit sampler, got dim={self.dim}")
-        z0, z1, z2, z3 = self._normals(n).T.copy()  # contiguous columns
-        p, q = z0 * z0 + z2 * z2, z1 * z1 + z3 * z3
-        b = np.empty((3, len(z0)))  # filled in place: every temporary costs page faults
-        np.multiply(z0, z1, out=b[0])
-        b[0] += z2 * z3
-        np.multiply(z0, z3, out=b[1])
-        b[1] -= z1 * z2
-        np.subtract(p, q, out=b[2])
-        b[:2] *= 2.0
-        p += q
-        b /= p
-        return b.T
+        n = sample_count(n)
+        size = min(n, _BLOCK)
+        z = np.empty((size, 4))
+        flat = np.empty(3 * size)  # a block of k rows is its first 3k entries, as (3, k)
+        pq = np.empty((2, size))
+        start = 0
+        while start < n:
+            # no lone last row: numpy multiplies a one-column block with a
+            # matrix-vector kernel, which rounds differently from the product
+            # over all columns, so the block before it gives up one row
+            k = _BLOCK - 1 if n - start == _BLOCK + 1 else min(_BLOCK, n - start)
+            self._rng.standard_normal(out=z[:k])
+            z0, z1, z2, z3 = z[:k].T  # strided column views
+            b = flat[:3 * k].reshape(3, k)
+            p, q = pq[:, :k]
+            # every product lands in a buffer: a temporary per operation costs
+            # an allocation, and b[1] and b[2] are free until their turn
+            np.multiply(z2, z3, out=b[1])
+            np.multiply(z0, z1, out=b[0])
+            b[0] += b[1]
+            np.multiply(z1, z2, out=b[2])
+            np.multiply(z0, z3, out=b[1])
+            b[1] -= b[2]
+            np.multiply(z0, z0, out=p)
+            np.multiply(z2, z2, out=b[2])
+            p += b[2]
+            np.multiply(z1, z1, out=q)
+            np.multiply(z3, z3, out=b[2])
+            q += b[2]
+            np.subtract(p, q, out=b[2])
+            b[:2] *= 2.0
+            p += q
+            b /= p
+            yield slice(start, start + k), b
+            start += k
 
 
 def sample_pure(sampler: SeededSampler) -> PureState:

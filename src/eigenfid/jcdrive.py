@@ -50,11 +50,16 @@ def _moments(w: np.ndarray, n: np.ndarray) -> tuple[float, float]:
 
 
 def _require_real(value, what: str, error: type = UnsupportedParameters) -> None:
-    """Raise error unless value is a real number; a bool is not one."""
+    """Raise error unless value is a real number that a float can hold; a bool
+    is not one, nor an integer past the float range."""
     # a float is let through first: the numbers.Real check alone takes ~0.7 us
-    if type(value) is not float and (isinstance(value, bool)
-                                     or not isinstance(value, numbers.Real)):
-        raise error(f"{what} must be a real number, got {value!r}")
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{what} must be a real number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise error(f"{what} must be finite, got a number too large for a float") from None
 
 
 def _integer(value, message: str, lo: float = -math.inf) -> int:

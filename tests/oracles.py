@@ -331,3 +331,61 @@ def ks_critical(n: int, m: int, alpha: float = 0.01) -> float:
     """Two-sample Kolmogorov-Smirnov rejection threshold."""
     c = np.sqrt(-np.log(alpha / 2.0) / 2.0)
     return float(c * np.sqrt((n + m) / (n * m)))
+
+
+# ---------------------------------------------------------------------------
+# Full-array Monte Carlo references.
+#
+# Unlike the rest of this module, these repeat the package's own arithmetic:
+# they are the single-draw, whole-array evaluation of the Bloch vectors and
+# the three Monte Carlo estimators, kept so that the streamed block
+# evaluation can be held to them bit for bit. Each takes the sampler's seed
+# (a fresh stream) and the channel's real Pauli map r, (t - 1, m) = r (1, n).
+# ---------------------------------------------------------------------------
+
+def full_bloch(seed: int, n: int) -> np.ndarray:
+    """(n, 3) Bloch vectors of the first n qubit draws of default_rng(seed)."""
+    z0, z1, z2, z3 = np.random.default_rng(seed).standard_normal((n, 4)).T.copy()
+    p, q = z0 * z0 + z2 * z2, z1 * z1 + z3 * z3
+    b = np.empty((3, len(z0)))
+    np.multiply(z0, z1, out=b[0])
+    b[0] += z2 * z3
+    np.multiply(z0, z3, out=b[1])
+    b[1] -= z1 * z2
+    np.subtract(p, q, out=b[2])
+    b[:2] *= 2.0
+    p += q
+    b /= p
+    return b.T
+
+
+def full_outputs(r: np.ndarray, bloch: np.ndarray):
+    """Output trace defects t - 1 (n,) and Bloch vectors (3, n) for Bloch rows (n, 3)."""
+    out = r[:, 1:] @ bloch.T
+    out += r[:, :1]
+    return out[0], out[1:]
+
+
+def _full_mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+
+
+def full_mc_purity(r: np.ndarray, seed: int, n: int) -> tuple[float, float]:
+    d, m = full_outputs(r, full_bloch(seed, n))
+    t = 1.0 + d
+    return _full_mean_stderr((t * t + np.einsum("ij,ij->j", m, m)) / 2)
+
+
+def full_mc_eigenfidelity(r: np.ndarray, seed: int, n: int) -> tuple[float, float]:
+    d, m = full_outputs(r, full_bloch(seed, n))
+    return _full_mean_stderr(
+        0.5 + 0.5 * np.sqrt(np.clip(np.einsum("ij,ij->j", m, m) - d * (2.0 + d), 0.0, None)))
+
+
+def full_mc_gate_fidelity(r: np.ndarray, rotation: np.ndarray, seed: int,
+                          n: int) -> tuple[float, float]:
+    """rotation is the target gate's 3x3 Bloch rotation."""
+    bloch = full_bloch(seed, n)
+    d, m = full_outputs(r, bloch)
+    targets = rotation @ bloch.T
+    return _full_mean_stderr((1.0 + d + np.einsum("ij,ij->j", targets, m)) / 2)

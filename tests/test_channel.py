@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,8 +43,16 @@ from eigenfid import (
     random_density_matrix,
     tp_residual,
 )
-from eigenfid.channel import CP_TOL, _check_transfers, _pauli_form, _powers, _purities
+from eigenfid.channel import (
+    CP_TOL,
+    _check_transfers,
+    _mc_estimate,
+    _pauli_form,
+    _powers,
+    _purities,
+)
 from eigenfid.errors import CPViolation, DimensionMismatch, EigenfidError, NonHermitianInput
+from eigenfid.haar import _BLOCK, MAX_SAMPLES
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -758,6 +767,92 @@ class TestRealBlochEstimators:
                          lambda s: mc_gate_fidelity(chan, gate, s, 100)):
             with pytest.raises(DimensionMismatch):
                 estimate(SeededSampler(3, dim))
+
+
+# ---------------------------------------------------------------------------
+# the estimators stream the draw through Bloch blocks; the full-array
+# evaluation they replaced is kept in oracles as the bit-for-bit reference
+
+_STREAM_COUNTS = (2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 20000)
+
+
+def _stream_channels():
+    for drive in (poisson_drive(25.0), binomial_drive(100.0, 20.0)):
+        for tau in (0.3, math.pi / 2):
+            gate = build_channel_exact(drive, JCConfig(tau=tau))
+            for count in (1, 4):
+                yield concatenate(gate, count)
+
+
+def _rotation(gate: TargetGate) -> np.ndarray:
+    u = gate.unitary
+    return _pauli_form(np.kron(u, u.conj()))[1:, 1:]
+
+
+class TestStreamedEstimators:
+    CHANNELS = list(_stream_channels())
+    GATES = (TargetGate.x(), TargetGate(oracles.random_unitary(np.random.default_rng(41))))
+
+    @pytest.mark.parametrize("n", _STREAM_COUNTS)
+    def test_means_and_stderrs_equal_the_full_array_pass(self, n):
+        for k, chan in enumerate(self.CHANNELS):
+            r = _pauli_form(chan._transfer)
+            for seed in (k, 2 ** 64 - 1 - k):
+                got = [mc_average_purity(chan, SeededSampler(seed, 2), n),
+                       mc_channel_eigenfidelity(chan, SeededSampler(seed, 2), n)]
+                want = [oracles.full_mc_purity(r, seed, n),
+                        oracles.full_mc_eigenfidelity(r, seed, n)]
+                for gate in self.GATES:
+                    got.append(mc_gate_fidelity(chan, gate, SeededSampler(seed, 2), n))
+                    want.append(oracles.full_mc_gate_fidelity(r, _rotation(gate), seed, n))
+                assert got == want, (k, seed)
+
+    @pytest.mark.parametrize("n", _STREAM_COUNTS)
+    def test_per_sample_outputs_equal_the_full_array_pass(self, n):
+        # a one-column block would take numpy's matrix-vector product, which
+        # rounds some columns differently; the means rarely show it
+        for k, chan in enumerate(self.CHANNELS):
+            parts = []
+
+            def capture(d, m, bloch, out):
+                parts.append(np.vstack([d, m]))
+                out[:] = 0.0
+
+            for seed in (k, 2 ** 64 - 1 - k):
+                parts.clear()
+                _mc_estimate(chan, SeededSampler(seed, 2), n, capture)
+                d, m = oracles.full_outputs(_pauli_form(chan._transfer),
+                                            oracles.full_bloch(seed, n))
+                np.testing.assert_array_equal(np.hstack(parts), np.vstack([d, m]))
+
+    @pytest.mark.parametrize("n", [2, _BLOCK + 1, 20000])
+    def test_stream_ends_where_amplitudes_leave_it(self, n):
+        chan, gate = self.CHANNELS[1], self.GATES[1]
+        for estimate in (lambda s: mc_average_purity(chan, s, n),
+                         lambda s: mc_channel_eigenfidelity(chan, s, n),
+                         lambda s: mc_gate_fidelity(chan, gate, s, n)):
+            a, b = SeededSampler(19, 2), SeededSampler(19, 2)
+            estimate(a)
+            b.sample_amplitudes(n)
+            np.testing.assert_array_equal(a.sample_amplitudes(8), b.sample_amplitudes(8))
+
+    def test_a_million_samples_hold_under_ten_bytes_each(self):
+        # the per-sample values (8 B each) plus the block buffers; the
+        # full-array pass held about 80 B per sample
+        chan, n = self.CHANNELS[2], 10 ** 6
+        mc_channel_eigenfidelity(chan, SeededSampler(2, 2), 100)
+        tracemalloc.start()
+        try:
+            mc_channel_eigenfidelity(chan, SeededSampler(2, 2), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n, peak / n
+
+    @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10 ** 29, 2.5, -1])
+    def test_rejects_a_count_that_is_not_an_index(self, n):
+        with pytest.raises(DimensionMismatch):
+            mc_channel_eigenfidelity(self.CHANNELS[0], SeededSampler(3, 2), n)
 
 
 # every frozen dataclass that holds arrays compares by identity: a generated

@@ -300,6 +300,14 @@ class TestSweepRuns:
         assert "mc_samples" in capsys.readouterr().err
         assert not csv.exists()
 
+    def test_mc_sample_count_past_an_index_is_a_config_error(self, capsys, tmp_path):
+        csv = tmp_path / "mc.csv"
+        cfg = _write_config(tmp_path / "cfg.json", output=str(csv))
+        assert main(["scaling", "--config", cfg, "--mc-samples", str(10 ** 29)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: /mc_samples" in err and "Traceback" not in err
+        assert not csv.exists()
+
     def test_mode_mismatch_is_a_config_error(self, capsys, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json",
                             output=str(tmp_path / "x.csv"))

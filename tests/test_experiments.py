@@ -37,6 +37,7 @@ from eigenfid import (
 import eigenfid
 from eigenfid import experiments
 from eigenfid.experiments import VERSION_STRING, run, sidecar_dict
+from eigenfid.haar import MAX_SAMPLES
 from eigenfid.serialize import dump_object
 from eigenfid.errors import BudgetTooSmall, SchemaError, UnsupportedParameters
 
@@ -97,6 +98,8 @@ class TestSweepConfig:
         (dict(jobs=1.5), "/jobs"),
         (dict(nbar_grid=25.0), "/nbar_grid"),
         (dict(nbar_grid=(10 ** 400,)), "/nbar_grid/0"),
+        (dict(mc_samples=MAX_SAMPLES + 1), "/mc_samples"),
+        (dict(mc_samples=10 ** 29), "/mc_samples"),
     ])
     def test_errors_carry_the_field_pointer(self, kw, path):
         with pytest.raises(SchemaError) as excinfo:

@@ -18,6 +18,7 @@ from eigenfid import (
     sample_pure,
 )
 from eigenfid.errors import DimensionMismatch
+from eigenfid.haar import _BLOCK, MAX_SAMPLES
 
 
 class TestSampler:
@@ -166,6 +167,54 @@ class TestSampleBloch:
             SeededSampler(3, dim).sample_bloch(10)
 
 
+# sample counts at and around the block edges, a lone row past a full block
+# among them, and a count of several blocks
+_BLOCK_COUNTS = (2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 20000)
+
+
+class TestBlochBlocks:
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    @pytest.mark.parametrize("n", (0, 1) + _BLOCK_COUNTS)
+    def test_sample_bloch_is_the_full_array_evaluation_bit_for_bit(self, seed, n):
+        bloch = SeededSampler(seed, 2).sample_bloch(n)
+        want = oracles.full_bloch(seed, n)
+        assert bloch.shape == want.shape and bloch.strides == want.strides
+        np.testing.assert_array_equal(bloch, want)
+
+    @pytest.mark.parametrize("n", _BLOCK_COUNTS)
+    def test_blocks_tile_the_draw_in_contiguous_columns(self, n):
+        want = oracles.full_bloch(5, n)
+        sizes, end = [], 0
+        for rows, bloch in SeededSampler(5, 2).bloch_blocks(n):
+            assert rows.start == end and bloch.flags.c_contiguous
+            assert bloch.shape == (3, rows.stop - rows.start)
+            np.testing.assert_array_equal(bloch, want[rows].T)
+            sizes.append(bloch.shape[1])
+            end = rows.stop
+        assert end == n and max(sizes) <= _BLOCK and min(sizes) >= 2
+
+    @pytest.mark.parametrize("n", _BLOCK_COUNTS)
+    def test_stream_ends_where_amplitudes_leave_it(self, n):
+        a, b = SeededSampler(13, 2), SeededSampler(13, 2)
+        for _ in a.bloch_blocks(n):
+            pass
+        b.sample_amplitudes(n)
+        np.testing.assert_array_equal(a.sample_amplitudes(8), b.sample_amplitudes(8))
+
+    def test_zero_samples_yield_no_block(self):
+        assert list(SeededSampler(3, 2).bloch_blocks(0)) == []
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_needs_a_qubit_sampler(self, dim):
+        with pytest.raises(DimensionMismatch):
+            next(SeededSampler(3, dim).bloch_blocks(10))
+
+    @pytest.mark.parametrize("n", [-1, 2.5, MAX_SAMPLES + 1, 10 ** 29])
+    def test_rejects_a_count_that_is_not_an_index(self, n):
+        with pytest.raises(DimensionMismatch):
+            next(SeededSampler(3, 2).bloch_blocks(n))
+
+
 class TestSamplerDomain:
     @pytest.mark.parametrize("seed", [float("nan"), float("inf"), 1.5, True, -1, 2 ** 64,
                                       "3", None, np.float64("nan")])
@@ -196,7 +245,8 @@ class TestSamplerDomain:
     def test_integral_float_dimension(self):
         assert SeededSampler(3, 2.0).dim == 2
 
-    @pytest.mark.parametrize("n", [-1, 2.5, float("nan"), float("inf"), True, "4"])
+    @pytest.mark.parametrize("n", [-1, 2.5, float("nan"), float("inf"), True, "4",
+                                   MAX_SAMPLES + 1, 10 ** 29])
     @pytest.mark.parametrize("draw", ["sample_amplitudes", "sample_bloch"])
     def test_rejects_a_sample_count_that_is_not_a_nonnegative_integer(self, draw, n):
         with pytest.raises(DimensionMismatch):

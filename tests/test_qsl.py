@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from eigenfid import (
+    DensityMatrix,
     HamiltonianMoments,
     JCConfig,
     PureState,
@@ -25,9 +26,11 @@ from eigenfid import (
     poisson_drive,
     qsl_eigenerror_bound,
     required_mean_photons,
+    schatten_norm,
     small_angle_eigenerror_bound,
 )
 from eigenfid.errors import (
+    EigenfidError,
     InvalidMean,
     NonpositiveMeanEnergy,
     UnsupportedParameters,
@@ -315,3 +318,35 @@ class TestTypedDomainErrors:
         assert RotationTarget(np.float64(0.5)).theta == 0.5
         assert small_angle_eigenerror_bound(-0.1, 10) == pytest.approx(0.01 / 30)
         assert required_mean_photons(np.float64(0.0), 1e-3) == 0.0
+
+
+# each call takes one argument that is an integer too large for a float, or
+# math.inf in its place; the huge integer must meet the same fate as inf
+_HUGE = 10 ** 400
+_HUGE_CASES = {
+    "poisson_drive": lambda x: poisson_drive(x),
+    "binomial_drive": lambda x: binomial_drive(x, 1.0),
+    "asymptotic_eigenerror_lower_bound": lambda x: asymptotic_eigenerror_lower_bound(
+        "poisson", x, x, 1.0),
+    "schatten_norm": lambda x: schatten_norm(DensityMatrix(np.diag([0.75, 0.25])), x),
+    "small_angle_eigenerror_bound": lambda x: small_angle_eigenerror_bound(0.5, x),
+    "required_mean_photons": lambda x: required_mean_photons(x, 1e-3),
+    "HamiltonianMoments": lambda x: HamiltonianMoments(x, 1.0),
+    "JCConfig": lambda x: JCConfig(tau=x),
+}
+
+
+def _fate(call, x):
+    try:
+        return call(x)
+    except EigenfidError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", list(_HUGE_CASES))
+def test_an_integer_past_the_float_range_is_treated_as_inf(name):
+    call = _HUGE_CASES[name]
+    fate = _fate(call, math.inf)
+    assert _fate(call, _HUGE) == fate
+    # every call but the Schatten norm, whose order may be inf, rejects both
+    assert (fate == 0.75) if name == "schatten_norm" else issubclass(fate, EigenfidError)
