@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--trials", type=int, default=1000, metavar="N")
     bc.add_argument("--seed", type=int, default=0, metavar="U64")
 
-    q = sub.add_parser("qsl", help="speed-limit eigenerror floor for a rotation")
+    q = sub.add_parser("qsl", help="leading-order asymptotic eigenerror law for a rotation")
     q.add_argument("--theta", type=float, required=True, metavar="RAD")
     q.add_argument("--nbar", type=float, required=True, metavar="N")
 

@@ -3,10 +3,10 @@
 Sampling draws 2d independent standard normals, forms d complex amplitudes,
 and normalizes; the resulting distribution on the unit sphere is exactly the
 Haar measure. A qubit sampler can also hand out the Bloch vectors of those
-same states, computed in real arithmetic from the same draws, either all at
-once or streamed in blocks of _BLOCK (4096) rows through about 0.3 MB of
-reused buffers; the blocks continue one stream, so they hold exactly the
-values of the single draw, and the stream ends where that draw leaves it.
+same states, computed in real arithmetic from the same draws and streamed in
+blocks of _BLOCK (4096) rows through about 0.3 MB of reused buffers; the
+blocks continue one stream, so they hold exactly the values of a single
+draw, and the stream ends where that draw leaves it.
 Samplers are deterministic given (seed, dim), and parallel workers must use
 independently derived child samplers rather than sharing one stream.
 """
@@ -72,27 +72,12 @@ class SeededSampler:
         derived = int(np.random.SeedSequence([self.seed, k]).generate_state(1, np.uint64)[0])
         return SeededSampler(seed=derived, dim=self.dim)
 
-    def _normals(self, n: int) -> np.ndarray:
-        return self._rng.standard_normal((sample_count(n), 2 * self.dim))
-
     def sample_amplitudes(self, n: int) -> np.ndarray:
         """n Haar-random unit vectors as rows of an (n, dim) complex array."""
-        z = self._normals(n)
+        z = self._rng.standard_normal((sample_count(n), 2 * self.dim))
         v = z[:, : self.dim] + 1j * z[:, self.dim:]
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         return v
-
-    def sample_bloch(self, n: int) -> np.ndarray:
-        """Bloch vectors of the qubit states sample_amplitudes(n) would return.
-
-        Rows of an (n, 3) real array: bloch_blocks(n) copied into one array.
-        The draw is the same, so the stream ends where sample_amplitudes(n)
-        leaves it.
-        """
-        b = np.empty((3, sample_count(n)))
-        for rows, block in self.bloch_blocks(n):
-            b[:, rows] = block
-        return b.T
 
     def bloch_blocks(self, n: int):
         """Yield (rows, bloch) for the Bloch vectors of sample_amplitudes(n), _BLOCK at a time.

@@ -231,14 +231,48 @@ _WINDOW_CHUNK_LEVELS = 12
 _WINDOW_CHUNK_SIGMAS = 7.5
 
 
+# log n! for n below _LOG_FACTORIAL_LEVELS (512 KB), shared by every drive in
+# the process and filled on demand, _LOG_FACTORIAL_BLOCK levels at a time
+_LOG_FACTORIAL_LEVELS = 1 << 16
+_LOG_FACTORIAL_BLOCK = 256
+_log_factorial_table = np.empty(_LOG_FACTORIAL_LEVELS)
+_log_factorial_filled = np.zeros(_LOG_FACTORIAL_LEVELS // _LOG_FACTORIAL_BLOCK, dtype=bool)
+
+
+def _lgamma_map(start: int, stop: int) -> np.ndarray:
+    """math.lgamma(n + 1) for n = start .. stop - 1: numpy has no lgamma."""
+    return np.fromiter(map(math.lgamma, range(start + 1, stop + 1)), float, stop - start)
+
+
+def _log_factorials(start: int, stop: int) -> np.ndarray:
+    """log n! = math.lgamma(n + 1) for n = start .. stop - 1, read-only.
+
+    Below _LOG_FACTORIAL_LEVELS the values are a view of the process's
+    table. A block is marked filled only after all of it is written, so a
+    fill that an exception (a SIGALRM time limit) stops partway is redone by
+    the next call. A request that reaches past the table is computed whole.
+    """
+    if stop > _LOG_FACTORIAL_LEVELS:
+        values = _lgamma_map(start, stop)
+    else:
+        table, filled, size = _log_factorial_table, _log_factorial_filled, _LOG_FACTORIAL_BLOCK
+        for block in range(start // size, -(-stop // size)):
+            if not filled[block]:
+                lo, hi = block * size, (block + 1) * size
+                table[lo:hi] = _lgamma_map(lo, hi)
+                filled[block] = True
+        values = table[start:stop]
+    values.setflags(write=False)
+    return values
+
+
 def _poisson_logpmf(nbar: float, start: int, stop: int) -> np.ndarray:
     """log Poisson(nbar) pmf at n = start .. stop - 1.
 
-    Bit for bit the scalar -nbar + n log(nbar) - lgamma(n + 1): numpy has no
-    lgamma, and a cumulative sum of logs would round differently.
+    Bit for bit the scalar -nbar + n log(nbar) - lgamma(n + 1): a cumulative
+    sum of logs would round differently.
     """
-    lgamma = np.fromiter(map(math.lgamma, range(start + 1, stop + 1)), float, stop - start)
-    return -nbar + np.arange(start, stop) * math.log(nbar) - lgamma
+    return -nbar + np.arange(start, stop) * math.log(nbar) - _log_factorials(start, stop)
 
 
 def _math_exp(x: np.ndarray) -> np.ndarray:
@@ -321,8 +355,8 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
 
 
 def _binomial_weights(n_trials: int) -> np.ndarray:
-    lg = np.fromiter(map(math.lgamma, range(1, n_trials + 2)), float, n_trials + 1)
-    logc = math.lgamma(n_trials + 1) - lg
+    lg = _log_factorials(0, n_trials + 1)
+    logc = lg[-1] - lg
     logc -= lg[::-1]  # log C(n_trials, k)
     logc -= n_trials * math.log(2.0)
     return np.exp(logc, out=logc)
@@ -611,7 +645,7 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
             f"expansion requires spread <= mean, got sqrt(variance)="
             f"{math.sqrt(variance):.3f} > nbar={nbar}"
         )
-    kind_l = kind.lower()
+    kind_l = kind.lower() if isinstance(kind, str) else None  # None matches no kind
     if kind_l == "poisson":
         def r1(x: float) -> float:
             return math.sqrt(nbar / (x + 1))
@@ -662,7 +696,7 @@ def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,
         raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
     if not math.isfinite(tau):
         raise UnsupportedParameters(f"reduced time must be finite, got {tau}")
-    kind_l = kind.lower()
+    kind_l = kind.lower() if isinstance(kind, str) else None  # None matches no kind
     if kind_l == "poisson":
         return (tau ** 2 + math.sin(tau) ** 2) / (6 * nbar)
     if kind_l == "binomial":

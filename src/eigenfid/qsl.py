@@ -4,8 +4,11 @@ A rotation by Bures angle theta under a Hamiltonian with mean <H> and spread
 dH cannot beat t >= hbar theta / dH (spread limit) nor
 t >= hbar theta / <H> (mean-energy limit, measured from the ground state).
 For the drive-qubit exchange interaction both scales are hbar g sqrt(nbar),
-which turns the speed limits into a floor on the channel eigenerror in terms
-of the drive's mean photon number alone.
+which ties the channel eigenerror to the drive's mean photon number alone:
+at large nbar it follows the leading-order asymptotic law
+(theta^2 + sin^2 theta) / (6 nbar). That law is not a floor: the exact
+channel's eigenerror lies below it at every point tested (nbar = 10 to 1000),
+by about 1.2/nbar relative at theta = pi/2.
 """
 
 from __future__ import annotations
@@ -151,10 +154,12 @@ def bipartite_angle_check(theta_logical: float, drive_overlap: float) -> float:
 
 
 def qsl_eigenerror_bound(theta: float, nbar: float) -> float:
-    """Eigenerror floor (theta^2 + sin^2 theta) / (6 nbar) for a theta rotation.
+    """Leading-order asymptotic eigenerror law (theta^2 + sin^2 theta) / (6 nbar)
+    for a theta rotation.
 
     Since the reduced interaction time can be no smaller than the rotation
     angle, this is the coherent-drive asymptotic law evaluated at tau = theta.
+    It is not a floor: the exact eigenerror lies below it at finite nbar.
     """
     return asymptotic_eigenerror_lower_bound("poisson", nbar, nbar, theta)
 
@@ -168,7 +173,7 @@ def small_angle_eigenerror_bound(theta: float, nbar: float) -> float:
 
 
 def required_mean_photons(theta: float, epsilon: float) -> float:
-    """Photon budget needed to push the eigenerror floor below epsilon.
+    """Photon budget at which the leading-order asymptotic law falls to epsilon.
 
     Inverts qsl_eigenerror_bound: nbar = (theta^2 + sin^2 theta) / (6 eps),
     the 1/epsilon energy cost of gate accuracy.

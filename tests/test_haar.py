@@ -138,33 +138,36 @@ def _bloch_of(amps: np.ndarray) -> np.ndarray:
                      np.abs(amps[:, 0]) ** 2 - np.abs(amps[:, 1]) ** 2], axis=1)
 
 
-class TestSampleBloch:
+def _collected_bloch(sampler: SeededSampler, n: int) -> np.ndarray:
+    """(n, 3) Bloch vectors: the blocks of sampler.bloch_blocks(n) copied into one array."""
+    b = np.empty((3, n))
+    for rows, block in sampler.bloch_blocks(n):
+        b[:, rows] = block
+    return b.T
+
+
+class TestBlochVectors:
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
     @pytest.mark.parametrize("n", [1, 2, 5000])
     def test_bloch_vectors_of_the_same_draw(self, seed, n):
-        bloch = SeededSampler(seed, 2).sample_bloch(n)
+        bloch = _collected_bloch(SeededSampler(seed, 2), n)
         amps = SeededSampler(seed, 2).sample_amplitudes(n)
         assert bloch.shape == (n, 3)
         np.testing.assert_allclose(bloch, _bloch_of(amps), rtol=0, atol=1e-15)
 
     def test_stream_continues_where_amplitudes_leave_it(self):
         a, b = SeededSampler(11, 2), SeededSampler(11, 2)
-        a.sample_bloch(300)
+        _collected_bloch(a, 300)
         b.sample_amplitudes(300)
         np.testing.assert_array_equal(a.sample_amplitudes(40), b.sample_amplitudes(40))
-        np.testing.assert_array_equal(a.sample_bloch(40), b.sample_bloch(40))
+        np.testing.assert_array_equal(_collected_bloch(a, 40), _collected_bloch(b, 40))
 
     def test_unit_vectors(self):
-        bloch = SeededSampler(3, 2).sample_bloch(10_000)
+        bloch = _collected_bloch(SeededSampler(3, 2), 10_000)
         np.testing.assert_allclose(np.linalg.norm(bloch, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_zero_samples(self):
-        assert SeededSampler(3, 2).sample_bloch(0).shape == (0, 3)
-
-    @pytest.mark.parametrize("dim", [1, 3, 5])
-    def test_needs_a_qubit_sampler(self, dim):
-        with pytest.raises(DimensionMismatch):
-            SeededSampler(3, dim).sample_bloch(10)
+        assert _collected_bloch(SeededSampler(3, 2), 0).shape == (0, 3)
 
 
 # sample counts at and around the block edges, a lone row past a full block
@@ -175,8 +178,8 @@ _BLOCK_COUNTS = (2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 20000)
 class TestBlochBlocks:
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
     @pytest.mark.parametrize("n", (0, 1) + _BLOCK_COUNTS)
-    def test_sample_bloch_is_the_full_array_evaluation_bit_for_bit(self, seed, n):
-        bloch = SeededSampler(seed, 2).sample_bloch(n)
+    def test_collected_blocks_are_the_full_array_evaluation_bit_for_bit(self, seed, n):
+        bloch = _collected_bloch(SeededSampler(seed, 2), n)
         want = oracles.full_bloch(seed, n)
         assert bloch.shape == want.shape and bloch.strides == want.strides
         np.testing.assert_array_equal(bloch, want)
@@ -204,7 +207,7 @@ class TestBlochBlocks:
     def test_zero_samples_yield_no_block(self):
         assert list(SeededSampler(3, 2).bloch_blocks(0)) == []
 
-    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 3, 5])
     def test_needs_a_qubit_sampler(self, dim):
         with pytest.raises(DimensionMismatch):
             next(SeededSampler(3, dim).bloch_blocks(10))
@@ -247,7 +250,7 @@ class TestSamplerDomain:
 
     @pytest.mark.parametrize("n", [-1, 2.5, float("nan"), float("inf"), True, "4",
                                    MAX_SAMPLES + 1, 10 ** 29])
-    @pytest.mark.parametrize("draw", ["sample_amplitudes", "sample_bloch"])
+    @pytest.mark.parametrize("draw", ["sample_amplitudes", "bloch_blocks"])
     def test_rejects_a_sample_count_that_is_not_a_nonnegative_integer(self, draw, n):
         with pytest.raises(DimensionMismatch):
-            getattr(SeededSampler(3, 2), draw)(n)
+            next(iter(getattr(SeededSampler(3, 2), draw)(n)))

@@ -695,6 +695,105 @@ class TestScalarRules:
 
 
 # ---------------------------------------------------------------------------
+# the process's log-factorial table
+
+_TABLE_LEVELS, _TABLE_BLOCK = jcdrive._LOG_FACTORIAL_LEVELS, jcdrive._LOG_FACTORIAL_BLOCK
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty log-factorial table for this test: the module's lives for the process.
+    Unfilled entries are NaN, so a block marked filled too early shows."""
+    table = np.full(_TABLE_LEVELS, math.nan)
+    filled = np.zeros(_TABLE_LEVELS // _TABLE_BLOCK, dtype=bool)
+    monkeypatch.setattr(jcdrive, "_log_factorial_table", table)
+    monkeypatch.setattr(jcdrive, "_log_factorial_filled", filled)
+    return SimpleNamespace(table=table, filled=filled)
+
+
+def _lgamma_map(start: int, stop: int) -> np.ndarray:
+    return np.array([math.lgamma(n + 1) for n in range(start, stop)])
+
+
+def _lgamma_spy(monkeypatch, fail_after: int = -1) -> list:
+    """Record each n + 1 that math.lgamma is asked for. Once, after fail_after
+    calls, raise TimeoutError instead, as a SIGALRM time limit does."""
+    calls, lgamma = [], math.lgamma
+
+    def spy(x):
+        nonlocal fail_after
+        if len(calls) == fail_after:
+            fail_after = -1
+            raise TimeoutError("time limit")
+        calls.append(x)
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", spy)
+    return calls
+
+
+_B = _TABLE_BLOCK
+_TABLE_WINDOWS = [
+    (0, 1), (0, _B - 1), (0, _B), (0, _B + 1), (1, _B), (_B - 1, _B), (_B - 1, _B + 1),
+    (_B, 2 * _B), (_B + 1, 3 * _B - 1), (5 * _B - 1, 9 * _B + 1), (12345, 23456),
+    (_TABLE_LEVELS - _B - 1, _TABLE_LEVELS), (_TABLE_LEVELS - 1, _TABLE_LEVELS),
+    (0, _TABLE_LEVELS), (_TABLE_LEVELS - 3, _TABLE_LEVELS + 1), (0, _TABLE_LEVELS + 1),
+    (_TABLE_LEVELS + 10, _TABLE_LEVELS + 300),
+]
+
+
+class TestLogFactorialTable:
+    @pytest.mark.parametrize("start, stop", _TABLE_WINDOWS)
+    def test_values_are_the_lgamma_map_bit_for_bit(self, fresh_table, start, stop):
+        for _ in range(2):  # cold, then from the filled table
+            assert np.array_equal(jcdrive._log_factorials(start, stop), _lgamma_map(start, stop))
+
+    @pytest.mark.parametrize("start, stop", [(3, 700), (0, _TABLE_LEVELS + 1)])
+    def test_values_are_read_only(self, fresh_table, start, stop):
+        values = jcdrive._log_factorials(start, stop)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_past_the_table_nothing_is_filled(self, fresh_table):
+        jcdrive._log_factorials(_TABLE_LEVELS - 3, _TABLE_LEVELS + 1)
+        assert not fresh_table.filled.any()
+
+    @pytest.mark.parametrize("start, stop", [(0, 1), (_B - 1, _B + 1), (300, 1000),
+                                             (5 * _B, 7 * _B)])
+    def test_a_cold_call_evaluates_only_the_blocks_it_overlaps(self, monkeypatch, fresh_table,
+                                                               start, stop):
+        calls = _lgamma_spy(monkeypatch)
+        jcdrive._log_factorials(start, stop)
+        first, last = start // _B * _B, -(-stop // _B) * _B
+        assert sorted(calls) == list(range(first + 1, last + 1))
+        assert first >= start - (_B - 1) and last <= stop + (_B - 1)
+        calls.clear()
+        jcdrive._log_factorials(start, stop)
+        assert calls == []
+
+    def test_a_fill_stopped_partway_is_redone(self, monkeypatch, fresh_table):
+        # the fill of the request's second block raises 10 levels in
+        calls = _lgamma_spy(monkeypatch, fail_after=_B + 10)
+        with pytest.raises(TimeoutError):
+            jcdrive._log_factorials(0, 3 * _B)
+        assert fresh_table.filled[:3].tolist() == [True, False, False]
+        calls.clear()
+        values = jcdrive._log_factorials(0, 3 * _B)
+        assert sorted(calls) == list(range(_B + 1, 3 * _B + 1))  # the unmarked blocks, whole
+        assert fresh_table.filled[:3].all()
+        assert np.array_equal(values, _lgamma_map(0, 3 * _B))
+
+    def test_drives_read_the_table(self, monkeypatch, fresh_table):
+        poisson_drive(100.0)
+        binomial_drive(25.0, 5.0)
+        calls = _lgamma_spy(monkeypatch)
+        poisson_drive(100.0)
+        binomial_drive(25.0, 5.0)
+        assert calls == []
+
+
+# ---------------------------------------------------------------------------
 # drives checked as given against the drive code that checked a complex copy
 
 def _copied_moments(w: np.ndarray, n: np.ndarray) -> tuple[float, float]:
@@ -1327,6 +1426,13 @@ class TestClosedFormDomain:
                                                                           tau):
         with pytest.raises(UnsupportedParameters):
             asymptotic_eigenerror_lower_bound(kind, 10.0, variance, tau)
+
+    @pytest.mark.parametrize("kind", [None, 3, b"poisson", ["poisson"]])
+    def test_a_drive_kind_that_is_not_a_string_is_a_typed_error(self, kind):
+        with pytest.raises(UnsupportedParameters):
+            asymptotic_eigenerror_lower_bound(kind, 10.0, 10.0, 1.0)
+        with pytest.raises(UnsupportedParameters):
+            build_channel_taylor2(10.0, 10.0, kind, JCConfig(tau=1.0))
 
     @pytest.mark.parametrize("nbar", [math.nan, math.inf])
     @pytest.mark.parametrize("kind", ["poisson", "binomial"])

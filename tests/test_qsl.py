@@ -1,4 +1,4 @@
-"""Speed-limit times and the photon-budget floor on gate error."""
+"""Speed-limit times and the photon budget of the leading-order eigenerror law."""
 
 from __future__ import annotations
 
@@ -216,7 +216,7 @@ class TestBipartiteAngle:
 
 
 # ---------------------------------------------------------------------------
-# eigenerror floor
+# leading-order asymptotic eigenerror law
 
 class TestEigenerrorFloor:
     def test_zero_angle(self):
