@@ -8,6 +8,8 @@ and runs the scaling, concatenation, and budget-splitting experiments that
 connect gate error to the energy in the drive.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .channel import (
     ChoiMatrix,
@@ -72,7 +74,6 @@ from .experiments import (
 )
 from .haar import SeededSampler, mc_average, random_density_matrix, sample_pure
 from .jcdrive import (
-    BipartiteState,
     DriveDistribution,
     FMatrixSet,
     JCConfig,
@@ -82,7 +83,6 @@ from .jcdrive import (
     build_channel_taylor2,
     build_channels_exact,
     custom_drive,
-    evolve_bipartite,
     f_matrices,
     fock_drive,
     poisson_drive,
@@ -100,4 +100,7 @@ from .qsl import (
     small_angle_eigenerror_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["__version__"]
+# the imported public names: importing a submodule binds it here too (channel,
+# jcdrive, ...), and a star import must not bind a module over such a name
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + ["__version__"]

@@ -20,11 +20,11 @@ and its estimates equal a full-array pass over the same draw bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import integer, real
 from .densmat import DensityMatrix
 from .errors import CPViolation, DimensionMismatch, NonHermitianInput
 from .haar import _BLOCK, SeededSampler, sample_count
@@ -72,7 +72,8 @@ class QubitChannel:
     def __post_init__(self):
         rows = np.array([_as_2x2(getattr(self, name), name) for name in _IMAGES])
         rows = rows.reshape(4, 4)  # row 2i+j is vec(E_ij), so S = rows.T
-        self._adopt(rows, self.cp_slack, _check_transfers(rows.T[None], self.cp_slack)[0])
+        slack = real(self.cp_slack, "cp_slack", CPViolation, 0, finite=False)
+        self._adopt(rows, slack, _check_transfers(rows.T[None], slack)[0])
 
     def _adopt(self, rows: np.ndarray, cp_slack, residual) -> "QubitChannel":
         rows.setflags(write=False)
@@ -193,8 +194,7 @@ def compose(outer: QubitChannel, inner: QubitChannel) -> QubitChannel:
 def concatenate(channel: QubitChannel, count: int) -> QubitChannel:
     """count successive applications of the same channel: one matrix power, or
     for count 1 the channel itself, which is frozen and already validated."""
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise DimensionMismatch(f"count must be an integer of at least 1, got {count!r}")
+    count = integer(count, "count", DimensionMismatch, 1, strict=True)
     if count == 1:
         return channel
     s, slack, residual = _powers(channel._transfer[None], channel._residual, count)

@@ -11,11 +11,11 @@ temperature) supports or consumes that number.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import integer, real
 from .errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -77,6 +77,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+        dim = integer(dim, "dimension", DimensionMismatch, 1)
         return cls(np.eye(dim, dtype=complex) / dim)
 
     @classmethod
@@ -213,12 +214,8 @@ def schatten_norm(rho: DensityMatrix, p: float) -> float:
     Evaluated as r (sum (w/r)**p)**(1/p) with r the largest eigenvalue w, so
     no large order underflows and p = inf gives r, the limit of the norms.
     """
-    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not p > 0:
-        raise InvalidOrder(f"Schatten order must be a positive number, got {p!r}")
-    try:
-        p = float(p)
-    except OverflowError:  # an integer order past the float range: the p = inf limit
-        p = math.inf
+    # an integer order past the float range is the p = inf limit
+    p = real(p, "Schatten order", InvalidOrder, 0, lo_open=True, finite=False)
     w = _clamped_eigenvalues(rho)
     r = w.max()
     return float(r * np.sum((w / r) ** p) ** (1.0 / p))

@@ -26,14 +26,13 @@ import io
 import itertools
 import json
 import logging
-import math
-import numbers
 import os
 import tempfile
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
+from ._domain import EXACT, integer, real
 from ._version import __version__
 from .channel import QubitChannel, _powers, _purities, mc_channel_eigenfidelity
 from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
@@ -56,46 +55,26 @@ _DRIVE_KINDS = ("poisson", "binomial")
 _BINOMIAL_MODES = ("moment_matched", "paper_literal")
 
 
-def _real(value, path: str) -> float:
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            v = float(value)
-        except OverflowError:
-            v = math.inf
-        if math.isfinite(v):
-            return v
-    raise SchemaError(path, f"expected a finite real number, got {value!r}")
+def _sample_count(value, path: str) -> int:
+    n = integer(value, path, SchemaError, 0, MAX_SAMPLES)
+    if n == 1:
+        raise SchemaError(path, "must be 0 (off), or at least 2 for a standard error, got 1")
+    return n
 
 
-def _integral(value, path: str) -> int:
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise SchemaError(path, f"expected an integer, got {value!r}")
-
-
-# field -> (entry type, domain test, domain); grids apply the rule to each entry
+# field -> check of a value at its JSON pointer; grids apply the rule to each
+# entry. Means and reduced times have the library's domains
 _SCALAR_RULES = {
-    "seed": (_integral, lambda v: 0 <= v < 2 ** 64, "must fit in an unsigned 64-bit integer"),
-    "mc_samples": (_integral, lambda v: v == 0 or 2 <= v <= MAX_SAMPLES,
-                   f"must be 0 (off), or at least 2 for a standard error and at most {MAX_SAMPLES}"),
-    "jobs": (_integral, lambda v: v >= 1, "must be at least 1"),
+    "seed": lambda v, path: integer(v, path, SchemaError, 0, 2 ** 64 - 1),
+    "mc_samples": _sample_count,
+    "jobs": lambda v, path: integer(v, path, SchemaError, 1),
 }
 _GRID_RULES = {
-    "nbar_grid": (_real, lambda v: v > 0, "mean photon number must be positive"),
-    "fano_grid": (_real, lambda v: 0 < v <= 1, "Fano factor must lie in (0, 1]"),
-    "tau_grid": (_real, lambda v: v >= 0, "reduced time must be nonnegative"),
-    "concat_grid": (_integral, lambda v: v >= 1, "concatenation count must be positive"),
+    "nbar_grid": lambda v, path: real(v, path, SchemaError, 0, EXACT, lo_open=True),
+    "fano_grid": lambda v, path: real(v, path, SchemaError, 0, 1, lo_open=True),
+    "tau_grid": lambda v, path: real(v, path, SchemaError, 0, EXACT),
+    "concat_grid": lambda v, path: integer(v, path, SchemaError, 1),
 }
-
-
-def _checked(value, path: str, rule: tuple):
-    kind, test, domain = rule
-    v = kind(value, path)
-    if not test(v):
-        raise SchemaError(path, f"{domain}, got {v}")
-    return v
 
 
 def _one_of(value, allowed: tuple, path: str) -> None:
@@ -134,7 +113,7 @@ class SweepConfig:
         _one_of(self.split_convention, SPLIT_CONVENTIONS, "/split_convention")
         _one_of(self.binomial_mode, _BINOMIAL_MODES, "/binomial_mode")
         for name, rule in _SCALAR_RULES.items():
-            object.__setattr__(self, name, _checked(getattr(self, name), f"/{name}", rule))
+            object.__setattr__(self, name, rule(getattr(self, name), f"/{name}"))
         for name, rule in _GRID_RULES.items():
             try:
                 values = tuple(getattr(self, name))
@@ -145,7 +124,7 @@ class SweepConfig:
             if values and name not in _MODES[self.mode].axes:
                 raise SchemaError(f"/{name}", f"mode {self.mode!r} does not sweep it")
             object.__setattr__(self, name, tuple(
-                _checked(v, f"/{name}/{i}", rule) for i, v in enumerate(values)))
+                rule(v, f"/{name}/{i}") for i, v in enumerate(values)))
         for name in _MODES[self.mode].axes:
             if not _axis(self, name):
                 raise SchemaError(f"/{name}", f"must be non-empty for mode {self.mode!r}")
@@ -381,6 +360,8 @@ def _atomic_write(path: str, text: str) -> None:
     renamed into place; the temporary file is removed if anything fails, and
     an OSError names path.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise UnsupportedParameters(f"output path must be a string or path, got {path!r}")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:

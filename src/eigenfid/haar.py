@@ -13,17 +13,16 @@ independently derived child samplers rather than sharing one stream.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._domain import integer
 from .densmat import DensityMatrix, PureState
 from .errors import DimensionMismatch
 
-_U64 = 2 ** 64
+_SEED_MAX = 2 ** 64 - 1  # seeds are unsigned 64-bit integers
 # sample counts are array lengths, so they must fit in an index
 MAX_SAMPLES = int(np.iinfo(np.intp).max)
 # rows per Bloch block. With 4096, a Monte Carlo estimate at 10^6 samples
@@ -35,18 +34,9 @@ MAX_SAMPLES = int(np.iinfo(np.intp).max)
 _BLOCK = 4096
 
 
-def _integral(value, lo: int, hi, what: str) -> int:
-    """value as an int if it is an integral number in [lo, hi); NaN and bools fail."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not lo <= value < hi or value != int(value)):
-        raise DimensionMismatch(f"{what}, got {value!r}")
-    return int(value)
-
-
 def sample_count(n) -> int:
     """n as an int number of samples in [0, MAX_SAMPLES]; anything else raises DimensionMismatch."""
-    return _integral(n, 0, MAX_SAMPLES + 1,
-                     "sample count must be a nonnegative integer that fits in an index")
+    return integer(n, "sample count", DimensionMismatch, 0, MAX_SAMPLES)
 
 
 @dataclass
@@ -58,9 +48,8 @@ class SeededSampler:
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.seed = _integral(self.seed, 0, _U64,
-                              "seed must be an integer that fits in an unsigned 64-bit integer")
-        self.dim = _integral(self.dim, 1, math.inf, "dimension must be an integer of at least 1")
+        self.seed = integer(self.seed, "seed", DimensionMismatch, 0, _SEED_MAX)
+        self.dim = integer(self.dim, "dimension", DimensionMismatch, 1)
         self._rng = np.random.default_rng(self.seed)
 
     def child(self, k: int) -> "SeededSampler":
@@ -68,7 +57,7 @@ class SeededSampler:
 
         Worker k of a parallel sweep gets child(k); streams never overlap.
         """
-        k = _integral(k, 0, math.inf, "child index must be a nonnegative integer")
+        k = integer(k, "child index", DimensionMismatch)
         derived = int(np.random.SeedSequence([self.seed, k]).generate_state(1, np.uint64)[0])
         return SeededSampler(seed=derived, dim=self.dim)
 
@@ -137,6 +126,7 @@ def sample_pure(sampler: SeededSampler) -> PureState:
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Full-rank random state G G^dag / tr(G G^dag) with Ginibre G."""
+    dim = integer(dim, "dimension", DimensionMismatch, 1)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     m = m / np.trace(m).real
@@ -151,6 +141,7 @@ def mc_average(
     Returns (mean, stderr) where stderr uses the unbiased variance
     estimator. Needs n_samples >= 2 for the variance to exist.
     """
+    n_samples = sample_count(n_samples)
     if n_samples < 2:
         raise DimensionMismatch("need at least 2 samples for a standard error")
     amps = sampler.sample_amplitudes(n_samples)

@@ -17,13 +17,12 @@ accumulated at the mean photon number.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._domain import EXACT, integer, real
 from .channel import CP_TOL, QubitChannel, _check_transfers
-from .densmat import DensityMatrix, PureState
 from .errors import (
     ApproximationDomain,
     DimensionMismatch,
@@ -49,31 +48,9 @@ def _moments(w: np.ndarray, n: np.ndarray) -> tuple[float, float]:
     return mean, float(np.add.reduce(scratch))
 
 
-def _require_real(value, what: str, error: type = UnsupportedParameters) -> None:
-    """Raise error unless value is a real number that a float can hold; a bool
-    is not one, nor an integer past the float range."""
-    # a float is let through first: the numbers.Real check alone takes ~0.7 us
-    if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise error(f"{what} must be a real number, got {value!r}")
-        try:
-            float(value)
-        except OverflowError:
-            raise error(f"{what} must be finite, got a number too large for a float") from None
-
-
-def _integer(value, message: str, lo: float = -math.inf) -> int:
-    """value as an int of at least lo. A bool, a non-number, a non-finite
-    value, a fraction or a value below lo raises UnsupportedParameters with
-    message and the value."""
-    if type(value) is not int:  # an int skips the numbers.Real check
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not (math.isfinite(value) and value == int(value)):
-            raise UnsupportedParameters(f"{message}, got {value!r}")
-        value = int(value)
-    if value < lo:
-        raise UnsupportedParameters(f"{message}, got {value!r}")
-    return value
+def _mean(nbar) -> float:
+    """nbar as a float mean photon number in (0, 2**53]; InvalidMean otherwise."""
+    return real(nbar, "mean photon number", InvalidMean, 0, EXACT, lo_open=True)
 
 
 def _amplitudes(coefficients) -> np.ndarray:
@@ -93,13 +70,11 @@ class DriveDistribution:
 
     mean and variance are the realized moments of |b_n|^2; requested
     parameters that differ (truncation, literal-width binomial mode) are
-    recorded in metadata. The window bounds must be integers; they are
-    stored as int. The coefficients are checked as given (a float64 array
-    is not converted) and then copied once, into the read-only complex
-    array kept. For a float64 input of L levels the construction peaks at
-    32 L bytes, input and kept copy included: binomial_drive(1e5, 1e5)
-    peaks at 9.7 MB for its 300001 levels under tracemalloc, where checks
-    on a complex copy took 19.3 MB.
+    recorded in metadata. The window bounds must be integers in [0, 2**53];
+    they are stored as int. The coefficients are checked as given (a
+    float64 array is not converted) and then copied once, into the
+    read-only complex array kept. For a float64 input of L levels the
+    construction peaks at 32 L bytes, input and kept copy included.
     """
 
     kind: str
@@ -111,18 +86,16 @@ class DriveDistribution:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _require_real(self.mean, "mean")
-        _require_real(self.variance, "variance")
-        n_min = _integer(self.n_min, "n_min must be an integer photon number")
-        n_max = _integer(self.n_max, "n_max must be an integer photon number")
+        real(self.mean, "mean")
+        real(self.variance, "variance")
+        n_min = integer(self.n_min, "integer photon number n_min")
+        n_max = integer(self.n_max, "integer photon number n_max")
         b = _amplitudes(self.coefficients)
         if b.ndim != 1 or len(b) != n_max - n_min + 1:
             raise DimensionMismatch(
                 f"need {n_max - n_min + 1} coefficients for window "
                 f"[{n_min}, {n_max}], got {b.shape}"
             )
-        if n_min < 0:
-            raise UnsupportedParameters("photon numbers must be nonnegative")
         w = np.abs(b)  # for real x, abs(x) == abs(complex(x)) exactly
         np.square(w, out=w)
         # written so that a NaN fails each check
@@ -171,25 +144,18 @@ class JCConfig:
     coupling: float = 1.0
 
     def __post_init__(self):
-        _require_real(self.tau, "reduced time")
-        _require_real(self.coupling, "coupling")
-        if not 0 < self.coupling < math.inf:
-            raise UnsupportedParameters(
-                f"coupling must be positive and finite, got {self.coupling}")
-        if not 0 <= self.tau < math.inf:
-            raise UnsupportedParameters(
-                f"reduced time must be nonnegative and finite, got {self.tau}")
+        real(self.tau, "reduced time", lo=0, hi=EXACT)
+        real(self.coupling, "coupling", lo=0, hi=EXACT, lo_open=True)
 
     def interaction_time(self, nbar: float) -> float:
-        """Physical duration t with tau = coupling * sqrt(nbar) * t."""
-        _require_real(nbar, "mean photon number", InvalidMean)
+        """Physical duration t with tau = coupling * sqrt(nbar) * t.
+
+        A mean of 0 is accepted at tau = 0 only: a reduced time is undefined
+        without a positive mean.
+        """
+        nbar = real(nbar, "mean photon number", InvalidMean, 0, EXACT, lo_open=self.tau != 0)
         if self.tau == 0:
             return 0.0
-        if not 0 < nbar < math.inf:  # written so that a NaN mean fails it
-            raise InvalidMean(
-                "reduced time is undefined without a positive finite mean; "
-                f"tau = g sqrt(nbar) t requires 0 < nbar < inf, got {nbar}"
-            )
         return self.tau / (self.coupling * math.sqrt(nbar))
 
 
@@ -292,12 +258,9 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
     (2754 and 3000, for example) it stalls just below 1 - tail_tol: the
     search then never ends.
     """
-    _require_real(nbar, "mean photon number", InvalidMean)
-    _require_real(tail_tol, "tail_tol")
-    if not 0 < nbar < math.inf:
-        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
-    if not 0 < tail_tol < math.inf:  # at tail_tol <= 0 the search cannot end
-        raise UnsupportedParameters(f"tail_tol must be positive and finite, got {tail_tol}")
+    nbar = _mean(nbar)
+    # at tail_tol <= 0 the search cannot end
+    tail_tol = real(tail_tol, "tail_tol", lo=0, lo_open=True)
     threshold = 1.0 - tail_tol
     chunk = _WINDOW_CHUNK_LEVELS + int(_WINDOW_CHUNK_SIGMAS * math.sqrt(nbar))
     lo = hi = int(nbar)
@@ -367,18 +330,6 @@ def _binomial_weights(n_trials: int) -> np.ndarray:
 _PRODUCT_SLACK = 1e-9
 
 
-def _require_integer(value: float, what: str, slack: float = 0.0) -> int:
-    """value as an int; a bool, a non-number, or a value more than slack from an integer raises."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise UnsupportedParameters(f"{what} = {value!r} must be a number")
-    if not math.isfinite(value):
-        raise UnsupportedParameters(f"{what} = {value} must be a finite integer")
-    r = round(value)
-    if abs(value - r) > slack:
-        raise UnsupportedParameters(f"{what} = {value} must be an integer")
-    return int(r)
-
-
 def binomial_drive(nbar: float, variance: float,
                    mode: str = "moment_matched") -> DriveDistribution:
     """Symmetric binomial photon-number distribution shifted to mean nbar.
@@ -389,23 +340,19 @@ def binomial_drive(nbar: float, variance: float,
     realized moments are nbar - N/2 and N/4, and the mismatch with the
     requested values is flagged in metadata.
     """
-    _require_real(nbar, "mean photon number", InvalidMean)
-    _require_real(variance, "variance")
-    if not 0 < nbar < math.inf:
-        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
-    if not 0 < variance <= nbar:
-        raise UnsupportedParameters(
-            f"need 0 < variance <= mean, got variance={variance}, mean={nbar}"
-        )
+    # the width and shift bound the mean: both are integers of at most 2**53
+    nbar = real(nbar, "mean photon number", InvalidMean, 0, lo_open=True)
+    variance = real(variance, "variance", lo=0, hi=nbar, lo_open=True)
     if mode == "moment_matched":
-        n_trials = _require_integer(4 * variance, "width 4*variance", _PRODUCT_SLACK)
-        offset = _require_integer(nbar - 2 * variance, "support shift mean - 2*variance",
-                                  _PRODUCT_SLACK)
+        n_trials = integer(4 * variance, "width 4*variance", slack=_PRODUCT_SLACK)
+        offset = integer(nbar - 2 * variance, "support shift mean - 2*variance", lo=-EXACT,
+                         slack=_PRODUCT_SLACK)
         metadata = {"mode": mode, "width": n_trials,
                     "requested_mean": nbar, "requested_variance": variance}
     elif mode == "paper_literal":
-        n_trials = _require_integer(2 * variance, "width 2*variance", _PRODUCT_SLACK)
-        offset = _require_integer(nbar - n_trials, "support shift mean - width", _PRODUCT_SLACK)
+        n_trials = integer(2 * variance, "width 2*variance", slack=_PRODUCT_SLACK)
+        offset = integer(nbar - n_trials, "support shift mean - width", lo=-EXACT,
+                         slack=_PRODUCT_SLACK)
         metadata = {"mode": mode, "width": n_trials,
                     "requested_mean": nbar, "requested_variance": variance,
                     "moment_mismatch": True,
@@ -434,7 +381,7 @@ def binomial_drive(nbar: float, variance: float,
 
 def fock_drive(n_photons: int) -> DriveDistribution:
     """Single photon-number state: b_N = 1."""
-    n_photons = _integer(n_photons, "photon number must be a nonnegative integer", 0)
+    n_photons = integer(n_photons, "photon number")
     return DriveDistribution(
         kind="fock", mean=float(n_photons), variance=0.0,
         coefficients=np.array([1.0 + 0j]), n_min=n_photons, n_max=n_photons,
@@ -448,7 +395,7 @@ def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
         raise DimensionMismatch("coefficients must be a nonempty vector")
     if not np.isfinite(b).all():
         raise UnsupportedParameters("coefficients must be finite")
-    n_min = _require_integer(n_min, "n_min")
+    n_min = integer(n_min, "n_min")
     norm = np.linalg.norm(b)
     if norm == 0:
         raise UnsupportedParameters("coefficients must not all vanish")
@@ -511,9 +458,9 @@ def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMa
     used by build_channel_exact for every drive without zero interior
     coefficients.
     """
-    n = _integer(n, "photon number must be a nonnegative integer", 0)
+    n = integer(n, "photon number")
     JCConfig(tau=tau).interaction_time(nbar)  # tau >= 0; tau > 0 needs a mean
-    c, s = _angles(n, n + 2, tau, nbar)  # c[j] = cos of level n + j
+    c, s = _angles(n, n + 2, float(tau), float(nbar))  # c[j] = cos of level n + j
 
     def amp(k: int) -> complex:
         if drive.n_min <= k <= drive.n_max:
@@ -634,12 +581,8 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
     O(higher moments), so the channel is constructed with a loosened
     complete-positivity slack.
     """
-    _require_real(nbar, "mean photon number", InvalidMean)
-    _require_real(variance, "variance")
-    if not 0 < nbar < math.inf:
-        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
-    if not variance >= 0:
-        raise UnsupportedParameters(f"variance must be nonnegative, got {variance}")
+    nbar = _mean(nbar)
+    variance = real(variance, "variance", lo=0)
     if math.sqrt(variance) > nbar:
         raise ApproximationDomain(
             f"expansion requires spread <= mean, got sqrt(variance)="
@@ -690,81 +633,15 @@ def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,
     The binomial form diverges as the variance goes to zero; that limit
     returns inf rather than raising.
     """
-    _require_real(nbar, "mean photon number", InvalidMean)
-    _require_real(tau, "reduced time")
-    if not 0 < nbar < math.inf:
-        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
-    if not math.isfinite(tau):
-        raise UnsupportedParameters(f"reduced time must be finite, got {tau}")
+    nbar = _mean(nbar)
+    tau = real(tau, "reduced time", lo=-EXACT, hi=EXACT)
     kind_l = kind.lower() if isinstance(kind, str) else None  # None matches no kind
     if kind_l == "poisson":
         return (tau ** 2 + math.sin(tau) ** 2) / (6 * nbar)
     if kind_l == "binomial":
-        _require_real(variance, "variance")
-        if not 0 <= variance < math.inf:
-            raise UnsupportedParameters(f"variance must be finite and nonnegative, got {variance}")
+        variance = real(variance, "variance", lo=0)
         if variance == 0:
             return math.inf
         return (tau ** 2 * variance / (6 * nbar ** 2)
                 + math.sin(tau) ** 2 / (6 * variance))
     raise UnsupportedParameters(f"no asymptotic law for drive kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# joint evolution
-
-@dataclass(frozen=True, eq=False)
-class BipartiteState:
-    """Joint drive-qubit amplitudes; row m-n_lo, column q holds <m, q|psi>."""
-
-    amplitudes: np.ndarray
-    n_lo: int
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex).copy()
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise DimensionMismatch("amplitudes must have shape (levels, 2)")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def vector(self) -> np.ndarray:
-        return self.amplitudes.ravel().copy()
-
-    def qubit_density(self) -> DensityMatrix:
-        rho = np.einsum("mi,mj->ij", self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix((rho + rho.conj().T) / 2)
-
-    def drive_density(self) -> np.ndarray:
-        return self.amplitudes @ self.amplitudes.conj().T
-
-
-def evolve_bipartite(drive: DriveDistribution, qubit: PureState,
-                     cfg: JCConfig) -> BipartiteState:
-    """Exact joint evolution in the invariant two-level subspaces.
-
-    Each pair (|m, 0>, |m-1, 1>) rotates by the angle tau sqrt(m/nbar);
-    |0, 0> is stationary. The storage window extends one level past the
-    drive support on each side to hold the exchanged excitation.
-    """
-    if qubit.dim != 2:
-        raise DimensionMismatch("drive-qubit evolution needs a qubit state")
-    cfg.interaction_time(drive.mean)
-    lo = max(0, drive.n_min - 1)
-    hi = drive.n_max + 1
-    psi = np.zeros((hi - lo + 1, 2), dtype=complex)
-    a0, a1 = qubit.amplitudes
-    psi[drive.n_min - lo: drive.n_max - lo + 1, 0] = drive.coefficients * a0
-    psi[drive.n_min - lo: drive.n_max - lo + 1, 1] = drive.coefficients * a1
-    if cfg.tau != 0:
-        # row r pairs psi[r, 0] with psi[r - 1, 1] at m = lo + r; the pair at
-        # m = lo, when lo > 0, holds no amplitude
-        theta = (cfg.tau * np.sqrt(np.arange(lo + 1, hi + 1) / drive.mean)).tolist()
-        c = np.fromiter(map(math.cos, theta), float, len(theta))
-        s = np.fromiter(map(math.sin, theta), float, len(theta))
-        upper, lower = psi[1:, 0].copy(), psi[:-1, 1].copy()
-        psi[1:, 0] = c * upper - s * lower
-        psi[:-1, 1] = s * upper + c * lower
-    return BipartiteState(psi, lo)

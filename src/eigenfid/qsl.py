@@ -18,17 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import EXACT, real
 from .densmat import PureState
-from .errors import InvalidMean, NonpositiveMeanEnergy, UnsupportedParameters
-from .jcdrive import DriveDistribution, JCConfig, _require_real, asymptotic_eigenerror_lower_bound
+from .errors import NonpositiveMeanEnergy, UnsupportedParameters
+from .jcdrive import DriveDistribution, JCConfig, _mean, asymptotic_eigenerror_lower_bound
 
-
-def _require(value, what: str, ok, domain: str, error: type = UnsupportedParameters) -> None:
-    """Raise error unless value is a real number, not a bool, for which ok holds;
-    every ok here is false for NaN."""
-    _require_real(value, what, error)
-    if not ok(value):
-        raise error(f"{what} must {domain}, got {value}")
+# the largest rotation angle a Bures angle check lets through: pi/2 and its rounding
+_RIGHT_ANGLE = math.pi / 2 + 1e-15
 
 
 @dataclass(frozen=True)
@@ -39,9 +35,8 @@ class HamiltonianMoments:
     stdev: float
 
     def __post_init__(self):
-        _require(self.mean, "mean energy", math.isfinite, "be finite")
-        _require(self.stdev, "energy spread", lambda v: 0 <= v < math.inf,
-                 "be finite and nonnegative")
+        real(self.mean, "mean energy")
+        real(self.stdev, "energy spread", lo=0)
 
 
 @dataclass(frozen=True)
@@ -51,8 +46,7 @@ class RotationTarget:
     theta: float
 
     def __post_init__(self):
-        _require(self.theta, "rotation angle", lambda v: 0 <= v <= math.pi / 2 + 1e-15,
-                 "lie in [0, pi/2]")
+        real(self.theta, "rotation angle", lo=0, hi=_RIGHT_ANGLE)
 
 
 def mt_time(target: RotationTarget, moments: HamiltonianMoments,
@@ -62,6 +56,7 @@ def mt_time(target: RotationTarget, moments: HamiltonianMoments,
     A vanishing spread means frozen dynamics: the time is reported as +inf
     rather than raised, except for the trivial theta = 0 target.
     """
+    hbar = real(hbar, "hbar", lo=0, hi=EXACT, lo_open=True)
     if target.theta == 0:
         return 0.0
     if moments.stdev == 0:
@@ -76,6 +71,7 @@ def ml_time(target: RotationTarget, moments: HamiltonianMoments,
     The mean must be measured from the ground state and be positive; use
     jc_moments(..., measure_from_ground=True) for drive-qubit generators.
     """
+    hbar = real(hbar, "hbar", lo=0, hi=EXACT, lo_open=True)
     if target.theta == 0:
         return 0.0
     if moments.mean <= 0:
@@ -115,6 +111,7 @@ def jc_moments(drive: DriveDistribution, qubit: PureState, cfg: JCConfig,
     as hbar g sqrt(nbar) for phase-aligned coherent drives; see
     asymptotic_scale and phase_aligned_qubit.
     """
+    hbar = real(hbar, "hbar", lo=0, hi=EXACT, lo_open=True)
     if qubit.dim != 2:
         raise UnsupportedParameters("moments are defined for a qubit logical system")
     g = cfg.coupling
@@ -146,10 +143,8 @@ def bipartite_angle_check(theta_logical: float, drive_overlap: float) -> float:
     cos(angle) = overlap * cos(theta) <= cos(theta), so the joint angle is
     never smaller than the logical one: the drive can only slow things down.
     """
-    if not 0 <= theta_logical <= math.pi / 2 + 1e-15:
-        raise UnsupportedParameters("logical angle must lie in [0, pi/2]")
-    if not 0 <= drive_overlap <= 1 + 1e-15:
-        raise UnsupportedParameters("overlap must lie in [0, 1]")
+    theta_logical = real(theta_logical, "logical angle", lo=0, hi=_RIGHT_ANGLE)
+    drive_overlap = real(drive_overlap, "overlap", lo=0, hi=1 + 1e-15)
     return float(math.acos(min(drive_overlap, 1.0) * math.cos(theta_logical)))
 
 
@@ -166,9 +161,8 @@ def qsl_eigenerror_bound(theta: float, nbar: float) -> float:
 
 def small_angle_eigenerror_bound(theta: float, nbar: float) -> float:
     """Leading small-angle form theta^2 / (3 nbar)."""
-    _require(nbar, "mean photon number", lambda v: 0 < v < math.inf, "be positive and finite",
-             InvalidMean)
-    _require(theta, "rotation angle", math.isfinite, "be finite")
+    nbar = _mean(nbar)
+    theta = real(theta, "rotation angle", lo=-EXACT, hi=EXACT)
     return theta ** 2 / (3 * nbar)
 
 
@@ -178,6 +172,6 @@ def required_mean_photons(theta: float, epsilon: float) -> float:
     Inverts qsl_eigenerror_bound: nbar = (theta^2 + sin^2 theta) / (6 eps),
     the 1/epsilon energy cost of gate accuracy.
     """
-    _require(theta, "rotation angle", math.isfinite, "be finite")
-    _require(epsilon, "target error", lambda v: 0 < v < math.inf, "be positive and finite")
+    theta = real(theta, "rotation angle", lo=-EXACT, hi=EXACT)
+    epsilon = real(epsilon, "target error", lo=0, lo_open=True)
     return (theta ** 2 + math.sin(theta) ** 2) / (6 * epsilon)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
+from ._domain import integer, real
 from .channel import QubitChannel
 from .densmat import DensityMatrix
 from .errors import SchemaError
@@ -59,24 +61,14 @@ def _check_schema(data: dict, path: str = ""):
         _fail(f"{path}/schema", f"expected {SCHEMA_VERSION}, got {data['schema']!r}")
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
-        _fail(path, "expected a finite number")
-    return float(value)
-
-
 def _complex(cell, path: str) -> complex:
     if (not isinstance(cell, list)) or len(cell) != 2:
         _fail(path, "expected an [re, im] pair")
-    return complex(_number(cell[0], f"{path}/0"), _number(cell[1], f"{path}/1"))
+    return complex(real(cell[0], f"{path}/0", SchemaError), real(cell[1], f"{path}/1", SchemaError))
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {type(value).__name__}")
-    return value
+# a JSON integer at a pointer; its domain is checked where it is used
+_json_integer = partial(integer, error=SchemaError, lo=-math.inf, hi=math.inf, strict=True)
 
 
 def _string(value, path: str) -> str:
@@ -121,7 +113,7 @@ def decode_matrix(value, path: str) -> np.ndarray:
 # sweep configs
 
 # the optional top-level scalars and their JSON types (counts are JSON integers)
-_SWEEP_SCALARS = {"seed": _integer, "mc_samples": _integer, "jobs": _integer,
+_SWEEP_SCALARS = {"seed": _json_integer, "mc_samples": _json_integer, "jobs": _json_integer,
                   "output": _string, "split_convention": _string, "binomial_mode": _string}
 
 
@@ -161,7 +153,7 @@ def sweep_config_from_dict(data: dict, expected_mode: str | None = None) -> Swee
         nbar_grid=grid("nbar_grid", "nbar"),
         fano_grid=grid("fano_grid", "fano"),
         tau_grid=grid("tau_grid", default=(math.pi / 2,) if mode == "split" else ()),
-        concat_grid=tuple(_integer(v, f"/concat_grid/{i}") for i, v in enumerate(concat_grid)),
+        concat_grid=tuple(_json_integer(v, f"/concat_grid/{i}") for i, v in enumerate(concat_grid)),
     )
     kwargs.update((key, check(data[key], f"/{key}"))
                   for key, check in _SWEEP_SCALARS.items() if key in data)
@@ -184,18 +176,18 @@ def drive_from_spec(spec: dict, binomial_mode: str = "moment_matched",
     if kind == "poisson":
         if "nbar" not in spec:
             _fail(f"{path}/nbar", "missing: poisson drives need a mean")
-        return poisson_drive(_number(spec["nbar"], f"{path}/nbar"))
+        return poisson_drive(real(spec["nbar"], f"{path}/nbar", SchemaError))
     if kind == "binomial":
         for key in ("nbar", "fano"):
             if key not in spec:
                 _fail(f"{path}/{key}", "missing: binomial drives need nbar and fano")
-        nbar = _number(spec["nbar"], f"{path}/nbar")
-        fano = _number(spec["fano"], f"{path}/fano")
+        nbar = real(spec["nbar"], f"{path}/nbar", SchemaError)
+        fano = real(spec["fano"], f"{path}/fano", SchemaError)
         return binomial_drive(nbar, fano * nbar, mode=binomial_mode)
     if kind == "fock":
         if "N" not in spec:
             _fail(f"{path}/N", "missing: fock drives need a photon number")
-        return fock_drive(_integer(spec["N"], f"{path}/N"))
+        return fock_drive(_json_integer(spec["N"], f"{path}/N"))
     if kind == "custom":
         if "coeffs" not in spec:
             _fail(f"{path}/coeffs", "missing: custom drives need coefficients")

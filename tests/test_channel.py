@@ -11,7 +11,6 @@ import pytest
 import oracles
 from conftest import random_channel
 from eigenfid import (
-    BipartiteState,
     ChoiMatrix,
     DensityMatrix,
     EnergyBasis,
@@ -867,7 +866,6 @@ _ARRAY_HOLDERS = {
     "EnergyBasis": lambda: EnergyBasis(np.array([0.0, 1.0]), np.eye(2)),
     "DriveDistribution": lambda: poisson_drive(4.0),
     "FMatrixSet": lambda: f_matrices(4, 0.3, 4.0, poisson_drive(4.0)),
-    "BipartiteState": lambda: BipartiteState(np.eye(2), 0),
 }
 
 

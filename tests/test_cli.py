@@ -199,6 +199,17 @@ class TestInspect:
         assert main(["inspect", str(path)]) == 2
         assert "/type" in capsys.readouterr().err
 
+    def test_an_entry_past_the_float_range_is_a_config_error(self, capsys, tmp_path):
+        # 10**400 is valid JSON, and a 401-digit integer has no float
+        path = tmp_path / "huge_entry.json"
+        path.write_text(json.dumps({"schema": 1, "type": "state",
+                                    "matrix": [[[10 ** 400, 0.0], [0.0, 0.0]],
+                                               [[0.0, 0.0], [0.0, 0.0]]]}))
+        assert main(["inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("eigenfid: config error: /matrix/0/0/0: ")
+        assert "Traceback" not in err
+
     def test_non_positive_state_is_rejected(self, capsys, tmp_path):
         matrix = [[[0.75, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.25, 0.0]]]
         path = tmp_path / "bad_state.json"

@@ -1,0 +1,399 @@
+"""Scalar argument domains: the two checks of eigenfid._domain, and the
+contract that every public callable meets for every scalar parameter.
+
+The contract: each value of a fixed adversarial vocabulary, put in place of
+one scalar argument of an otherwise valid call, gives a result or an
+EigenfidError, within a time limit and with warnings raised as errors. The
+callables come from eigenfid.__all__, so a new public name fails the
+coverage test until it has valid arguments here.
+"""
+
+from __future__ import annotations
+
+import inspect
+import math
+import numbers
+import warnings
+
+import numpy as np
+import pytest
+
+import eigenfid
+from eigenfid import (
+    DensityMatrix,
+    EnergyBasis,
+    HamiltonianMoments,
+    JCConfig,
+    PureState,
+    QubitChannel,
+    RotationTarget,
+    SeededSampler,
+    SweepConfig,
+    TargetGate,
+    build_channel_exact,
+    choi_matrix,
+    f_matrices,
+    poisson_drive,
+    run,
+)
+from eigenfid._domain import EXACT, integer, real
+from eigenfid.errors import (
+    DimensionMismatch,
+    EigenfidError,
+    InvalidMean,
+    SchemaError,
+    UnsupportedParameters,
+)
+
+# ---------------------------------------------------------------------------
+# the real check
+
+
+class TestReal:
+    def test_a_float_is_returned_as_it_is(self):
+        x = 2.5
+        assert real(x, "x") is x
+
+    @pytest.mark.parametrize("value", [3, np.float64(3.0), np.int32(3), np.float32(3.0)])
+    def test_other_reals_become_floats(self, value):
+        assert (type(real(value, "x")), real(value, "x")) == (float, 3.0)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "1", None, 1j, [1.0]])
+    def test_a_value_that_is_not_a_real_number_fails(self, value):
+        with pytest.raises(UnsupportedParameters, match=r"^x must be a real number, got "):
+            real(value, "x")
+
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_nan_fails_every_domain(self, finite):
+        for value in (math.nan, np.float64("nan")):
+            with pytest.raises(UnsupportedParameters):
+                real(value, "x", finite=finite)
+
+    def test_infinities_need_finite_off_and_an_open_bound(self):
+        assert real(math.inf, "x", finite=False) == math.inf
+        assert real(-math.inf, "x", finite=False) == -math.inf
+        for kwargs in ({}, {"finite": False, "hi": EXACT}):
+            with pytest.raises(UnsupportedParameters):
+                real(math.inf, "x", **kwargs)
+
+    def test_an_integer_past_the_float_range_is_an_infinity(self):
+        assert real(10 ** 400, "x", finite=False) == math.inf
+        assert real(-10 ** 400, "x", finite=False) == -math.inf
+        with pytest.raises(UnsupportedParameters, match="too large for a float"):
+            real(10 ** 400, "x")
+
+    def test_bounds(self):
+        assert real(0, "x", lo=0) == 0.0
+        assert real(1.0, "x", lo=0, hi=1) == 1.0
+        for value, kwargs in [(0, {"lo": 0, "lo_open": True}), (1.5, {"hi": 1}),
+                              (-1e-300, {"lo": 0}), (EXACT * 2.0, {"hi": EXACT})]:
+            with pytest.raises(UnsupportedParameters):
+                real(value, "x", **kwargs)
+
+    @pytest.mark.parametrize("kwargs,domain", [
+        ({}, "finite"),
+        ({"finite": False}, "a number"),
+        ({"lo": 0, "lo_open": True}, "positive and finite"),
+        ({"lo": 0}, "nonnegative and finite"),
+        ({"lo": 0, "lo_open": True, "finite": False}, "positive"),
+        ({"lo": 0, "hi": EXACT, "lo_open": True}, "in (0, 2**53]"),
+        ({"lo": -EXACT, "hi": EXACT}, "in [-2**53, 2**53]"),
+    ])
+    def test_the_message_names_the_subject_and_its_domain(self, kwargs, domain):
+        with pytest.raises(InvalidMean) as excinfo:
+            real(math.nan, "mean photon number", InvalidMean, **kwargs)
+        assert str(excinfo.value) == f"mean photon number must be {domain}, got nan"
+
+
+# ---------------------------------------------------------------------------
+# the integer check
+
+
+class TestInteger:
+    def test_an_int_is_returned_as_it_is(self):
+        n = 12345
+        assert integer(n, "n") is n
+
+    @pytest.mark.parametrize("value", [np.int64(7), np.uint8(7), 7.0, np.float64(7.0)])
+    def test_integral_values_become_ints(self, value):
+        assert (type(integer(value, "n")), integer(value, "n")) == (int, 7)
+
+    @pytest.mark.parametrize("value", [7.0, np.float64(7.0), True, 2.5])
+    def test_strict_takes_integer_types_only(self, value):
+        assert integer(np.int16(7), "n", strict=True) == 7
+        with pytest.raises(UnsupportedParameters, match="^n must be an integer, got "):
+            integer(value, "n", strict=True)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "3", None, 3j])
+    def test_a_value_that_is_not_a_number_fails(self, value):
+        with pytest.raises(UnsupportedParameters, match="^n must be a number, got "):
+            integer(value, "n")
+
+    @pytest.mark.parametrize("value", [2.5, 2.0000000001, math.nan, math.inf, -math.inf])
+    def test_a_fraction_or_non_finite_value_fails(self, value):
+        with pytest.raises(UnsupportedParameters, match="^n must be an integer, got "):
+            integer(value, "n")
+
+    def test_slack_rounds_to_the_nearest_integer(self):
+        assert integer(4 * (0.7 * 45), "width", slack=1e-9) == 126
+        with pytest.raises(UnsupportedParameters):
+            integer(4 * (0.7 * 45), "width")
+
+    def test_the_default_range_is_zero_to_two_to_the_53(self):
+        assert integer(EXACT, "n") == EXACT
+        assert integer(float(EXACT), "n") == EXACT
+        for value in (EXACT + 1, -1, 1e308, 2 ** 70):
+            with pytest.raises(UnsupportedParameters, match=r"must be in \[0, 2\*\*53\]"):
+                integer(value, "n")
+
+    def test_wider_ranges(self):
+        assert integer(2 ** 64 - 1, "seed", lo=0, hi=2 ** 64 - 1) == 2 ** 64 - 1
+        assert integer(-5, "shift", lo=-EXACT) == -5
+        assert integer(10 ** 400, "k", lo=-math.inf, hi=math.inf) == 10 ** 400
+
+    def test_a_huge_integer_is_named_not_printed(self):
+        # str() of an int past 4300 digits raises; the message must not
+        for value in (10 ** 400, 10 ** 5000):
+            with pytest.raises(UnsupportedParameters) as excinfo:
+                integer(value, "n")
+            assert str(excinfo.value) == (
+                "n must be in [0, 2**53], got an integer too large for a float")
+
+    def test_a_schema_error_gets_the_pointer_as_its_path(self):
+        with pytest.raises(SchemaError) as excinfo:
+            integer(2.5, "/concat_grid/1", SchemaError, 1)
+        assert excinfo.value.path == "/concat_grid/1"
+        assert str(excinfo.value) == "/concat_grid/1: must be an integer, got 2.5"
+        with pytest.raises(SchemaError) as excinfo:
+            real("x", "/nbar_grid/0", SchemaError)
+        assert excinfo.value.path == "/nbar_grid/0"
+
+
+# ---------------------------------------------------------------------------
+# the public surface
+
+def test_all_holds_no_module():
+    modules = [name for name in eigenfid.__all__ if inspect.ismodule(getattr(eigenfid, name))]
+    assert modules == []
+
+
+def test_a_star_import_binds_no_module():
+    namespace: dict = {}
+    exec("from eigenfid import *", namespace)
+    assert not [name for name, value in namespace.items() if inspect.ismodule(value)]
+
+
+# one value of each kind that has escaped a check: NaN, infinities, a float
+# and integers past 2**53 and past the float range, zero, a negative, a
+# fraction, a bool, a string, None and a numpy NaN
+VOCABULARY = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "1e308": 1e308,
+    "10**400": 10 ** 400, "2**70": 2 ** 70, "-1": -1, "0": 0, "2.5": 2.5, "True": True,
+    "'1'": "1", "None": None, "np.float64(nan)": np.float64("nan"),
+}
+
+
+def _call(*args, **kwargs) -> tuple:
+    return args, kwargs
+
+
+def _channel() -> QubitChannel:
+    return build_channel_exact(poisson_drive(9.0), JCConfig(tau=1.0))
+
+
+def _state() -> DensityMatrix:
+    return DensityMatrix.diagonal([0.75, 0.25])
+
+
+def _config(mode: str = "scaling", **grids) -> SweepConfig:
+    return SweepConfig(mode=mode, nbar_grid=(16.0,), tau_grid=(1.0,), **grids)
+
+
+def _two_level() -> EnergyBasis:
+    return EnergyBasis.computational([0.0, 1.0])
+
+
+_ERROR_NAMES = [name for name in eigenfid.__all__
+                if isinstance(getattr(eigenfid, name), type)
+                and issubclass(getattr(eigenfid, name), EigenfidError)]
+
+# every public callable -> its valid arguments (a fresh call builds them);
+# valid means stay small, so every drive is quick
+VALID = {
+    **{name: lambda: _call("message") for name in _ERROR_NAMES},
+    "SchemaError": lambda: _call("/nbar_grid/0", "message"),
+    # channel
+    "ChoiMatrix": lambda: _call(choi_matrix(QubitChannel.identity(), TargetGate.x()).entries),
+    "QubitChannel": lambda: _call(*QubitChannel.identity().images(), cp_slack=1e-8),
+    "TargetGate": lambda: _call(np.eye(2)),
+    "a_matrix": lambda: _call(),
+    "apply": lambda: _call(_channel(), _state()),
+    "average_gate_fidelity": lambda: _call(_channel(), TargetGate.x()),
+    "average_purity": lambda: _call(_channel()),
+    "channel_eigenerror_bounds": lambda: _call(_channel()),
+    "channel_eigenfidelity_bounds": lambda: _call(_channel()),
+    "choi_matrix": lambda: _call(_channel(), TargetGate.x()),
+    "compose": lambda: _call(_channel(), _channel()),
+    "concatenate": lambda: _call(_channel(), 3),
+    "cp_residual": lambda: _call(_channel()),
+    "tp_residual": lambda: _call(_channel()),
+    "mc_average_purity": lambda: _call(_channel(), SeededSampler(1, 2), 16),
+    "mc_channel_eigenfidelity": lambda: _call(_channel(), SeededSampler(1, 2), 16),
+    "mc_gate_fidelity": lambda: _call(_channel(), TargetGate.x(), SeededSampler(1, 2), 16),
+    # densmat
+    "DensityMatrix": lambda: _call(np.eye(2) / 2),
+    "EnergyBasis": lambda: _call(np.array([0.0, 1.0]), np.eye(2)),
+    "PureState": lambda: _call(np.array([1.0, 0.0])),
+    "Spectrum": lambda: _call(np.array([1.0, 0.0]), np.eye(2)),
+    "closest_pure_state": lambda: _call(_state()),
+    "effective_temperature": lambda: _call(_state(), _two_level()),
+    "eigendecompose": lambda: _call(_state()),
+    "eigenerror": lambda: _call(_state()),
+    "eigenfidelity": lambda: _call(_state()),
+    "eigenfidelity_bounds": lambda: _call(_state()),
+    "fidelity_to_pure": lambda: _call(_state(), PureState(np.array([1.0, 0.0]))),
+    "linear_entropy": lambda: _call(_state()),
+    "passive_state": lambda: _call(_state(), _two_level()),
+    "purity": lambda: _call(_state()),
+    "schatten_norm": lambda: _call(_state(), 3.0),
+    # experiments (file names are relative: the test runs in a temporary directory)
+    "SweepConfig": lambda: _call(mode="scaling", nbar_grid=(16.0,), tau_grid=(1.0,)),
+    "SweepResult": lambda: (lambda r: _call(r.columns, r.rows, r.config, r.version))(
+        run(_config())),
+    "run": lambda: _call(_config()),
+    "run_scaling": lambda: _call(_config()),
+    "run_concat": lambda: _call(_config("concat", concat_grid=(2,))),
+    "run_split": lambda: _call(_config("split", concat_grid=(2,))),
+    "write_csv": lambda: _call(run(_config()), "out.csv"),
+    "write_sidecar": lambda: _call(run(_config()), "out.json"),
+    # haar
+    "SeededSampler": lambda: _call(1, 2),
+    "mc_average": lambda: _call(lambda state: 1.0, SeededSampler(1, 2), 4),
+    "random_density_matrix": lambda: _call(np.random.default_rng(1), 2),
+    "sample_pure": lambda: _call(SeededSampler(1, 2)),
+    # jcdrive
+    "DriveDistribution": lambda: _call("custom", 1.5, 0.25, [0.5 ** 0.5] * 2, 1, 2),
+    "FMatrixSet": lambda: (lambda f: _call(f.F00, f.F01, f.F10, f.F11))(
+        f_matrices(4, 0.3, 4.0, poisson_drive(4.0))),
+    "JCConfig": lambda: _call(tau=1.0, coupling=1.0),
+    "asymptotic_eigenerror_lower_bound": lambda: _call("binomial", 25.0, 5.0, 1.0),
+    "binomial_drive": lambda: _call(25.0, 5.0, mode="moment_matched"),
+    "build_channel_exact": lambda: _call(poisson_drive(9.0), JCConfig(tau=1.0)),
+    "build_channel_taylor2": lambda: _call(100.0, 100.0, "poisson", JCConfig(tau=1.0)),
+    "build_channels_exact": lambda: _call(poisson_drive(9.0), (0.5, 1.0)),
+    "custom_drive": lambda: _call([1.0, 1.0], n_min=2),
+    "f_matrices": lambda: _call(4, 0.3, 4.0, poisson_drive(4.0)),
+    "fock_drive": lambda: _call(3),
+    "poisson_drive": lambda: _call(25.0, tail_tol=1e-12),
+    # qsl
+    "HamiltonianMoments": lambda: _call(1.0, 0.5),
+    "RotationTarget": lambda: _call(1.0),
+    "bipartite_angle_check": lambda: _call(1.0, 0.9),
+    "jc_moments": lambda: _call(poisson_drive(9.0), PureState(np.array([1.0, 1.0]) / 2 ** 0.5),
+                                JCConfig(tau=1.0), hbar=1.0, measure_from_ground=True),
+    "ml_time": lambda: _call(RotationTarget(1.0), HamiltonianMoments(2.0, 1.0), hbar=1.0),
+    "mt_time": lambda: _call(RotationTarget(1.0), HamiltonianMoments(2.0, 1.0), hbar=1.0),
+    "phase_aligned_qubit": lambda: _call(poisson_drive(9.0)),
+    "qsl_eigenerror_bound": lambda: _call(1.0, 25.0),
+    "required_mean_photons": lambda: _call(1.0, 1e-3),
+    "small_angle_eigenerror_bound": lambda: _call(0.1, 25.0),
+}
+
+# public methods with scalar parameters -> (method of a fresh owner, valid arguments)
+METHODS = {
+    "DensityMatrix.maximally_mixed": lambda: (DensityMatrix.maximally_mixed, _call(2)),
+    "JCConfig.interaction_time": lambda: (JCConfig(tau=1.0).interaction_time, _call(25.0)),
+    "QubitChannel.from_images": lambda: (
+        QubitChannel.from_images, _call(np.diag([1.0, 0.0]), np.zeros((2, 2)),
+                                        np.diag([0.0, 1.0]), cp_slack=1e-8)),
+    "SeededSampler.child": lambda: (SeededSampler(1, 2).child, _call(3)),
+    "SeededSampler.sample_amplitudes": lambda: (SeededSampler(1, 2).sample_amplitudes,
+                                                _call(4)),
+    "SeededSampler.bloch_blocks": lambda: (SeededSampler(1, 2).bloch_blocks, _call(4)),
+}
+
+
+def _public_callables() -> list:
+    return [name for name in eigenfid.__all__ if callable(getattr(eigenfid, name))]
+
+
+def _valid_call(name: str) -> tuple:
+    """(callable, inspect.BoundArguments) of a fresh valid call."""
+    if name in METHODS:
+        function, (args, kwargs) = METHODS[name]()
+    else:
+        function, (args, kwargs) = getattr(eigenfid, name), VALID[name]()
+    try:
+        signature = inspect.signature(function)
+    except ValueError:  # an exception class: it takes any *args
+        return function, None, (args, kwargs)
+    return function, signature.bind(*args, **kwargs), (args, kwargs)
+
+
+def _is_scalar(value) -> bool:
+    return value is None or isinstance(value, (numbers.Number, str))
+
+
+def _scalar_parameters(name: str) -> list:
+    """Parameters of the call whose valid value, given or default, is a scalar."""
+    function, bound, _ = _valid_call(name)
+    if bound is None:
+        return []
+    return [p.name for p in inspect.signature(function).parameters.values()
+            if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+            and _is_scalar(bound.arguments.get(p.name, p.default))]
+
+
+def _outcome(function, args, kwargs, time_limit) -> str:
+    """"result", "typed" for an EigenfidError, or what else the call raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            with time_limit(2):
+                result = function(*args, **kwargs)
+                if inspect.isgenerator(result):
+                    for _ in result:
+                        pass
+        except EigenfidError:
+            return "typed"
+        except Exception as exc:  # a warning raised as an error counts too
+            return f"{type(exc).__name__}: {str(exc)[:200]}"
+    return "result"
+
+
+def test_every_public_callable_has_valid_arguments():
+    assert set(_public_callables()) == set(VALID)
+
+
+@pytest.mark.parametrize("name", [*VALID, *METHODS])
+def test_scalar_arguments_give_a_result_or_a_typed_error(name, time_limit, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    function, _, (args, kwargs) = _valid_call(name)
+    assert _outcome(function, args, kwargs, time_limit) == "result"
+    escapes = []
+    for parameter in _scalar_parameters(name):
+        for label, value in VOCABULARY.items():
+            function, bound, _ = _valid_call(name)
+            bound.arguments[parameter] = value
+            outcome = _outcome(function, bound.args, bound.kwargs, time_limit)
+            if outcome not in ("result", "typed"):
+                escapes.append(f"{parameter}={label}: {outcome}")
+    assert not escapes, "\n".join(escapes)
+
+
+def test_the_contract_sees_the_scalar_parameters():
+    # a table entry whose scalars went unseen would test nothing
+    assert _scalar_parameters("poisson_drive") == ["nbar", "tail_tol"]
+    assert _scalar_parameters("SweepConfig") == [
+        "mode", "drive_kind", "seed", "output", "mc_samples", "jobs", "split_convention",
+        "binomial_mode"]
+    assert _scalar_parameters("concatenate") == ["count"]
+    assert _scalar_parameters("jc_moments") == ["hbar", "measure_from_ground"]
+    assert _scalar_parameters("InvalidMean") == []
+
+
+def test_a_count_past_two_to_the_53_is_named_as_the_count():
+    with pytest.raises(DimensionMismatch, match=r"^count must be in \[1, 2\*\*53\], got 2361"):
+        eigenfid.concatenate(_channel(), 2 ** 71)
+

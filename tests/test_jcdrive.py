@@ -13,7 +13,6 @@ import pytest
 import oracles
 from eigenfid import jcdrive
 from eigenfid import (
-    BipartiteState,
     DensityMatrix,
     DriveDistribution,
     JCConfig,
@@ -30,12 +29,12 @@ from eigenfid import (
     cp_residual,
     eigenerror,
     custom_drive,
-    evolve_bipartite,
     f_matrices,
     fock_drive,
     poisson_drive,
     random_density_matrix,
 )
+from eigenfid._domain import EXACT, integer, real
 from eigenfid.channel import CP_TOL
 from eigenfid.errors import (
     ApproximationDomain,
@@ -416,9 +415,11 @@ class TestBuildChannelExact:
                 qubit = _random_qubit(rng)
                 chan = build_channel_exact(drive, cfg)
                 via_channel = apply(chan, DensityMatrix.pure(qubit))
-                joint = evolve_bipartite(drive, qubit, cfg)
+                joint, _ = oracles.dense_evolve(drive.coefficients, drive.n_min,
+                                                qubit.amplitudes, tau, drive.mean)
                 np.testing.assert_allclose(
-                    joint.qubit_density().matrix, via_channel.matrix, atol=1e-10
+                    oracles.partial_trace_qubit(joint.reshape(-1, 2)), via_channel.matrix,
+                    atol=1e-10
                 )
 
 
@@ -577,23 +578,6 @@ def _scalar_binomial_weights(n_trials: int) -> np.ndarray:
     return np.exp(np.array(logc) - n_trials * math.log(2.0))
 
 
-def _scalar_evolve(drive, qubit, tau: float) -> np.ndarray:
-    """Joint amplitudes from rotating each pair (|m, 0>, |m-1, 1>) in turn."""
-    lo, hi = max(0, drive.n_min - 1), drive.n_max + 1
-    psi = np.zeros((hi - lo + 1, 2), dtype=complex)
-    psi[drive.n_min - lo: drive.n_max - lo + 1] = np.outer(drive.coefficients, qubit.amplitudes)
-    if tau != 0:
-        for m in range(max(1, lo), hi + 1):
-            theta = tau * math.sqrt(m / drive.mean)
-            cm, sm = math.cos(theta), math.sin(theta)
-            upper = psi[m - lo, 0]
-            lower = psi[m - 1 - lo, 1] if m - 1 >= lo else 0.0
-            psi[m - lo, 0] = cm * upper - sm * lower
-            if m - 1 >= lo:
-                psi[m - 1 - lo, 1] = sm * upper + cm * lower
-    return psi
-
-
 def _assert_poisson_matches_scalar(nbar: float, tail_tol: float) -> None:
     drive = poisson_drive(nbar, tail_tol=tail_tol)
     lo, hi, w = _scalar_poisson(nbar, tail_tol)
@@ -683,15 +667,6 @@ class TestScalarRules:
         w = _scalar_binomial_weights(width)[width + 1 - len(drive.coefficients):]
         w = w / w.sum() if "clipped_mass" in drive.metadata else w
         assert np.array_equal(drive.coefficients, np.sqrt(w))
-
-    @pytest.mark.parametrize("name", [*_BATCH_DRIVES, *_BINOMIAL_DRIVES])
-    @pytest.mark.parametrize("tau", [0.0, 0.7, 2.9])
-    def test_evolve_bipartite_matches_the_pair_loop(self, rng, name, tau):
-        drive = {**_BATCH_DRIVES, **_BINOMIAL_DRIVES}[name]()
-        qubit = _random_qubit(rng)
-        state = evolve_bipartite(drive, qubit, JCConfig(tau=tau))
-        assert state.n_lo == max(0, drive.n_min - 1)
-        assert np.array_equal(state.amplitudes, _scalar_evolve(drive, qubit, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -802,15 +777,19 @@ def _copied_moments(w: np.ndarray, n: np.ndarray) -> tuple[float, float]:
 
 
 def _copied_drive(kind, mean, variance, coefficients, n_min, n_max, metadata=None):
-    """DriveDistribution as it was: its checks run on a complex copy."""
+    """DriveDistribution as it was: its checks run on a complex copy. Its
+    scalar arguments are checked by the library's domain checks, as they are
+    today."""
+    real(mean, "mean")
+    real(variance, "variance")
+    n_min = integer(n_min, "integer photon number n_min")
+    n_max = integer(n_max, "integer photon number n_max")
     b = np.asarray(coefficients, dtype=complex).copy()
     if b.ndim != 1 or len(b) != n_max - n_min + 1:
         raise DimensionMismatch(
             f"need {n_max - n_min + 1} coefficients for window "
             f"[{n_min}, {n_max}], got {b.shape}"
         )
-    if n_min < 0:
-        raise UnsupportedParameters("photon numbers must be nonnegative")
     w = np.abs(b) ** 2
     if not abs(w.sum() - 1.0) <= jcdrive.NORMALIZATION_TOL:
         raise UnsupportedParameters(
@@ -826,16 +805,6 @@ def _copied_drive(kind, mean, variance, coefficients, n_min, n_max, metadata=Non
         )
     return SimpleNamespace(kind=kind, mean=mean, variance=variance, coefficients=b,
                            n_min=n_min, n_max=n_max, metadata=dict(metadata or {}))
-
-
-def _copied_require_integer(value: float, what: str, slack: float = 1e-9) -> int:
-    # slack 0 where the caller gives the integer itself (a window start)
-    if not math.isfinite(value):
-        raise UnsupportedParameters(f"{what} = {value} must be a finite integer")
-    r = round(value)
-    if abs(value - r) > slack:
-        raise UnsupportedParameters(f"{what} = {value} must be an integer")
-    return int(r)
 
 
 def _copied_poisson_drive(nbar: float, tail_tol: float = 1e-12):
@@ -854,20 +823,17 @@ def _copied_binomial_weights(n_trials: int) -> np.ndarray:
 
 
 def _copied_binomial_drive(nbar: float, variance: float, mode: str = "moment_matched"):
-    if not 0 < nbar < math.inf:
-        raise InvalidMean(f"mean photon number must be positive and finite, got {nbar}")
-    if not 0 < variance <= nbar:
-        raise UnsupportedParameters(
-            f"need 0 < variance <= mean, got variance={variance}, mean={nbar}"
-        )
+    nbar = real(nbar, "mean photon number", InvalidMean, 0, lo_open=True)
+    variance = real(variance, "variance", lo=0, hi=nbar, lo_open=True)
     if mode == "moment_matched":
-        n_trials = _copied_require_integer(4 * variance, "width 4*variance")
-        offset = _copied_require_integer(nbar - 2 * variance, "support shift mean - 2*variance")
+        n_trials = integer(4 * variance, "width 4*variance", slack=1e-9)
+        offset = integer(nbar - 2 * variance, "support shift mean - 2*variance",
+                         lo=-EXACT, slack=1e-9)
         metadata = {"mode": mode, "width": n_trials,
                     "requested_mean": nbar, "requested_variance": variance}
     elif mode == "paper_literal":
-        n_trials = _copied_require_integer(2 * variance, "width 2*variance")
-        offset = _copied_require_integer(nbar - n_trials, "support shift mean - width")
+        n_trials = integer(2 * variance, "width 2*variance", slack=1e-9)
+        offset = integer(nbar - n_trials, "support shift mean - width", lo=-EXACT, slack=1e-9)
         metadata = {"mode": mode, "width": n_trials,
                     "requested_mean": nbar, "requested_variance": variance,
                     "moment_mismatch": True,
@@ -892,9 +858,7 @@ def _copied_binomial_drive(nbar: float, variance: float, mode: str = "moment_mat
 
 
 def _copied_fock_drive(n_photons):
-    if not 0 <= n_photons < math.inf or n_photons != int(n_photons):
-        raise UnsupportedParameters(f"photon number must be a nonnegative integer, got {n_photons}")
-    n_photons = int(n_photons)
+    n_photons = integer(n_photons, "photon number")
     return _copied_drive("fock", float(n_photons), 0.0, np.array([1.0 + 0j]), n_photons, n_photons)
 
 
@@ -904,7 +868,7 @@ def _copied_custom_drive(coefficients, n_min=0):
         raise DimensionMismatch("coefficients must be a nonempty vector")
     if not np.isfinite(b).all():
         raise UnsupportedParameters("coefficients must be finite")
-    n_min = _copied_require_integer(n_min, "n_min", 0.0)
+    n_min = integer(n_min, "n_min")
     norm = np.linalg.norm(b)
     if norm == 0:
         raise UnsupportedParameters("coefficients must not all vanish")
@@ -991,55 +955,6 @@ class TestDrivesCheckedAsGiven:
             assert len(result.coefficients) == levels
         else:
             assert "not normalized" in str(result)
-
-
-# ---------------------------------------------------------------------------
-# joint evolution
-
-class TestEvolveBipartite:
-    def test_zero_time_keeps_product_form(self, rng):
-        drive = poisson_drive(6.0)
-        qubit = _random_qubit(rng)
-        state = evolve_bipartite(drive, qubit, JCConfig(tau=0.0))
-        expected = np.zeros_like(state.amplitudes)
-        sl = slice(drive.n_min - state.n_lo, drive.n_max - state.n_lo + 1)
-        expected[sl, 0] = drive.coefficients * qubit.amplitudes[0]
-        expected[sl, 1] = drive.coefficients * qubit.amplitudes[1]
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-14)
-
-    def test_full_exchange_of_a_fock_excitation(self):
-        state = evolve_bipartite(fock_drive(9), KET0_Q, JCConfig(tau=math.pi / 2))
-        amp = state.amplitudes[8 - state.n_lo, 1]
-        assert abs(abs(amp) - 1.0) < 1e-12
-        assert abs(state.norm() - 1.0) < 1e-12
-
-    def test_norm_preserved(self, rng):
-        drive = binomial_drive(25.0, 5.0)
-        for _ in range(5):
-            state = evolve_bipartite(drive, _random_qubit(rng),
-                                     JCConfig(tau=float(rng.uniform(0, 4))))
-            assert abs(state.norm() - 1.0) < 1e-12
-
-    def test_matches_dense_exponential_oracle(self, rng):
-        for drive in (poisson_drive(5.0), fock_drive(2),
-                      custom_drive([0.5, 0.5, 0.5, 0.5], n_min=1)):
-            qubit = _random_qubit(rng)
-            tau = float(rng.uniform(0.1, 3.0))
-            state = evolve_bipartite(drive, qubit, JCConfig(tau=tau))
-            ref, lo = oracles.dense_evolve(
-                drive.coefficients, drive.n_min, qubit.amplitudes, tau, drive.mean
-            )
-            assert state.n_lo == lo
-            np.testing.assert_allclose(state.vector(), ref, atol=1e-10)
-
-    def test_rejects_non_qubit(self):
-        with pytest.raises(DimensionMismatch):
-            evolve_bipartite(poisson_drive(4.0), PureState(np.array([1.0, 0, 0])),
-                             JCConfig(tau=1.0))
-
-    def test_state_shape_validation(self):
-        with pytest.raises(DimensionMismatch):
-            BipartiteState(np.zeros((3, 3), dtype=complex), 0)
 
 
 # ---------------------------------------------------------------------------
