@@ -67,10 +67,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, m) -> "DensityMatrix":
-        return cls(_as_complex_matrix(m))
-
-    @classmethod
     def pure(cls, state: "PureState") -> "DensityMatrix":
         v = state.amplitudes
         return cls(np.outer(v, v.conj()))

@@ -184,13 +184,13 @@ def _own_drive(config: SweepConfig, nbar: float, fano, *rest) -> tuple:
 
 
 def _scaling_head(config: SweepConfig, drive, nbar: float, fano, tau: float) -> tuple:
-    cells = (config.drive_kind, nbar, drive.variance / drive.mean, tau)
+    cells = (config.drive_kind, nbar, drive.fano, tau)
     return cells, tau, 1, _asymptote(config, nbar, fano, tau)
 
 
 def _concat_head(config: SweepConfig, drive, nbar: float, fano, count: int,
                  tau: float) -> tuple:
-    cells = (config.drive_kind, nbar, drive.variance / drive.mean, count, tau, count * tau)
+    cells = (config.drive_kind, nbar, drive.fano, count, tau, count * tau)
     return cells, tau, count, _asymptote(config, nbar, fano, tau)
 
 

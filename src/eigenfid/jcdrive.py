@@ -241,9 +241,13 @@ def _poisson_logpmf(nbar: float, start: int, stop: int) -> np.ndarray:
     return -nbar + np.arange(start, stop) * math.log(nbar) - _log_factorials(start, stop)
 
 
-def _math_exp(x: np.ndarray) -> np.ndarray:
-    """math.exp elementwise; np.exp may differ from it in the last bit."""
-    return np.fromiter(map(math.exp, x.tolist()), float, len(x))
+def _weights_drive(kind: str, w: np.ndarray, n_min: int, metadata: dict) -> DriveDistribution:
+    """The drive with |b_n|^2 = w from level n_min: the moments are taken
+    from w, which then holds the amplitudes sqrt(w)."""
+    n_max = n_min + len(w) - 1
+    mean, var = _moments(w, np.arange(n_min, n_max + 1))
+    return DriveDistribution(kind=kind, mean=mean, variance=var, coefficients=np.sqrt(w, out=w),
+                             n_min=n_min, n_max=n_max, metadata=metadata)
 
 
 def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistribution:
@@ -254,9 +258,9 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
     term (the lower one on a tie), until the running sum of the kept terms
     reaches 1 - tail_tol. The kept weights are then renormalized.
 
-    The running sum is rounded, and for some means from nbar ~ 2.4e3 up
-    (2754 and 3000, for example) it stalls just below 1 - tail_tol: the
-    search then never ends.
+    The running sum is rounded, and for some means from nbar ~ 1.2e3 up
+    (1208.3197359978, 1399.7442202159666, 2754 and 3000, for example) it
+    stalls just below 1 - tail_tol: the search then never ends.
     """
     nbar = _mean(nbar)
     # at tail_tol <= 0 the search cannot end
@@ -264,17 +268,18 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
     threshold = 1.0 - tail_tol
     chunk = _WINDOW_CHUNK_LEVELS + int(_WINDOW_CHUNK_SIGMAS * math.sqrt(nbar))
     lo = hi = int(nbar)
-    # log-weights of the first chunk on each side, shared by the search and
-    # the weights; levels past them are evaluated one chunk at a time
+    # pmf terms of the first chunk on each side, exponentiated once for the search
+    # and the weights; levels past them take one np.exp per chunk, and a window
+    # that outgrows them (never at the default tail_tol) is exponentiated again
     first = max(0, lo - chunk)
-    first_logs = _poisson_logpmf(nbar, first, hi + chunk + 1)
+    first_terms = np.exp(_poisson_logpmf(nbar, first, hi + chunk + 1))
 
-    def logpmf(start: int, stop: int) -> np.ndarray:
-        if first <= start and stop <= first + len(first_logs):
-            return first_logs[start - first:stop - first]
-        return _poisson_logpmf(nbar, start, stop)
+    def pmf(start: int, stop: int) -> np.ndarray:
+        if first <= start and stop <= first + len(first_terms):
+            return first_terms[start - first:stop - first]
+        return np.exp(_poisson_logpmf(nbar, start, stop))
 
-    total = math.exp(first_logs[lo - first])
+    total = float(first_terms[lo - first])
     # The greedy rule compares the heads of the two outward sequences of
     # terms. That is a stable descending merge of their running minima,
     # lower side first on ties, so each chunk pair is merged in one pass.
@@ -283,8 +288,8 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
     while total < threshold:
         below = np.full(chunk, -1.0)  # past n = 0 the lower side never wins
         k = min(chunk, lo)
-        below[:k] = _math_exp(logpmf(lo - k, lo)[::-1])
-        above = _math_exp(logpmf(hi + 1, hi + 1 + chunk))
+        below[:k] = pmf(lo - k, lo)[::-1]
+        above = pmf(hi + 1, hi + 1 + chunk)
         key_lo = np.minimum(np.minimum.accumulate(below), floor_lo)
         key_hi = np.minimum(np.minimum.accumulate(above), floor_hi)
         down_lo, down_hi = -key_lo, -key_hi  # ascending, for searchsorted
@@ -307,14 +312,9 @@ def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistr
         lo -= taken_lo
         hi += taken_hi
         total = float(sums[steps])
-    w = np.exp(logpmf(lo, hi + 1))
-    w /= w.sum()
-    mean, var = _moments(w, np.arange(lo, hi + 1))
-    return DriveDistribution(
-        kind="poisson", mean=mean, variance=var, coefficients=np.sqrt(w, out=w),
-        n_min=int(lo), n_max=int(hi),
-        metadata={"requested_mean": nbar, "tail_tol": tail_tol},
-    )
+    w = pmf(lo, hi + 1)
+    return _weights_drive("poisson", w / w.sum(), int(lo),
+                          {"requested_mean": nbar, "tail_tol": tail_tol})
 
 
 def _binomial_weights(n_trials: int) -> np.ndarray:
@@ -361,8 +361,7 @@ def binomial_drive(nbar: float, variance: float,
     else:
         raise UnsupportedParameters(f"unknown binomial mode {mode!r}")
 
-    w = _binomial_weights(n_trials)
-    n_min, n_max = max(offset, 0), offset + n_trials  # level offset + k has weight w[k]
+    w = _binomial_weights(n_trials)  # level offset + k has weight w[k]
     if offset < 0:
         clipped = w[:-offset].sum()
         if clipped >= DEFAULT_TAIL_TOL:
@@ -372,20 +371,12 @@ def binomial_drive(nbar: float, variance: float,
         w = w[-offset:]
         w = w / w.sum()
         metadata["clipped_mass"] = float(clipped)
-    mean, var = _moments(w, np.arange(n_min, n_max + 1))
-    return DriveDistribution(
-        kind="binomial", mean=mean, variance=var, coefficients=np.sqrt(w, out=w),
-        n_min=n_min, n_max=n_max, metadata=metadata,
-    )
+    return _weights_drive("binomial", w, max(offset, 0), metadata)
 
 
 def fock_drive(n_photons: int) -> DriveDistribution:
     """Single photon-number state: b_N = 1."""
-    n_photons = integer(n_photons, "photon number")
-    return DriveDistribution(
-        kind="fock", mean=float(n_photons), variance=0.0,
-        coefficients=np.array([1.0 + 0j]), n_min=n_photons, n_max=n_photons,
-    )
+    return _weights_drive("fock", np.ones(1), integer(n_photons, "photon number"), {})
 
 
 def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
@@ -485,9 +476,13 @@ _TAU_BLOCK_ELEMENTS = 1 << 16
 
 def _exact_transfers(drive: DriveDistribution, taus) -> tuple[np.ndarray, np.ndarray]:
     """build_channels_exact as arrays: the checked (T, 4, 4) transfer matrices, residuals."""
-    taus = np.asarray(taus, dtype=float)
-    for tau in taus.tolist():
+    entries = np.asarray(taus, dtype=object)  # checked as given, before any conversion
+    if entries.ndim != 1:
+        raise DimensionMismatch("taus must be a one-dimensional sequence of reduced times, "
+                                f"got {type(taus).__name__}")
+    for tau in entries.tolist():
         JCConfig(tau=tau).interaction_time(drive.mean)  # tau >= 0; tau > 0 needs a mean
+    taus = entries.astype(float)
     b = drive.coefficients
     m = len(b)  # window levels n_min .. n_max; angles run to n_max + 2
     w = np.abs(b) ** 2
@@ -614,13 +609,18 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
     else:
         raise UnsupportedParameters(f"unsupported drive kind for expansion: {kind!r}")
 
-    jets = [_trig_jets(k, cfg.tau, nbar) for k in range(3)]  # cos, sin at nbar + k
-    j1 = _fd_jet(r1, nbar)
-
     def val(j: _Jet) -> float:
         return j.v + 0.5 * j.d2 * variance
 
-    e00, e01, e11 = _images(lambda j, _: jets[j], _Jet(1.0), j1, j1, _fd_jet(r2, nbar), val)
+    try:  # at tiny means nbar - 1 + 1 or nbar * nbar rounds to 0
+        jets = [_trig_jets(k, cfg.tau, nbar) for k in range(3)]  # cos, sin at nbar + k
+        j1 = _fd_jet(r1, nbar)
+        images = _images(lambda j, _: jets[j], _Jet(1.0), j1, j1, _fd_jet(r2, nbar), val)
+    except ZeroDivisionError:
+        images = math.nan
+    if not np.isfinite(images).all():
+        raise ApproximationDomain(f"derivative jets are not finite at nbar={nbar}")
+    e00, e01, e11 = images
     return QubitChannel(e00, e01, e01.conj().T, e11, cp_slack=TAYLOR2_CP_SLACK)
 
 
@@ -642,6 +642,7 @@ def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,
         variance = real(variance, "variance", lo=0)
         if variance == 0:
             return math.inf
-        return (tau ** 2 * variance / (6 * nbar ** 2)
-                + math.sin(tau) ** 2 / (6 * variance))
+        drift = tau ** 2 * variance  # / (6 nbar^2), which is subnormal below nbar ~ 1e-154
+        drift = drift / (6 * nbar ** 2) if nbar > 1e-150 else drift / nbar / (6 * nbar)
+        return drift + math.sin(tau) ** 2 / (6 * variance)
     raise UnsupportedParameters(f"no asymptotic law for drive kind {kind!r}")

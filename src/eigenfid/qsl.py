@@ -156,6 +156,7 @@ def qsl_eigenerror_bound(theta: float, nbar: float) -> float:
     angle, this is the coherent-drive asymptotic law evaluated at tau = theta.
     It is not a floor: the exact eigenerror lies below it at finite nbar.
     """
+    theta = real(theta, "rotation angle", lo=-EXACT, hi=EXACT)
     return asymptotic_eigenerror_lower_bound("poisson", nbar, nbar, theta)
 
 

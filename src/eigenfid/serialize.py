@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from ._domain import integer, real
-from .channel import QubitChannel
+from .channel import _IMAGES, QubitChannel
 from .densmat import DensityMatrix
 from .errors import SchemaError
 from .experiments import SweepConfig, _atomic_write, _json_text
@@ -38,7 +38,6 @@ _SWEEP_KEYS = {f.name for f in fields(SweepConfig)} - {"drive_kind"} | {"schema"
 _DRIVE_KEYS = {"kind", "nbar", "fano", "N", "coeffs"}
 _STATE_KEYS = {"schema", "type", "matrix"}
 _CHANNEL_KEYS = {"schema", "type", "images"}
-_IMAGE_NAMES = ("E00", "E01", "E10", "E11")
 
 
 def _fail(path: str, message: str):
@@ -210,7 +209,7 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 def channel_to_dict(channel: QubitChannel) -> dict:
     return {"schema": SCHEMA_VERSION, "type": "channel",
             "images": {name: encode_matrix(getattr(channel, name))
-                       for name in _IMAGE_NAMES}}
+                       for name in _IMAGES}}
 
 
 def state_from_dict(data: dict) -> DensityMatrix:
@@ -229,9 +228,9 @@ def channel_from_dict(data: dict) -> QubitChannel:
     _check_schema(data)
     if "images" not in data:
         _fail("/images", "missing required field")
-    images = _check_object(data["images"], set(_IMAGE_NAMES), "/images")
+    images = _check_object(data["images"], set(_IMAGES), "/images")
     decoded = {}
-    for name in _IMAGE_NAMES:
+    for name in _IMAGES:
         if name not in images:
             _fail(f"/images/{name}", "missing required field")
         m = decode_matrix(images[name], f"/images/{name}")

@@ -96,6 +96,11 @@ class TestQsl:
     def test_missing_flag_is_a_usage_error(self, capsys):
         assert main(["qsl", "--theta", "1.0"]) == 2
 
+    def test_a_bad_angle_is_named_as_a_rotation_angle(self, capsys):
+        assert main(["qsl", "--theta", "1e308", "--nbar", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: rotation angle must be in [-2**53, 2**53], got 1e+308" in err
+
 
 class TestBoundsCheck:
     def test_random_states_pass_all_three_suites(self, capsys):

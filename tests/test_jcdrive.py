@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -474,7 +475,30 @@ _BATCH_DRIVES = {
 _BATCH_TAUS = (0.0, 0.1, 0.7, math.pi / 2, 2.0, math.pi, 5.9, 0.7, 0.0)
 
 
+_NOT_A_SEQUENCE = "taus must be a one-dimensional sequence of reduced times"
+_BAD_TAUS = [
+    (1.0, DimensionMismatch, _NOT_A_SEQUENCE), (None, DimensionMismatch, _NOT_A_SEQUENCE),
+    ("1.0", DimensionMismatch, _NOT_A_SEQUENCE),
+    (np.float64(1.0), DimensionMismatch, _NOT_A_SEQUENCE),
+    ({"a": 1}, DimensionMismatch, _NOT_A_SEQUENCE),
+    (np.array([[1.0]]), DimensionMismatch, _NOT_A_SEQUENCE),
+    (["x"], UnsupportedParameters, "reduced time must be a real number, got 'x'"),
+    ([None], UnsupportedParameters, "reduced time must be a real number, got None"),
+    ([True], UnsupportedParameters, "reduced time must be a real number, got True"),
+]
+
+
 class TestBuildChannelsExact:
+    @pytest.mark.parametrize("taus, error, text", _BAD_TAUS,
+                             ids=[repr(taus) for taus, _, _ in _BAD_TAUS])
+    def test_reduced_times_are_checked_as_given(self, taus, error, text):
+        with pytest.raises(error, match=re.escape(text)):
+            build_channels_exact(poisson_drive(10.0), taus)
+
+    @pytest.mark.parametrize("taus", [[], (), np.empty(0)], ids=repr)
+    def test_no_reduced_times_give_no_channels(self, taus):
+        assert build_channels_exact(poisson_drive(10.0), taus) == []
+
     @pytest.mark.parametrize("name", list(_BATCH_DRIVES))
     def test_matches_the_per_tau_sums_bit_for_bit(self, name):
         drive = _BATCH_DRIVES[name]()
@@ -589,8 +613,12 @@ def _assert_poisson_matches_scalar(nbar: float, tail_tol: float) -> None:
     assert drive.variance == float(np.sum(w * (n - mean) ** 2)), nbar
 
 
-# below 2.4e3: from there up the greedy rule never ends for some means
+# none of these means makes the greedy rule hang; it never ends for some
+# means from about 1.2e3 up, at 1208.3197359978 for example
 _POISSON_GRID = sorted({*np.logspace(-3, math.log10(2e3), 41).tolist(), 1.0, 2.0, 3.0, 100.0})
+# above the grid, plus three means at which the rule never ends
+_LARGE_POISSON_MEANS = sorted({*np.logspace(math.log10(2e3), 5, 12).tolist(),
+                               1399.7442202159666, 2754.0, 3000.0})
 
 _BINOMIAL_DRIVES = {
     "moment-matched": lambda: binomial_drive(25.0, 5.0),
@@ -613,6 +641,22 @@ class TestScalarRules:
         with time_limit(20):
             for nbar in _POISSON_GRID:
                 _assert_poisson_matches_scalar(nbar, tail_tol)
+
+    @pytest.mark.parametrize("nbar", _LARGE_POISSON_MEANS)
+    def test_large_means_match_the_greedy_loop_or_both_never_end(self, time_limit, nbar):
+        # the scalar loop takes about 6 ms at nbar = 1e5 on a 2-vCPU Xeon VM
+        def within_limit(build):
+            with contextlib.suppress(TimeoutError), time_limit(0.2):
+                return build()
+            return None
+
+        drive = within_limit(lambda: poisson_drive(nbar))
+        scalar = within_limit(lambda: _scalar_poisson(nbar, 1e-12))
+        assert (drive is None) == (scalar is None), nbar
+        if drive is not None:
+            lo, hi, w = scalar
+            assert (drive.n_min, drive.n_max) == (lo, hi), nbar
+            assert np.array_equal(drive.coefficients, np.sqrt(w)), nbar
 
     @pytest.mark.parametrize("nbar", [0.3, 7.0, 50.0, 900.0])
     def test_window_chunks_leave_the_drive_unchanged(self, monkeypatch, time_limit, nbar):
@@ -1348,6 +1392,40 @@ class TestClosedFormDomain:
             asymptotic_eigenerror_lower_bound(kind, 10.0, 10.0, 1.0)
         with pytest.raises(UnsupportedParameters):
             build_channel_taylor2(10.0, 10.0, kind, JCConfig(tau=1.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nbar", [1e-150, 1e-154, 1e-160, 1e-200, 1e-300, 5e-324])
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 3.0])
+    def test_binomial_law_at_a_tiny_mean_is_its_value_or_inf(self, nbar, tau):
+        # 6 nbar^2 is subnormal or 0 below nbar ~ 1e-154; the value is not
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            variance = mpmath.mpf(1e-200)
+            want = (mpmath.mpf(tau) ** 2 * variance / (6 * mpmath.mpf(nbar) ** 2)
+                    + mpmath.sin(tau) ** 2 / (6 * variance))
+        got = asymptotic_eigenerror_lower_bound("binomial", nbar, 1e-200, tau)
+        assert got == pytest.approx(float(want), rel=1e-15)
+
+    @pytest.mark.parametrize("nbar, variance, tau", [
+        (10.0, 1.0, 0.3), (25.0, 5.0, math.pi / 2), (1e3, 100.0, 2.5), (1e5, 1e4, 1.0),
+        (1.1e-150, 1e-160, 1.0),
+    ])
+    def test_binomial_law_keeps_its_expression_where_nbar_squared_is_normal(self, nbar,
+                                                                            variance, tau):
+        want = tau ** 2 * variance / (6 * nbar ** 2) + math.sin(tau) ** 2 / (6 * variance)
+        assert asymptotic_eigenerror_lower_bound("binomial", nbar, variance, tau) == want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, nbar", [
+        ("poisson", 1e-100), ("poisson", 1e-160), ("poisson", 1e-300), ("poisson", 5e-324),
+        ("binomial", 1e-160), ("binomial", 1e-300),
+    ])
+    def test_taylor2_at_a_tiny_mean_is_outside_its_domain(self, kind, nbar):
+        # Poisson ratios at nbar - 1 divide by nbar - 1 + 1, which rounds to 0
+        # below nbar ~ 1e-16; the angle jets divide by sqrt(nbar * nbar), 0
+        # below nbar ~ 1e-162
+        with pytest.raises(ApproximationDomain, match="derivative jets are not finite"):
+            build_channel_taylor2(nbar, 0.0, kind, JCConfig(tau=1.0))
 
     @pytest.mark.parametrize("nbar", [math.nan, math.inf])
     @pytest.mark.parametrize("kind", ["poisson", "binomial"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,12 @@ class TestClosedFormDomain:
     def test_rejects_a_mean_that_is_not_finite(self, law, nbar):
         with pytest.raises(InvalidMean):
             law(0.5, nbar)
+
+    @pytest.mark.parametrize("law", [qsl_eigenerror_bound, small_angle_eigenerror_bound])
+    def test_names_a_bad_angle_as_a_rotation_angle(self, law):
+        text = "rotation angle must be in [-2**53, 2**53], got 1e+308"
+        with pytest.raises(UnsupportedParameters, match=f"^{re.escape(text)}$"):
+            law(1e308, 10.0)
 
 
 class TestTypedDomainErrors:
