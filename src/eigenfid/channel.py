@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._domain import integer, real
-from .densmat import DensityMatrix
+from .densmat import DensityMatrix, _read_only_copy
 from .errors import CPViolation, DimensionMismatch, NonHermitianInput
-from .haar import _BLOCK, SeededSampler, sample_count
+from .haar import _BLOCK, SeededSampler, _estimate_count, _mean_stderr
 
 TP_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -110,9 +110,7 @@ class QubitChannel:
 
     @classmethod
     def from_unitary(cls, u) -> "QubitChannel":
-        u = _as_2x2(u, "unitary")
-        if not (np.isfinite(u).all() and np.abs(u.conj().T @ u - np.eye(2)).max() <= UNITARY_TOL):
-            raise NonHermitianInput("matrix is not unitary")
+        u = TargetGate(u).unitary  # 2x2, finite and unitary: TargetGate checks it
         # row-major vec(U rho U^dag) = (U kron conj(U)) vec(rho)
         return cls._from_transfer(np.kron(u, u.conj()))
 
@@ -130,9 +128,7 @@ class TargetGate:
         u = _as_2x2(self.unitary, "gate")
         if not (np.isfinite(u).all() and np.abs(u.conj().T @ u - np.eye(2)).max() <= UNITARY_TOL):
             raise NonHermitianInput("gate matrix is not unitary")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "unitary", _read_only_copy(u))
 
     @classmethod
     def identity(cls) -> "TargetGate":
@@ -160,9 +156,7 @@ class ChoiMatrix:
         reduced = np.array([[np.trace(s[2*i:2*i+2, 2*j:2*j+2]) for j in (0, 1)] for i in (0, 1)])
         if np.abs(reduced - np.eye(2)).max() > 1e-8:
             raise NonHermitianInput("partial trace over the output is not the identity")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "entries", s)
+        object.__setattr__(self, "entries", _read_only_copy(s))
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +296,7 @@ def _mc_estimate(channel: QubitChannel, sampler: SeededSampler, n_samples: int,
     per sample plus the block buffers; the values are those of one
     full-array pass over the same draws, bit for bit.
     """
-    n = sample_count(n_samples)
-    if n < 2:
-        raise DimensionMismatch("need at least 2 samples for a standard error")
+    n = _estimate_count(n_samples)
     r = _pauli_form(channel._transfer)
     vals = np.empty(n)
     flat = np.empty(4 * min(n, _BLOCK))  # a block of k rows is its first 4k entries, as (4, k)
@@ -313,15 +305,6 @@ def _mc_estimate(channel: QubitChannel, sampler: SeededSampler, n_samples: int,
         out += r[:, :1]
         fill(out[0], out[1:], bloch, vals[rows])
     return _mean_stderr(vals)
-
-
-def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
-    """vals.mean() and vals.std(ddof=1) / sqrt(n), bit for bit, overwriting vals."""
-    n = len(vals)
-    mean = vals.sum() / n
-    vals -= mean
-    np.square(vals, out=vals)
-    return float(mean), float(np.sqrt(vals.sum() / (n - 1)) / np.sqrt(n))
 
 
 def mc_average_purity(channel: QubitChannel, sampler: SeededSampler, n_samples: int) -> tuple[float, float]:

@@ -36,6 +36,13 @@ def _as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def _read_only_copy(a) -> np.ndarray:
+    """What a value type stores of an array argument: a C-order copy, read-only."""
+    a = np.array(a, order="C")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Positive-semidefinite, unit-trace complex matrix."""
@@ -58,9 +65,7 @@ class DensityMatrix:
             raise NonHermitianInput(
                 f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})"
             )
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", _read_only_copy(a))
 
     @property
     def dim(self) -> int:
@@ -93,9 +98,7 @@ class PureState:
         n = np.linalg.norm(v)
         if not abs(n - 1.0) <= HERMITIAN_TOL:
             raise DimensionMismatch(f"state norm is {n!r}, expected 1")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "amplitudes", _read_only_copy(v))
 
     @property
     def dim(self) -> int:
@@ -120,6 +123,10 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def __post_init__(self):
+        for name in ("eigenvalues", "eigenvectors"):
+            object.__setattr__(self, name, _read_only_copy(getattr(self, name)))
+
 
 @dataclass(frozen=True, eq=False)
 class EnergyBasis:
@@ -138,8 +145,8 @@ class EnergyBasis:
         if not (np.isfinite(b).all()
                 and np.abs(b.conj().T @ b - np.eye(b.shape[0])).max() <= ORTHO_TOL):
             raise DimensionMismatch("basis columns are not orthonormal")
-        object.__setattr__(self, "levels", e)
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "levels", _read_only_copy(e))
+        object.__setattr__(self, "basis", _read_only_copy(b))
 
     @property
     def dim(self) -> int:

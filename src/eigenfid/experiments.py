@@ -165,8 +165,8 @@ class SweepResult:
 #
 # A mode's drive key names the (nbar, fano) of the drive a grid point's
 # gates use; its head turns the point into the row's leading cells and the
-# gate it describes: (cells, tau, C, asymptote). Every row then runs the
-# same tail: C-fold concatenation of its channel, purity bracket.
+# gate it describes: (cells, tau, C). Every row then runs the same tail:
+# C-fold concatenation of its channel, purity bracket, asymptote at (key, tau).
 
 def _drive(config: SweepConfig, nbar: float, fano):
     if config.drive_kind == "poisson":
@@ -185,13 +185,13 @@ def _own_drive(config: SweepConfig, nbar: float, fano, *rest) -> tuple:
 
 def _scaling_head(config: SweepConfig, drive, nbar: float, fano, tau: float) -> tuple:
     cells = (config.drive_kind, nbar, drive.fano, tau)
-    return cells, tau, 1, _asymptote(config, nbar, fano, tau)
+    return cells, tau, 1
 
 
 def _concat_head(config: SweepConfig, drive, nbar: float, fano, count: int,
                  tau: float) -> tuple:
     cells = (config.drive_kind, nbar, drive.fano, count, tau, count * tau)
-    return cells, tau, count, _asymptote(config, nbar, fano, tau)
+    return cells, tau, count
 
 
 def _split_drive(config: SweepConfig, nbar_total: float, tau_total: float,
@@ -217,14 +217,14 @@ def _split_head(config: SweepConfig, drive, nbar_total: float, tau_total: float,
         sub_tau = tau_total / count
     cells = (config.drive_kind, nbar_total, count, config.split_convention, sub_nbar,
              sub_tau, count * sub_nbar)
-    return cells, sub_tau, count, _asymptote(config, sub_nbar, None, sub_tau)
+    return cells, sub_tau, count
 
 
 class _Mode(NamedTuple):
     axes: tuple      # SweepConfig grid fields, in product order
     columns: tuple   # leading columns, the cells a head returns
     drive_key: Callable  # (config, *point) -> (nbar, fano) of the point's drive
-    head: Callable   # (config, drive, *point) -> (cells, tau, C, asymptote)
+    head: Callable   # (config, drive, *point) -> (cells, tau, C)
 
 
 _MODES = {
@@ -269,13 +269,13 @@ def _evaluate(work: tuple) -> list:
         s, slack, residual = _powers(base[ks], base_residual[ks], count)
         s_bar = 1.0 - _purities(s)
         for j, (i, lo, hi) in enumerate(zip(members, (s_bar / 2.0).tolist(), s_bar.tolist())):
-            (index, _), (cells, _, _, asymptote) = points[i], gates[i]
+            (index, _), (cells, tau, _) = points[i], gates[i]
             mc = ()
             if sampler:
                 ch = QubitChannel._trusted(s[j], float(slack[j]), residual[j])
                 mean, err = mc_channel_eigenfidelity(ch, sampler.child(index), config.mc_samples)
                 mc = (1.0 - mean, err)
-            rows[i] = (index, cells + (lo, lo, hi, asymptote), mc)
+            rows[i] = (index, cells + (lo, lo, hi, _asymptote(config, *key, tau)), mc)
     ms = (time.perf_counter() - t0) * 1e3 / len(rows)
     return [(index, lead + (ms,) + mc) for index, lead, mc in rows]
 

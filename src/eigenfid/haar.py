@@ -39,6 +39,23 @@ def sample_count(n) -> int:
     return integer(n, "sample count", DimensionMismatch, 0, MAX_SAMPLES)
 
 
+def _estimate_count(n) -> int:
+    """sample_count(n) for a Monte Carlo estimate: its standard error needs n >= 2."""
+    n = sample_count(n)
+    if n < 2:
+        raise DimensionMismatch("need at least 2 samples for a standard error")
+    return n
+
+
+def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """vals.mean() and vals.std(ddof=1) / sqrt(n), bit for bit, overwriting vals."""
+    n = len(vals)
+    mean = vals.sum() / n
+    vals -= mean
+    np.square(vals, out=vals)
+    return float(mean), float(np.sqrt(vals.sum() / (n - 1)) / np.sqrt(n))
+
+
 @dataclass
 class SeededSampler:
     """Stateful Haar sampler; identical (seed, dim) gives identical streams."""
@@ -141,9 +158,5 @@ def mc_average(
     Returns (mean, stderr) where stderr uses the unbiased variance
     estimator. Needs n_samples >= 2 for the variance to exist.
     """
-    n_samples = sample_count(n_samples)
-    if n_samples < 2:
-        raise DimensionMismatch("need at least 2 samples for a standard error")
-    amps = sampler.sample_amplitudes(n_samples)
-    vals = np.array([f(PureState(a)) for a in amps], dtype=float)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
+    amps = sampler.sample_amplitudes(_estimate_count(n_samples))
+    return _mean_stderr(np.array([f(PureState(a)) for a in amps], dtype=float))

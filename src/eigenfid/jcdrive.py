@@ -23,6 +23,7 @@ import numpy as np
 
 from ._domain import EXACT, integer, real
 from .channel import CP_TOL, QubitChannel, _check_transfers
+from .densmat import _read_only_copy
 from .errors import (
     ApproximationDomain,
     DimensionMismatch,
@@ -33,7 +34,6 @@ from .errors import (
 )
 
 NORMALIZATION_TOL = 1e-12
-MOMENT_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-12
 TAYLOR2_CP_SLACK = 1e-3
 
@@ -68,29 +68,33 @@ def _amplitudes(coefficients) -> np.ndarray:
 class DriveDistribution:
     """Drive state amplitudes b_n on a contiguous photon-number window.
 
-    mean and variance are the realized moments of |b_n|^2; requested
-    parameters that differ (truncation, literal-width binomial mode) are
-    recorded in metadata. The window bounds must be integers in [0, 2**53];
-    they are stored as int. The coefficients are checked as given (a
-    float64 array is not converted) and then copied once, into the
+    mean and variance are the moments of |b_n|^2, computed at construction;
+    requested parameters that differ (truncation, literal-width binomial
+    mode) are recorded in metadata. The window bounds must be integers in
+    [0, 2**53]; they are stored as int. The coefficients are checked as given
+    (a float64 array is not converted) and then copied once, into the
     read-only complex array kept. For a float64 input of L levels the
     construction peaks at 32 L bytes, input and kept copy included.
     """
 
     kind: str
-    mean: float
-    variance: float
+    mean: float = field(init=False)
+    variance: float = field(init=False)
     coefficients: np.ndarray
     n_min: int
     n_max: int
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        real(self.mean, "mean")
-        real(self.variance, "variance")
-        n_min = integer(self.n_min, "integer photon number n_min")
-        n_max = integer(self.n_max, "integer photon number n_max")
-        b = _amplitudes(self.coefficients)
+        self._adopt(self.kind, self.coefficients, self.n_min, self.n_max, self.metadata)
+
+    def _adopt(self, kind: str, coefficients, n_min, n_max, metadata: dict,
+               moments: tuple[float, float] | None = None) -> DriveDistribution:
+        """Check and store the drive; its moments are those of |b_n|^2
+        unless the caller's (mean, variance) are given."""
+        n_min = integer(n_min, "integer photon number n_min")
+        n_max = integer(n_max, "integer photon number n_max")
+        b = _amplitudes(coefficients)
         if b.ndim != 1 or len(b) != n_max - n_min + 1:
             raise DimensionMismatch(
                 f"need {n_max - n_min + 1} coefficients for window "
@@ -98,23 +102,19 @@ class DriveDistribution:
             )
         w = np.abs(b)  # for real x, abs(x) == abs(complex(x)) exactly
         np.square(w, out=w)
-        # written so that a NaN fails each check
+        # written so that a NaN fails the check
         if not abs(w.sum() - 1.0) <= NORMALIZATION_TOL:
             raise UnsupportedParameters(
                 f"coefficients not normalized: sum |b_n|^2 = {w.sum():.15f}"
             )
-        mean, var = _moments(w, np.arange(n_min, n_max + 1))
-        if not (abs(mean - self.mean) <= MOMENT_TOL and abs(var - self.variance) <= MOMENT_TOL):
-            raise UnsupportedParameters(
-                f"stored moments ({self.mean}, {self.variance}) disagree with "
-                f"realized ({mean}, {var})"
-            )
+        mean, variance = moments or _moments(w, np.arange(n_min, n_max + 1))
         b = np.array(b, dtype=complex)
         b.setflags(write=False)
-        object.__setattr__(self, "coefficients", b)
-        object.__setattr__(self, "n_min", n_min)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        for name, value in (("kind", kind), ("mean", mean), ("variance", variance),
+                            ("coefficients", b), ("n_min", n_min), ("n_max", n_max),
+                            ("metadata", dict(metadata))):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def support(self) -> np.ndarray:
@@ -175,9 +175,7 @@ class FMatrixSet:
                 raise DimensionMismatch(f"{name} must be 2x2")
             if not np.isfinite(m).all():
                 raise UnsupportedParameters(f"{name} must have finite entries")
-            m = m.copy()
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, _read_only_copy(m))
         if not (abs(np.trace(self.F00) - 1) <= 1e-12 and abs(np.trace(self.F11) - 1) <= 1e-12):
             raise UnsupportedParameters("diagonal F matrices must have unit trace")
         if not abs(np.trace(self.F01)) <= 1e-12:
@@ -243,11 +241,12 @@ def _poisson_logpmf(nbar: float, start: int, stop: int) -> np.ndarray:
 
 def _weights_drive(kind: str, w: np.ndarray, n_min: int, metadata: dict) -> DriveDistribution:
     """The drive with |b_n|^2 = w from level n_min: the moments are taken
-    from w, which then holds the amplitudes sqrt(w)."""
+    from w, which then holds the amplitudes sqrt(w). They round as these
+    weights do, not as |sqrt(w)|^2 would."""
     n_max = n_min + len(w) - 1
-    mean, var = _moments(w, np.arange(n_min, n_max + 1))
-    return DriveDistribution(kind=kind, mean=mean, variance=var, coefficients=np.sqrt(w, out=w),
-                             n_min=n_min, n_max=n_max, metadata=metadata)
+    moments = _moments(w, np.arange(n_min, n_max + 1))
+    return object.__new__(DriveDistribution)._adopt(kind, np.sqrt(w, out=w), n_min, n_max,
+                                                    metadata, moments)
 
 
 def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistribution:
@@ -390,14 +389,8 @@ def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
     norm = np.linalg.norm(b)
     if norm == 0:
         raise UnsupportedParameters("coefficients must not all vanish")
-    b = b / norm
-    n = np.arange(n_min, n_min + len(b))
-    w = np.abs(b) ** 2
-    mean, var = _moments(w, n)
-    return DriveDistribution(
-        kind="custom", mean=mean, variance=var, coefficients=b,
-        n_min=n_min, n_max=n_min + len(b) - 1,
-    )
+    return DriveDistribution(kind="custom", coefficients=b / norm,
+                             n_min=n_min, n_max=n_min + len(b) - 1)
 
 
 # ---------------------------------------------------------------------------

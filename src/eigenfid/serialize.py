@@ -35,7 +35,9 @@ SCHEMA_VERSION = 1
 
 # a sweep document holds SweepConfig's fields, with the drive kind inside "drive"
 _SWEEP_KEYS = {f.name for f in fields(SweepConfig)} - {"drive_kind"} | {"schema", "drive"}
-_DRIVE_KEYS = {"kind", "nbar", "fano", "N", "coeffs"}
+# N and coeffs describe one standalone drive, which no sweep reads
+_SWEEP_DRIVE_KEYS = {"kind", "nbar", "fano"}
+_DRIVE_KEYS = _SWEEP_DRIVE_KEYS | {"N", "coeffs"}
 _STATE_KEYS = {"schema", "type", "matrix"}
 _CHANNEL_KEYS = {"schema", "type", "images"}
 
@@ -134,7 +136,7 @@ def sweep_config_from_dict(data: dict, expected_mode: str | None = None) -> Swee
 
     if "drive" not in data:
         _fail("/drive", "missing required field")
-    drive = _check_object(data["drive"], _DRIVE_KEYS, "/drive")
+    drive = _check_object(data["drive"], _SWEEP_DRIVE_KEYS, "/drive")
     if "kind" not in drive:
         _fail("/drive/kind", "missing required field")
 

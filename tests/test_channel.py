@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -877,3 +878,21 @@ def test_array_holders_compare_and_hash_by_identity(name):
     assert a != b and not a == b
     assert hash(a) == hash(a)
     assert len({a, a, b}) == 2
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_HOLDERS))
+def test_array_holders_keep_read_only_copies(name):
+    held = _ARRAY_HOLDERS[name]()
+    # the same value built again from writable arrays, which are then overwritten
+    inputs = {f.name: getattr(held, f.name) for f in fields(held) if f.init}
+    inputs = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in inputs.items()}
+    built = type(held)(**inputs)
+    for obj in (held, built):
+        arrays = [k for k, v in vars(obj).items() if isinstance(v, np.ndarray)]
+        assert arrays and not [k for k in arrays if getattr(obj, k).flags.writeable]
+    kept = {k: v.copy() for k, v in vars(built).items() if isinstance(v, np.ndarray)}
+    for v in inputs.values():
+        if isinstance(v, np.ndarray):
+            v[...] = 7
+    for k, v in kept.items():
+        np.testing.assert_array_equal(getattr(built, k), v, err_msg=k)

@@ -272,7 +272,7 @@ VALID = {
     "random_density_matrix": lambda: _call(np.random.default_rng(1), 2),
     "sample_pure": lambda: _call(SeededSampler(1, 2)),
     # jcdrive
-    "DriveDistribution": lambda: _call("custom", 1.5, 0.25, [0.5 ** 0.5] * 2, 1, 2),
+    "DriveDistribution": lambda: _call("custom", [0.5 ** 0.5] * 2, 1, 2),
     "FMatrixSet": lambda: (lambda f: _call(f.F00, f.F01, f.F10, f.F11))(
         f_matrices(4, 0.3, 4.0, poisson_drive(4.0))),
     "JCConfig": lambda: _call(tau=1.0, coupling=1.0),

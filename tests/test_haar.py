@@ -113,6 +113,15 @@ class TestMcAverage:
         with pytest.raises(DimensionMismatch):
             mc_average(lambda psi: 1.0, SeededSampler(0, 2), 1)
 
+    @pytest.mark.parametrize("n", [2, 3, 1001])
+    def test_is_numpys_mean_and_standard_error_bit_for_bit(self, n):
+        def f(psi: PureState) -> float:
+            return float(np.abs(psi.amplitudes[0]) ** 2)
+
+        vals = np.array([f(PureState(a)) for a in SeededSampler(5, 2).sample_amplitudes(n)])
+        assert mc_average(f, SeededSampler(5, 2), n) == (
+            float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)))
+
 
 class TestRandomDensityMatrix:
     @pytest.mark.parametrize("dim", [2, 4, 7])

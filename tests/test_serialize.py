@@ -109,7 +109,10 @@ class TestSweepConfigDocument:
             (lambda d: d.pop("mode"), "/mode"),
             (lambda d: d.pop("drive"), "/drive"),
             (lambda d: d["drive"].pop("kind"), "/drive/kind"),
-            (lambda d: d["drive"].update(kind="fock", N=3), "/drive/kind"),
+            (lambda d: d["drive"].update(kind="fock"), "/drive/kind"),
+            # fields of standalone drive documents that a sweep never reads
+            (lambda d: d["drive"].update(N=3), "/drive/N"),
+            (lambda d: d["drive"].update(coeffs=[[1.0, 0.0]]), "/drive/coeffs"),
             (lambda d: d["drive"].pop("nbar"), "/nbar_grid"),
             (lambda d: d.update(nbar_grid=[25.0, -1.0]), "/nbar_grid/1"),
             (lambda d: d.update(nbar_grid=["x"]), "/nbar_grid/0"),
