@@ -34,7 +34,6 @@ from .densmat import (
     DensityMatrix,
     EnergyBasis,
     PureState,
-    Spectrum,
     closest_pure_state,
     effective_temperature,
     eigendecompose,

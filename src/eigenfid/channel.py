@@ -168,6 +168,9 @@ def apply(channel: QubitChannel, rho: DensityMatrix) -> DensityMatrix:
         raise DimensionMismatch(f"qubit channel applied to d={rho.dim} state")
     out = (channel._transfer @ rho.matrix.reshape(4)).reshape(2, 2)
     out = (out + out.conj().T) / 2
+    # a trace defect within TP_TOL is projected away like negative weight
+    # within CP_TOL below; a unit trace divides exactly
+    out /= np.trace(out).real
     w, v = np.linalg.eigh(out)
     if w.min() < -CP_TOL:
         raise CPViolation(f"output eigenvalue {w.min():.3e} below -{CP_TOL:.0e}")

@@ -21,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import serialize
+from ._domain import integer
 from ._version import __version__
 from .channel import (
     QubitChannel,
@@ -41,7 +42,7 @@ from .densmat import (
 )
 from .errors import EigenfidError, SchemaError
 from .experiments import MODES, run, write_csv, write_sidecar
-from .haar import random_density_matrix
+from .haar import _SEED_MAX, random_density_matrix
 from .qsl import qsl_eigenerror_bound
 
 logger = logging.getLogger("eigenfid.cli")
@@ -146,35 +147,33 @@ def _sidecar_path(output: str) -> str:
 
 
 def _bounds_check(args: argparse.Namespace) -> int:
-    if args.dim < 2:
-        print("eigenfid: config error: --dim must be at least 2", file=sys.stderr)
+    try:
+        dim = integer(args.dim, "--dim", lo=2)
+        trials = integer(args.trials, "--trials", lo=1)
+        seed = integer(args.seed, "--seed", hi=_SEED_MAX)
+    except EigenfidError as exc:
+        print(f"eigenfid: config error: {exc}", file=sys.stderr)
         return 2
-    if args.trials < 1:
-        print("eigenfid: config error: --trials must be positive", file=sys.stderr)
-        return 2
-    if not 0 <= args.seed < 2 ** 64:
-        print("eigenfid: config error: --seed must fit in 64 bits", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     margin = 1e-10
     ok_overlap = ok_norms = ok_purity = True
-    for _ in range(args.trials):
-        rho = random_density_matrix(rng, args.dim)
+    for _ in range(trials):
+        rho = random_density_matrix(rng, dim)
         r = eigenfidelity(rho)
 
-        z = rng.standard_normal(args.dim) + 1j * rng.standard_normal(args.dim)
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         phi = PureState(z / np.linalg.norm(z))
         if fidelity_to_pure(rho, phi) > r + margin:
             ok_overlap = False
 
         for p in (2.0, 3.0, 64.0):
             norm = schatten_norm(rho, p)
-            lower = max(norm / args.dim ** (1.0 / p), norm ** (p / (p - 1.0)))
+            lower = max(norm / dim ** (1.0 / p), norm ** (p / (p - 1.0)))
             if not (lower - margin <= r <= norm + margin):
                 ok_norms = False
 
-        gamma = purity(rho)
-        if not (gamma - margin <= r <= (1 + gamma) / 2 + margin):
+        lo, hi = eigenfidelity_bounds(rho)
+        if not (lo - margin <= r <= hi + margin):
             ok_purity = False
         s_lin = linear_entropy(rho)
         eps = 1.0 - r

@@ -36,6 +36,13 @@ def _as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def _as_vector(v, dtype) -> np.ndarray:
+    a = np.asarray(v, dtype=dtype)
+    if a.ndim != 1:
+        raise DimensionMismatch(f"expected a vector, got shape {a.shape}")
+    return a
+
+
 def _read_only_copy(a) -> np.ndarray:
     """What a value type stores of an array argument: a C-order copy, read-only."""
     a = np.array(a, order="C")
@@ -94,7 +101,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        v = _as_vector(self.amplitudes, complex)
         n = np.linalg.norm(v)
         if not abs(n - 1.0) <= HERMITIAN_TOL:
             raise DimensionMismatch(f"state norm is {n!r}, expected 1")
@@ -106,7 +113,7 @@ class PureState:
 
     @classmethod
     def from_vector(cls, v) -> "PureState":
-        a = np.asarray(v, dtype=complex).reshape(-1)
+        a = _as_vector(v, complex)
         n = np.linalg.norm(a)
         if n == 0:
             raise DimensionMismatch("cannot normalize the zero vector")
@@ -117,18 +124,6 @@ class PureState:
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues sorted descending with matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        for name in ("eigenvalues", "eigenvectors"):
-            object.__setattr__(self, name, _read_only_copy(getattr(self, name)))
-
-
-@dataclass(frozen=True, eq=False)
 class EnergyBasis:
     """Strictly increasing energy levels with orthonormal basis columns."""
 
@@ -136,12 +131,12 @@ class EnergyBasis:
     basis: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.levels, dtype=float).reshape(-1)
+        e = _as_vector(self.levels, float)
         b = _as_complex_matrix(self.basis)
         if b.shape[0] != e.shape[0]:
             raise DimensionMismatch("levels and basis dimensions differ")
-        if not np.all(np.diff(e) > 0):
-            raise DimensionMismatch("energy levels must be strictly increasing")
+        if not (np.isfinite(e).all() and np.all(np.diff(e) > 0)):
+            raise DimensionMismatch("energy levels must be finite and strictly increasing")
         if not (np.isfinite(b).all()
                 and np.abs(b.conj().T @ b - np.eye(b.shape[0])).max() <= ORTHO_TOL):
             raise DimensionMismatch("basis columns are not orthonormal")
@@ -154,30 +149,31 @@ class EnergyBasis:
 
     @classmethod
     def computational(cls, levels) -> "EnergyBasis":
-        e = np.asarray(levels, dtype=float).reshape(-1)
+        e = _as_vector(levels, float)
         return cls(e, np.eye(e.shape[0], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
 # spectra and fidelities
 
-def eigendecompose(rho: DensityMatrix) -> Spectrum:
-    """Spectral decomposition with eigenvalues sorted descending.
+def eigendecompose(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues sorted descending and their orthonormal eigenvector columns, read-only.
 
     The input is symmetrized as (M + M^dag)/2 before decomposition to keep
     accumulated round-off from leaking into positivity checks downstream.
     """
     m = rho.matrix
-    if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
-        raise NonHermitianInput("input stopped being Hermitian")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     order = np.argsort(w)[::-1]
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
+    w, v = w[order], v[:, order]
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 def eigenfidelity(rho: DensityMatrix) -> float:
     """Largest eigenvalue of rho: the best fidelity to any pure target."""
-    return float(eigendecompose(rho).eigenvalues[0])
+    w, _ = eigendecompose(rho)
+    return float(w[0])
 
 
 def eigenerror(rho: DensityMatrix) -> float:
@@ -192,8 +188,8 @@ def closest_pure_state(rho: DensityMatrix) -> tuple[float, PureState]:
     eigenspace attains the maximum; the one the decomposition yields is
     returned.
     """
-    spec = eigendecompose(rho)
-    return float(spec.eigenvalues[0]), PureState.from_vector(spec.eigenvectors[:, 0])
+    w, v = eigendecompose(rho)
+    return float(w[0]), PureState.from_vector(v[:, 0])
 
 
 def fidelity_to_pure(rho: DensityMatrix, phi: PureState) -> float:
@@ -207,7 +203,7 @@ def fidelity_to_pure(rho: DensityMatrix, phi: PureState) -> float:
 def _clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     # PSD slack in (-1e-10, 0) is clamped to zero; anything worse was
     # rejected at construction.
-    w = eigendecompose(rho).eigenvalues
+    w, _ = eigendecompose(rho)
     return np.clip(w, 0.0, None)
 
 

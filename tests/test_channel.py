@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
+import eigenfid
 import oracles
 from conftest import random_channel
 from eigenfid import (
@@ -32,7 +33,6 @@ from eigenfid import (
     compose,
     concatenate,
     cp_residual,
-    eigendecompose,
     eigenfidelity,
     f_matrices,
     mc_average_purity,
@@ -201,6 +201,17 @@ class TestApply:
         )
         with pytest.raises(CPViolation):
             apply(chan, DensityMatrix(KET0))
+
+    @pytest.mark.parametrize("count", [1, 10, 100, 1000, 5000])
+    def test_projects_a_trace_defect_within_tp_tol(self, count):
+        # from C = 100 on, the trace defect (1e-12 to 5e-11) is within TP_TOL
+        # but not within a state's trace tolerance (1e-12)
+        chan = concatenate(build_channel_exact(binomial_drive(100.0, 20.0), JCConfig(tau=1.0)),
+                           count)
+        out = apply(chan, DensityMatrix(KET0))
+        ref = oracles.transfer_apply(chan.images(), KET0)
+        assert abs(np.trace(out.matrix).real - 1.0) <= 1e-12
+        np.testing.assert_allclose(out.matrix, ref, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -863,11 +874,18 @@ _ARRAY_HOLDERS = {
     "ChoiMatrix": lambda: choi_matrix(QubitChannel.identity(), TargetGate.identity()),
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2),
     "PureState": lambda: PureState(np.array([1.0, 0.0])),
-    "Spectrum": lambda: eigendecompose(DensityMatrix(np.eye(2) / 2)),
     "EnergyBasis": lambda: EnergyBasis(np.array([0.0, 1.0]), np.eye(2)),
     "DriveDistribution": lambda: poisson_drive(4.0),
     "FMatrixSet": lambda: f_matrices(4, 0.3, 4.0, poisson_drive(4.0)),
 }
+
+
+def test_array_holders_are_the_public_dataclasses_with_array_fields():
+    # the annotation is a string under `from __future__ import annotations`
+    holders = {name for name in eigenfid.__all__
+               if isinstance(cls := getattr(eigenfid, name), type) and is_dataclass(cls)
+               and any(f.type == "np.ndarray" for f in fields(cls))}
+    assert holders == set(_ARRAY_HOLDERS)
 
 
 @pytest.mark.parametrize("name", list(_ARRAY_HOLDERS))

@@ -120,7 +120,9 @@ class TestBoundsCheck:
     ])
     def test_bad_arguments_exit_two(self, capsys, argv):
         assert main(argv) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"config error: {argv[1]} must be in [" in err
 
 
 class TestInspect:

@@ -98,34 +98,65 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             EnergyBasis(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, math.nan]]))
 
+    @pytest.mark.parametrize("build", [PureState, PureState.from_vector])
+    @pytest.mark.parametrize("amplitudes", [np.eye(2) / np.sqrt(2), np.array([[1.0], [0.0]]),
+                                            np.array(1.0)])
+    def test_pure_state_needs_a_vector(self, build, amplitudes):
+        # flattening would turn a 2x2 matrix into a 4-level state
+        with pytest.raises(DimensionMismatch):
+            build(amplitudes)
+
+    def test_energy_basis_needs_a_level_vector(self):
+        with pytest.raises(DimensionMismatch):
+            EnergyBasis(np.array([[0.0], [1.0]]), np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            EnergyBasis.computational(np.array([[0.0, 1.0]]))
+
+    @pytest.mark.parametrize("levels", [[0.0, math.inf], [-math.inf, 0.0], [0.0, math.nan]])
+    def test_energy_basis_needs_finite_levels(self, levels):
+        # an infinite gap made effective_temperature return inf
+        with pytest.raises(DimensionMismatch):
+            EnergyBasis(np.array(levels), np.eye(2))
+
 
 # ---------------------------------------------------------------------------
 # spectra
 
 class TestEigendecompose:
     def test_diagonal_matrix(self):
-        spec = eigendecompose(DensityMatrix.diagonal([0.5, 0.3, 0.2]))
-        np.testing.assert_allclose(spec.eigenvalues, [0.5, 0.3, 0.2], atol=1e-14)
+        w, _ = eigendecompose(DensityMatrix.diagonal([0.5, 0.3, 0.2]))
+        np.testing.assert_allclose(w, [0.5, 0.3, 0.2], atol=1e-14)
 
     def test_pure_projector(self):
-        spec = eigendecompose(DensityMatrix.diagonal([1.0, 0.0]))
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 0.0], atol=1e-14)
+        w, _ = eigendecompose(DensityMatrix.diagonal([1.0, 0.0]))
+        np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-14)
 
     def test_matches_power_iteration_oracle(self, rng):
         rho = random_density_matrix(rng, 4)
-        spec = eigendecompose(rho)
+        w, _ = eigendecompose(rho)
         ref, _ = oracles.power_spectrum(rho.matrix)
-        np.testing.assert_allclose(spec.eigenvalues, ref, atol=1e-8)
+        np.testing.assert_allclose(w, ref, atol=1e-8)
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_spectrum_invariants(self, rng, dim):
         rho = random_density_matrix(rng, dim)
-        spec = eigendecompose(rho)
-        w, v = spec.eigenvalues, spec.eigenvectors
+        w, v = eigendecompose(rho)
         assert np.all(np.diff(w) <= 1e-15)
         assert abs(w.sum() - 1.0) < 1e-10
         assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-10
         assert np.abs(rho.matrix - (v * w) @ v.conj().T).max() < 1e-10
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_pair_is_the_sorted_eigh_of_the_symmetrized_matrix(self, rng, dim):
+        rho = random_density_matrix(rng, dim)
+        m = rho.matrix
+        w_ref, v_ref = np.linalg.eigh((m + m.conj().T) / 2)
+        order = np.argsort(w_ref)[::-1]
+        pair = eigendecompose(rho)
+        assert isinstance(pair, tuple) and len(pair) == 2
+        for got, ref in zip(pair, (w_ref[order], v_ref[:, order])):
+            assert not got.flags.writeable
+            assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +254,7 @@ class TestSchattenNorm:
         for _ in range(50):
             rho = random_density_matrix(rng, int(rng.integers(2, 9)))
             with mpmath.workdps(40):
-                w = [mpmath.mpf(float(x)) for x in np.clip(eigendecompose(rho).eigenvalues, 0, None)]
+                w = [mpmath.mpf(float(x)) for x in np.clip(eigendecompose(rho)[0], 0, None)]
                 order = mpmath.mpf(float(p))
                 ref = float(mpmath.fsum([x ** order for x in w]) ** (1 / order))
             assert abs(schatten_norm(rho, p) - ref) <= 1e-15 * ref
@@ -300,7 +331,7 @@ class TestPurityBounds:
 
     def test_purity_equals_spectral_sum(self, rng):
         rho = random_density_matrix(rng, 6)
-        w = eigendecompose(rho).eigenvalues
+        w, _ = eigendecompose(rho)
         assert abs(purity(rho) - float(np.sum(w**2))) < 1e-12
 
     def test_brackets_hold_on_random_states(self, rng):

@@ -244,7 +244,6 @@ VALID = {
     "DensityMatrix": lambda: _call(np.eye(2) / 2),
     "EnergyBasis": lambda: _call(np.array([0.0, 1.0]), np.eye(2)),
     "PureState": lambda: _call(np.array([1.0, 0.0])),
-    "Spectrum": lambda: _call(np.array([1.0, 0.0]), np.eye(2)),
     "closest_pure_state": lambda: _call(_state()),
     "effective_temperature": lambda: _call(_state(), _two_level()),
     "eigendecompose": lambda: _call(_state()),
