@@ -1,9 +1,11 @@
-"""Scalar argument domains: one real check and one integer check.
+"""Argument domains: one real check, one integer check and one array check.
 
-Every numeric scalar argument of the public surface goes through one of the two.
-Each takes the error class to raise and the subject its message names; for
-a SchemaError the subject is the field's JSON pointer. A bool is never a
-number here, and NaN is outside every domain.
+Every numeric scalar argument of the public surface goes through real or
+integer, and every array argument through array. Each takes the error class
+to raise and the subject its message names; for a SchemaError the subject is
+the field's JSON pointer. A bool is never a number here, and NaN is outside
+every domain. An array's message names its dtype or shape, never its entries,
+and a wrong shape raises DimensionMismatch whatever the caller's class.
 """
 
 from __future__ import annotations
@@ -12,12 +14,15 @@ import math
 import numbers
 from typing import NoReturn
 
-from .errors import SchemaError, UnsupportedParameters
+import numpy as np
+
+from .errors import DimensionMismatch, SchemaError, UnsupportedParameters
 
 # every integer of at most this magnitude is exact as a float; the default
 # ceiling of integer arguments, and the ceiling of means, times and angles
 EXACT = 2 ** 53
 _NAMED = {EXACT: "2**53", -EXACT: "-2**53"}
+_SHAPES = {(None,): "a nonempty vector", (None, None): "a nonempty square matrix"}
 
 
 def real(value, what: str, error: type = UnsupportedParameters, lo: float = -math.inf,
@@ -31,7 +36,7 @@ def real(value, what: str, error: type = UnsupportedParameters, lo: float = -mat
     # a float is let through first: the numbers.Real check alone takes ~0.7 us
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            _fail(error, what, "a real number", value)
+            _fail(error, what, "a real number", _shown(value))
         try:
             number = float(value)
         except OverflowError:
@@ -46,7 +51,7 @@ def real(value, what: str, error: type = UnsupportedParameters, lo: float = -mat
         domain = "finite" if finite else "a number"
     else:
         domain = f"in {'(' if lo_open else '['}{_NAMED.get(lo, lo)}, {_NAMED.get(hi, hi)}]"
-    _fail(error, what, domain, value)
+    _fail(error, what, domain, _shown(value))
 
 
 def integer(value, what: str, error: type = UnsupportedParameters, lo: float = 0,
@@ -62,21 +67,54 @@ def integer(value, what: str, error: type = UnsupportedParameters, lo: float = 0
         if isinstance(value, numbers.Integral) and not isinstance(value, bool):
             value = int(value)
         elif strict or isinstance(value, bool) or not isinstance(value, numbers.Real):
-            _fail(error, what, "an integer" if strict else "a number", given)
+            _fail(error, what, "an integer" if strict else "a number", _shown(given))
         elif math.isfinite(value) and abs(value - round(value)) <= slack:
             value = int(round(value))
         else:
-            _fail(error, what, "an integer", given)
+            _fail(error, what, "an integer", _shown(given))
     if lo <= value <= hi:
         return value
-    _fail(error, what, f"in [{_NAMED.get(lo, lo)}, {_NAMED.get(hi, hi)}]", given)
+    _fail(error, what, f"in [{_NAMED.get(lo, lo)}, {_NAMED.get(hi, hi)}]", _shown(given))
 
 
-def _fail(error: type, what: str, domain: str, value) -> NoReturn:
+def array(value, what: str, error: type = UnsupportedParameters, *, dtype=complex,
+          shape: tuple, finite: bool = True) -> np.ndarray:
+    """value as an array of dtype and shape; finite unless finite is False.
+
+    dtype is complex, float (a complex array fails) or None: a float64 or
+    complex128 array is then kept and other numbers become the one of the two
+    that holds them. An array already of the returned dtype is not copied.
+    shape gives each axis length, or None for a nonzero length every None
+    axis shares: (None,) is a nonempty vector and (None, None) a nonempty
+    square matrix. Ragged nesting, strings, objects and bools are not arrays
+    of numbers.
+    """
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        _fail(error, what, "an array of numbers", "a ragged sequence")
+    kind = a.dtype.kind
+    if kind not in "iufc" or (kind == "c" and dtype is float):
+        domain = "an array of real numbers" if dtype is float else "an array of numbers"
+        _fail(error, what, domain, f"dtype {a.dtype}")
+    a = np.asarray(a, dtype=dtype or (complex if kind == "c" else float))
+    free = a.shape[shape.index(None)] if None in shape and a.ndim == len(shape) else None
+    if free == 0 or a.shape != tuple(free if n is None else n for n in shape):
+        _fail(DimensionMismatch, what, _SHAPES.get(shape, f"of shape {shape}"),
+              f"shape {a.shape}")
+    if finite and not np.isfinite(a).all():
+        _fail(error, what, "finite", "a non-finite entry")
+    return a
+
+
+def _shown(value) -> str:
     # an integer past the float range is named, not printed: str() of one
     # with more than 4300 digits raises
-    shown = ("an integer too large for a float"
-             if isinstance(value, int) and value.bit_length() > 1024 else repr(value))
+    return ("an integer too large for a float"
+            if isinstance(value, int) and value.bit_length() > 1024 else repr(value))
+
+
+def _fail(error: type, what: str, domain: str, shown: str) -> NoReturn:
     text = f"must be {domain}, got {shown}"
     if issubclass(error, SchemaError):
         raise error(what, text)

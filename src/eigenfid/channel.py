@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import integer, real
+from ._domain import array, integer, real
 from .densmat import DensityMatrix, _read_only_copy
 from .errors import CPViolation, DimensionMismatch, NonHermitianInput
 from .haar import _BLOCK, SeededSampler, _estimate_count, _mean_stderr
@@ -34,13 +34,6 @@ HERM_TOL = 1e-10
 CP_TOL = 1e-8
 UNITARY_TOL = 1e-12
 _TRACES = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)  # tr E_ij; complex, so no cast per check
-
-
-def _as_2x2(m, name: str) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (2, 2):
-        raise DimensionMismatch(f"{name} must be 2x2, got shape {a.shape}")
-    return a
 
 
 _IMAGES = ("E00", "E01", "E10", "E11")
@@ -70,7 +63,9 @@ class QubitChannel:
     cp_slack: float = CP_TOL
 
     def __post_init__(self):
-        rows = np.array([_as_2x2(getattr(self, name), name) for name in _IMAGES])
+        # no finiteness check: the channel checks below fail on NaN and inf
+        rows = np.array([array(getattr(self, name), name, NonHermitianInput, shape=(2, 2),
+                               finite=False) for name in _IMAGES])
         rows = rows.reshape(4, 4)  # row 2i+j is vec(E_ij), so S = rows.T
         slack = real(self.cp_slack, "cp_slack", CPViolation, 0, finite=False)
         self._adopt(rows, slack, _check_transfers(rows.T[None], slack)[0])
@@ -95,7 +90,7 @@ class QubitChannel:
 
     @classmethod
     def from_images(cls, e00, e01, e11, cp_slack: float = CP_TOL) -> "QubitChannel":
-        e01 = _as_2x2(e01, "E01")
+        e01 = array(e01, "E01", NonHermitianInput, shape=(2, 2), finite=False)
         return cls(e00, e01, e01.conj().T, e11, cp_slack=cp_slack)
 
     @classmethod
@@ -125,8 +120,8 @@ class TargetGate:
     unitary: np.ndarray
 
     def __post_init__(self):
-        u = _as_2x2(self.unitary, "gate")
-        if not (np.isfinite(u).all() and np.abs(u.conj().T @ u - np.eye(2)).max() <= UNITARY_TOL):
+        u = array(self.unitary, "gate", NonHermitianInput, shape=(2, 2))
+        if not np.abs(u.conj().T @ u - np.eye(2)).max() <= UNITARY_TOL:
             raise NonHermitianInput("gate matrix is not unitary")
         object.__setattr__(self, "unitary", _read_only_copy(u))
 
@@ -146,10 +141,8 @@ class ChoiMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.entries, dtype=complex)
-        if s.shape != (4, 4):
-            raise DimensionMismatch(f"Choi matrix must be 4x4, got {s.shape}")
-        if not (np.isfinite(s).all() and np.abs(s - s.conj().T).max() <= HERM_TOL):
+        s = array(self.entries, "Choi matrix", NonHermitianInput, shape=(4, 4))
+        if not np.abs(s - s.conj().T).max() <= HERM_TOL:
             raise NonHermitianInput("Choi matrix is not Hermitian")
         # tracing out the output (second) factor must give the identity,
         # which is trace preservation seen from the Choi side

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import integer, real
+from ._domain import array, integer, real
 from .errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -27,20 +27,6 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 ORTHO_TOL = 1e-10
-
-
-def _as_complex_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _as_vector(v, dtype) -> np.ndarray:
-    a = np.asarray(v, dtype=dtype)
-    if a.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {a.shape}")
-    return a
 
 
 def _read_only_copy(a) -> np.ndarray:
@@ -57,14 +43,12 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = _as_complex_matrix(self.matrix)
-        if not np.isfinite(a).all():
-            raise NonHermitianInput("matrix has non-finite entries")
+        a = array(self.matrix, "density matrix", NonHermitianInput, shape=(None, None))
         if np.abs(a - a.conj().T).max() > HERMITIAN_TOL:
             raise NonHermitianInput(
                 f"matrix deviates from Hermiticity by {np.abs(a - a.conj().T).max():.3e}"
             )
-        tr = np.trace(a).real
+        tr = float(np.trace(a).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise NonHermitianInput(f"trace is {tr!r}, expected 1")
         w = np.linalg.eigvalsh((a + a.conj().T) / 2)
@@ -90,7 +74,7 @@ class DensityMatrix:
 
     @classmethod
     def diagonal(cls, populations) -> "DensityMatrix":
-        p = np.asarray(populations, dtype=float)
+        p = array(populations, "populations", NonHermitianInput, dtype=float, shape=(None,))
         return cls(np.diag(p).astype(complex))
 
 
@@ -101,8 +85,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = _as_vector(self.amplitudes, complex)
-        n = np.linalg.norm(v)
+        v = array(self.amplitudes, "state amplitudes", DimensionMismatch, shape=(None,))
+        n = float(np.linalg.norm(v))
         if not abs(n - 1.0) <= HERMITIAN_TOL:
             raise DimensionMismatch(f"state norm is {n!r}, expected 1")
         object.__setattr__(self, "amplitudes", _read_only_copy(v))
@@ -113,7 +97,7 @@ class PureState:
 
     @classmethod
     def from_vector(cls, v) -> "PureState":
-        a = _as_vector(v, complex)
+        a = array(v, "state amplitudes", DimensionMismatch, shape=(None,))
         n = np.linalg.norm(a)
         if n == 0:
             raise DimensionMismatch("cannot normalize the zero vector")
@@ -131,14 +115,11 @@ class EnergyBasis:
     basis: np.ndarray
 
     def __post_init__(self):
-        e = _as_vector(self.levels, float)
-        b = _as_complex_matrix(self.basis)
-        if b.shape[0] != e.shape[0]:
-            raise DimensionMismatch("levels and basis dimensions differ")
-        if not (np.isfinite(e).all() and np.all(np.diff(e) > 0)):
-            raise DimensionMismatch("energy levels must be finite and strictly increasing")
-        if not (np.isfinite(b).all()
-                and np.abs(b.conj().T @ b - np.eye(b.shape[0])).max() <= ORTHO_TOL):
+        e = array(self.levels, "energy levels", DimensionMismatch, dtype=float, shape=(None,))
+        b = array(self.basis, "basis", DimensionMismatch, shape=(len(e), len(e)))
+        if not np.all(np.diff(e) > 0):
+            raise DimensionMismatch("energy levels must be strictly increasing")
+        if not np.abs(b.conj().T @ b - np.eye(len(e))).max() <= ORTHO_TOL:
             raise DimensionMismatch("basis columns are not orthonormal")
         object.__setattr__(self, "levels", _read_only_copy(e))
         object.__setattr__(self, "basis", _read_only_copy(b))
@@ -149,8 +130,8 @@ class EnergyBasis:
 
     @classmethod
     def computational(cls, levels) -> "EnergyBasis":
-        e = _as_vector(levels, float)
-        return cls(e, np.eye(e.shape[0], dtype=complex))
+        e = array(levels, "energy levels", DimensionMismatch, dtype=float, shape=(None,))
+        return cls(e, np.eye(len(e), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +182,28 @@ def fidelity_to_pure(rho: DensityMatrix, phi: PureState) -> float:
 
 
 def _clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    # PSD slack in (-1e-10, 0) is clamped to zero; anything worse was
-    # rejected at construction.
+    # PSD slack in (-1e-10, 0) is clamped to zero, and then the spectrum is
+    # renormalized to unit sum; anything worse was rejected at construction
     w, _ = eigendecompose(rho)
-    return np.clip(w, 0.0, None)
+    clamped = np.clip(w, 0.0, None)
+    if w[-1] < 0:  # the smallest: w is descending
+        clamped /= clamped.sum()
+    return clamped
 
 
 def schatten_norm(rho: DensityMatrix, p: float) -> float:
     """Schatten p-norm (sum of eigenvalues**p)**(1/p) for a density matrix.
 
     Evaluated as r (sum (w/r)**p)**(1/p) with r the largest eigenvalue w, so
-    no large order underflows and p = inf gives r, the limit of the norms.
+    no large order underflows and p = inf gives r, the limit of the norms. A
+    small order whose norm passes the float range gives inf.
     """
     # an integer order past the float range is the p = inf limit
     p = real(p, "Schatten order", InvalidOrder, 0, lo_open=True, finite=False)
     w = _clamped_eigenvalues(rho)
     r = w.max()
-    return float(r * np.sum((w / r) ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        return float(r * np.sum((w / r) ** p) ** (1.0 / p))
 
 
 def purity(rho: DensityMatrix) -> float:

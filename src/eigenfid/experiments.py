@@ -140,16 +140,20 @@ class SweepResult:
     version: str = VERSION_STRING
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        try:
+            object.__setattr__(self, "columns", tuple(self.columns))
+            object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+            idx = {name: k for k, name in enumerate(self.columns)}
+        except TypeError:  # not a sequence, or a column name that cannot be a key
+            raise UnsupportedParameters("columns and rows must be sequences") from None
+        bracket = [idx.get(name) for name in
+                   ("eigenerror_bound_lower", "eigenerror_exact", "eigenerror_bound_upper")]
+        if self.rows and None in bracket:
+            raise UnsupportedParameters("rows need the eigenerror and its bracket columns")
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise UnsupportedParameters("row length does not match column count")
-        idx = {name: k for k, name in enumerate(self.columns)}
-        for row in self.rows:
-            lo = row[idx["eigenerror_bound_lower"]]
-            ex = row[idx["eigenerror_exact"]]
-            hi = row[idx["eigenerror_bound_upper"]]
+            lo, ex, hi = (row[k] for k in bracket)
             if not (lo - BOUND_SANDWICH_TOL <= ex <= hi + BOUND_SANDWICH_TOL):
                 raise UnsupportedParameters(
                     f"eigenerror {ex} escapes its bracket [{lo}, {hi}]"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._domain import EXACT, integer, real
+from ._domain import EXACT, array, integer, real
 from .channel import CP_TOL, QubitChannel, _check_transfers
 from .densmat import _read_only_copy
 from .errors import (
@@ -51,17 +51,6 @@ def _moments(w: np.ndarray, n: np.ndarray) -> tuple[float, float]:
 def _mean(nbar) -> float:
     """nbar as a float mean photon number in (0, 2**53]; InvalidMean otherwise."""
     return real(nbar, "mean photon number", InvalidMean, 0, EXACT, lo_open=True)
-
-
-def _amplitudes(coefficients) -> np.ndarray:
-    """coefficients as a float64 or complex128 array, not copied when they are one."""
-    try:
-        b = np.asarray(coefficients)
-    except ValueError as exc:  # ragged nesting
-        raise UnsupportedParameters(f"coefficients must be an array of numbers: {exc}") from None
-    if b.dtype.kind not in "biufc":
-        raise UnsupportedParameters(f"coefficients must be numbers, got dtype {b.dtype}")
-    return b if b.dtype == float else np.asarray(b, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +83,8 @@ class DriveDistribution:
         unless the caller's (mean, variance) are given."""
         n_min = integer(n_min, "integer photon number n_min")
         n_max = integer(n_max, "integer photon number n_max")
-        b = _amplitudes(coefficients)
-        if b.ndim != 1 or len(b) != n_max - n_min + 1:
-            raise DimensionMismatch(
-                f"need {n_max - n_min + 1} coefficients for window "
-                f"[{n_min}, {n_max}], got {b.shape}"
-            )
+        b = array(coefficients, "coefficients", dtype=None, shape=(n_max - n_min + 1,),
+                  finite=False)
         w = np.abs(b)  # for real x, abs(x) == abs(complex(x)) exactly
         np.square(w, out=w)
         # written so that a NaN fails the check
@@ -170,11 +155,7 @@ class FMatrixSet:
 
     def __post_init__(self):
         for name in ("F00", "F01", "F10", "F11"):
-            m = np.asarray(getattr(self, name), dtype=complex)
-            if m.shape != (2, 2):
-                raise DimensionMismatch(f"{name} must be 2x2")
-            if not np.isfinite(m).all():
-                raise UnsupportedParameters(f"{name} must have finite entries")
+            m = array(getattr(self, name), name, shape=(2, 2))
             object.__setattr__(self, name, _read_only_copy(m))
         if not (abs(np.trace(self.F00) - 1) <= 1e-12 and abs(np.trace(self.F11) - 1) <= 1e-12):
             raise UnsupportedParameters("diagonal F matrices must have unit trace")
@@ -380,11 +361,7 @@ def fock_drive(n_photons: int) -> DriveDistribution:
 
 def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
     """Arbitrary complex amplitudes on a contiguous window starting at n_min."""
-    b = np.asarray(_amplitudes(coefficients), dtype=complex)
-    if b.ndim != 1 or len(b) == 0:
-        raise DimensionMismatch("coefficients must be a nonempty vector")
-    if not np.isfinite(b).all():
-        raise UnsupportedParameters("coefficients must be finite")
+    b = array(coefficients, "coefficients", shape=(None,))
     n_min = integer(n_min, "n_min")
     norm = np.linalg.norm(b)
     if norm == 0:

@@ -77,6 +77,15 @@ class TestConstruction:
         psi = PureState.from_vector([3.0, 4.0j])
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: DensityMatrix(np.eye(2) * 0.6), "trace is 1.2, expected 1"),
+        (lambda: PureState(np.array([2.0, 0.0])), "state norm is 2.0, expected 1"),
+    ])
+    def test_messages_print_plain_floats(self, build, message):
+        with pytest.raises((NonHermitianInput, DimensionMismatch)) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
     def test_energy_basis_needs_increasing_levels(self):
         with pytest.raises(DimensionMismatch):
             EnergyBasis.computational([1.0, 1.0])
@@ -259,6 +268,18 @@ class TestSchattenNorm:
                 ref = float(mpmath.fsum([x ** order for x in w]) ** (1 / order))
             assert abs(schatten_norm(rho, p) - ref) <= 1e-15 * ref
 
+    @pytest.mark.parametrize("p", [1e-4, 1e-300])
+    def test_a_norm_past_the_float_range_is_inf(self, p):
+        # (sum (w/r)**p)**(1/p) = 2**(1/p) overflows; no warning is raised
+        assert schatten_norm(DensityMatrix.diagonal([0.5, 0.5]), p) == math.inf
+
+    @pytest.mark.parametrize("p", [0.01, 0.5, 3.0])
+    def test_a_norm_in_the_float_range_keeps_its_bits(self, rng, p):
+        for rho in (random_density_matrix(rng, 3), DensityMatrix.diagonal([0.75, 0.25])):
+            w = np.clip(eigendecompose(rho)[0], 0.0, None)
+            r = w.max()
+            assert schatten_norm(rho, p) == float(r * np.sum((w / r) ** p) ** (1.0 / p))
+
     def test_diagonal_example_at_large_orders(self):
         # plain sum(w**p)**(1/p) gives 1.0 at p = inf and 0.0 once w**p underflows
         rho = DensityMatrix.diagonal([0.7, 0.3])
@@ -378,6 +399,25 @@ class TestPassiveState:
         basis = EnergyBasis.computational([0.0, 1.0, 2.0, 5.0])
         rho = random_density_matrix(rng, 4)
         assert abs(eigenfidelity(passive_state(rho, basis)) - eigenfidelity(rho)) < 1e-12
+
+    def test_psd_slack_is_clamped_and_renormalized(self):
+        # accepted at construction, so its passive state is a state too
+        rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
+        out = passive_state(rho, EnergyBasis.computational([0.0, 1.0]))
+        np.testing.assert_array_equal(out.matrix, np.diag([1.0, 0.0]))
+        assert schatten_norm(rho, 1) == 1.0
+
+    def test_an_unclamped_spectrum_keeps_its_bits(self, rng):
+        # the rearrangement as written before clamped spectra were renormalized
+        for _ in range(50):
+            dim = int(rng.integers(2, 9))
+            rho = random_density_matrix(rng, dim)
+            basis = EnergyBasis(np.arange(dim, dtype=float), oracles.random_unitary(rng, dim))
+            w, _ = eigendecompose(rho)
+            assert w[-1] >= 0
+            b = basis.basis
+            expected = (b * np.clip(w, 0.0, None)) @ b.conj().T
+            assert passive_state(rho, basis).matrix.tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):

@@ -1,8 +1,8 @@
-"""Scalar argument domains: the two checks of eigenfid._domain, and the
-contract that every public callable meets for every scalar parameter.
+"""Argument domains: the three checks of eigenfid._domain, and the contract
+that every public callable meets for every scalar and every array parameter.
 
 The contract: each value of a fixed adversarial vocabulary, put in place of
-one scalar argument of an otherwise valid call, gives a result or an
+one scalar or array argument of an otherwise valid call, gives a result or an
 EigenfidError, within a time limit and with warnings raised as errors. The
 callables come from eigenfid.__all__, so a new public name fails the
 coverage test until it has valid arguments here.
@@ -36,7 +36,7 @@ from eigenfid import (
     poisson_drive,
     run,
 )
-from eigenfid._domain import EXACT, integer, real
+from eigenfid._domain import EXACT, array, integer, real
 from eigenfid.errors import (
     DimensionMismatch,
     EigenfidError,
@@ -170,6 +170,69 @@ class TestInteger:
 
 
 # ---------------------------------------------------------------------------
+# the array check
+
+
+class TestArray:
+    def test_an_array_of_the_dtype_is_returned_as_it_is(self):
+        for a, dtype in [(np.eye(2, dtype=complex), complex), (np.eye(2), float),
+                         (np.eye(2), None), (np.eye(2, dtype=complex), None)]:
+            assert array(a, "x", dtype=dtype, shape=(2, 2)) is a
+
+    @pytest.mark.parametrize("value,dtype,expected", [
+        ([1, 2], complex, np.complex128), (np.float32([1, 2]), float, np.float64),
+        (np.int8([1, 2]), None, np.float64), (np.complex64([1, 2]), None, np.complex128),
+        (np.uint64([1, 2]), None, np.float64),
+    ])
+    def test_other_numbers_are_converted(self, value, dtype, expected):
+        a = array(value, "x", dtype=dtype, shape=(None,))
+        assert (a.dtype, a.tolist()) == (expected, [1, 2])
+
+    @pytest.mark.parametrize("value,got", [
+        ("ab", "dtype <U2"), (["a", "b"], "dtype <U1"), ([[1, 0], [0]], "a ragged sequence"),
+        (None, "dtype object"), ({}, "dtype object"), (np.array([1.0], dtype=object),
+                                                       "dtype object"),
+        ([True, False], "dtype bool"), (np.array([b"1"]), "dtype |S1"),
+    ])
+    def test_a_value_that_is_not_an_array_of_numbers_fails(self, value, got):
+        with pytest.raises(InvalidMean) as excinfo:
+            array(value, "x", InvalidMean, shape=(None,))
+        assert str(excinfo.value) == f"x must be an array of numbers, got {got}"
+
+    def test_complex_entries_fail_where_reals_are_expected(self):
+        with pytest.raises(InvalidMean, match=r"^x must be an array of real numbers, got "
+                                              r"dtype complex128$"):
+            array([0.0, 1j], "x", InvalidMean, dtype=float, shape=(None,))
+
+    @pytest.mark.parametrize("value,shape,domain", [
+        (np.array(1.0), (None,), "a nonempty vector"),
+        ([], (None,), "a nonempty vector"),
+        (np.eye(2), (None,), "a nonempty vector"),
+        (np.zeros((0, 0)), (None, None), "a nonempty square matrix"),
+        (np.ones((2, 3)), (None, None), "a nonempty square matrix"),
+        (np.ones((2, 2, 2)), (None, None), "a nonempty square matrix"),
+        (np.ones(4), (2, 2), "of shape (2, 2)"),
+        (np.ones(3), (2,), "of shape (2,)"),
+    ])
+    def test_a_wrong_or_empty_shape_is_a_dimension_mismatch(self, value, shape, domain):
+        with pytest.raises(DimensionMismatch) as excinfo:
+            array(value, "x", InvalidMean, shape=shape)
+        assert str(excinfo.value) == f"x must be {domain}, got shape {np.shape(value)}"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_entries_are_finite_unless_finite_is_false(self, bad):
+        with pytest.raises(InvalidMean, match="^x must be finite, got a non-finite entry$"):
+            array([1.0, bad], "x", InvalidMean, shape=(2,))
+        a = array([1.0, bad], "x", dtype=float, shape=(2,), finite=False)
+        assert a.tobytes() == np.array([1.0, bad]).tobytes()
+
+    def test_a_schema_error_gets_the_subject_as_its_path(self):
+        with pytest.raises(SchemaError) as excinfo:
+            array("ab", "/matrix", SchemaError, shape=(None,))
+        assert excinfo.value.path == "/matrix"
+
+
+# ---------------------------------------------------------------------------
 # the public surface
 
 def test_all_holds_no_module():
@@ -298,8 +361,13 @@ VALID = {
     "small_angle_eigenerror_bound": lambda: _call(0.1, 25.0),
 }
 
-# public methods with scalar parameters -> (method of a fresh owner, valid arguments)
+# public methods with scalar or array parameters -> (method of a fresh owner, valid arguments)
 METHODS = {
+    "DensityMatrix.diagonal": lambda: (DensityMatrix.diagonal, _call([0.75, 0.25])),
+    "EnergyBasis.computational": lambda: (EnergyBasis.computational, _call([0.0, 1.0])),
+    "PureState.from_vector": lambda: (PureState.from_vector, _call([3.0, 4.0j])),
+    "QubitChannel.from_unitary": lambda: (QubitChannel.from_unitary,
+                                          _call(np.array([[0.0, 1.0], [1.0, 0.0]]))),
     "DensityMatrix.maximally_mixed": lambda: (DensityMatrix.maximally_mixed, _call(2)),
     "JCConfig.interaction_time": lambda: (JCConfig(tau=1.0).interaction_time, _call(25.0)),
     "QubitChannel.from_images": lambda: (
@@ -333,14 +401,22 @@ def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (numbers.Number, str))
 
 
-def _scalar_parameters(name: str) -> list:
-    """Parameters of the call whose valid value, given or default, is a scalar."""
+def _parameters(name: str, kind) -> list:
+    """Parameters of the call whose valid value, given or default, is of the kind."""
     function, bound, _ = _valid_call(name)
     if bound is None:
         return []
     return [p.name for p in inspect.signature(function).parameters.values()
             if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-            and _is_scalar(bound.arguments.get(p.name, p.default))]
+            and kind(bound.arguments.get(p.name, p.default))]
+
+
+def _scalar_parameters(name: str) -> list:
+    return _parameters(name, _is_scalar)
+
+
+def _array_parameters(name: str) -> list:
+    return _parameters(name, lambda value: isinstance(value, (np.ndarray, list, tuple)))
 
 
 def _outcome(function, args, kwargs, time_limit) -> str:
@@ -364,20 +440,61 @@ def test_every_public_callable_has_valid_arguments():
     assert set(_public_callables()) == set(VALID)
 
 
+def _escapes(name: str, parameters: list, vocabulary: dict, time_limit) -> list:
+    """Each (parameter, value) put in place of the valid argument that neither
+    gives a result nor raises an EigenfidError; a value is built from the
+    valid argument it replaces."""
+    escapes = []
+    for parameter in parameters:
+        for label, make in vocabulary.items():
+            function, bound, _ = _valid_call(name)
+            bound.apply_defaults()
+            bound.arguments[parameter] = make(bound.arguments[parameter])
+            outcome = _outcome(function, bound.args, bound.kwargs, time_limit)
+            if outcome not in ("result", "typed"):
+                escapes.append(f"{parameter}={label}: {outcome}")
+    return escapes
+
+
 @pytest.mark.parametrize("name", [*VALID, *METHODS])
 def test_scalar_arguments_give_a_result_or_a_typed_error(name, time_limit, tmp_path,
                                                         monkeypatch):
     monkeypatch.chdir(tmp_path)
     function, _, (args, kwargs) = _valid_call(name)
     assert _outcome(function, args, kwargs, time_limit) == "result"
-    escapes = []
-    for parameter in _scalar_parameters(name):
-        for label, value in VOCABULARY.items():
-            function, bound, _ = _valid_call(name)
-            bound.arguments[parameter] = value
-            outcome = _outcome(function, bound.args, bound.kwargs, time_limit)
-            if outcome not in ("result", "typed"):
-                escapes.append(f"{parameter}={label}: {outcome}")
+    vocabulary = {label: lambda valid, value=value: value for label, value in VOCABULARY.items()}
+    escapes = _escapes(name, _scalar_parameters(name), vocabulary, time_limit)
+    assert not escapes, "\n".join(escapes)
+
+
+# one array value of each kind that has escaped a check, built from the valid
+# argument it replaces: strings, ragged nesting, None, objects, bools, a 0-d,
+# an empty, a 0x0 and a 3-d array, entries that are all NaN, all infinite or
+# complex, and a dict. The entries keep the valid shape where the check under
+# test comes after the shape check.
+ARRAY_VOCABULARY = {
+    "'ab'": lambda valid: "ab",
+    "['a', 'b']": lambda valid: ["a", "b"],
+    "[[1, 0], [0]]": lambda valid: [[1, 0], [0]],
+    "None": lambda valid: None,
+    "object array": lambda valid: np.array(valid, dtype=object),
+    "bool array": lambda valid: np.ones(np.shape(valid), dtype=bool),
+    "0-d array": lambda valid: np.array(1.0),
+    "[]": lambda valid: [],
+    "np.zeros((0, 0))": lambda valid: np.zeros((0, 0)),
+    "3-d array": lambda valid: np.ones((2, 2, 2)),
+    "all-NaN": lambda valid: np.full(np.shape(valid), math.nan),
+    "all-inf": lambda valid: np.full(np.shape(valid), math.inf),
+    "complex": lambda valid: np.full(np.shape(valid), 0.5 + 0.5j),
+    "{}": lambda valid: {},
+}
+
+
+@pytest.mark.parametrize("name", [name for name in [*VALID, *METHODS] if _array_parameters(name)])
+def test_array_arguments_give_a_result_or_a_typed_error(name, time_limit, tmp_path,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    escapes = _escapes(name, _array_parameters(name), ARRAY_VOCABULARY, time_limit)
     assert not escapes, "\n".join(escapes)
 
 
@@ -390,6 +507,22 @@ def test_the_contract_sees_the_scalar_parameters():
     assert _scalar_parameters("concatenate") == ["count"]
     assert _scalar_parameters("jc_moments") == ["hbar", "measure_from_ground"]
     assert _scalar_parameters("InvalidMean") == []
+
+
+@pytest.mark.parametrize("build", [PureState, PureState.from_vector, DensityMatrix.diagonal,
+                                   eigenfid.custom_drive])
+def test_a_bool_array_is_not_an_array_of_numbers(build):
+    with pytest.raises(EigenfidError, match="numbers, got dtype bool$"):
+        build(np.array([True, False]))
+
+
+def test_the_contract_sees_the_array_parameters():
+    assert _array_parameters("QubitChannel") == ["E00", "E01", "E10", "E11"]
+    assert _array_parameters("QubitChannel.from_images") == ["e00", "e01", "e11"]
+    assert _array_parameters("EnergyBasis") == ["levels", "basis"]
+    assert _array_parameters("custom_drive") == ["coefficients"]
+    assert _array_parameters("DensityMatrix.diagonal") == ["populations"]
+    assert _array_parameters("poisson_drive") == []
 
 
 def test_a_count_past_two_to_the_53_is_named_as_the_count():

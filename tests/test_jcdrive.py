@@ -853,9 +853,7 @@ def _copied_drive(kind, coefficients, n_min, n_max, metadata=None, moments=None)
     b = np.asarray(coefficients, dtype=complex).copy()
     if b.ndim != 1 or len(b) != n_max - n_min + 1:
         raise DimensionMismatch(
-            f"need {n_max - n_min + 1} coefficients for window "
-            f"[{n_min}, {n_max}], got {b.shape}"
-        )
+            f"coefficients must be of shape ({n_max - n_min + 1},), got shape {b.shape}")
     w = np.abs(b) ** 2
     if not abs(w.sum() - 1.0) <= jcdrive.NORMALIZATION_TOL:
         raise UnsupportedParameters(
@@ -925,9 +923,9 @@ def _copied_fock_drive(n_photons):
 def _copied_custom_drive(coefficients, n_min=0):
     b = np.asarray(coefficients, dtype=complex)
     if b.ndim != 1 or len(b) == 0:
-        raise DimensionMismatch("coefficients must be a nonempty vector")
+        raise DimensionMismatch(f"coefficients must be a nonempty vector, got shape {b.shape}")
     if not np.isfinite(b).all():
-        raise UnsupportedParameters("coefficients must be finite")
+        raise UnsupportedParameters("coefficients must be finite, got a non-finite entry")
     n_min = integer(n_min, "n_min")
     norm = np.linalg.norm(b)
     if norm == 0:
