@@ -236,7 +236,9 @@ def passive_state(rho: DensityMatrix, basis: EnergyBasis) -> DensityMatrix:
         raise DimensionMismatch(f"state dim {rho.dim} vs basis dim {basis.dim}")
     w = _clamped_eigenvalues(rho)  # already descending
     b = basis.basis
-    return DensityMatrix((b * w) @ b.conj().T)
+    m = (b * w) @ b.conj().T
+    tr = float(np.trace(m).real)  # the basis is orthonormal to ORTHO_TOL only
+    return DensityMatrix(m if abs(tr - 1.0) <= TRACE_TOL else m / tr)
 
 
 def effective_temperature(rho: DensityMatrix, basis: EnergyBasis) -> float:

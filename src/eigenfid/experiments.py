@@ -154,7 +154,12 @@ class SweepResult:
             if len(row) != len(self.columns):
                 raise UnsupportedParameters("row length does not match column count")
             lo, ex, hi = (row[k] for k in bracket)
-            if not (lo - BOUND_SANDWICH_TOL <= ex <= hi + BOUND_SANDWICH_TOL):
+            try:
+                inside = lo - BOUND_SANDWICH_TOL <= ex <= hi + BOUND_SANDWICH_TOL
+            except (TypeError, ValueError):  # a cell that is not a number
+                raise UnsupportedParameters(
+                    f"eigenerror and bracket cells must be numbers, got {lo, ex, hi}") from None
+            if not inside:
                 raise UnsupportedParameters(
                     f"eigenerror {ex} escapes its bracket [{lo}, {hi}]"
                 )

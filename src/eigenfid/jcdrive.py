@@ -11,7 +11,7 @@ are written once, in _images: the exact sum, f_matrices and the approximant
 all call it.
 
 Times are handled in reduced form tau = g sqrt(nbar) t, the rotation angle
-accumulated at the mean photon number.
+accumulated at the mean photon number; units are natural, hbar = g = 1.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ class DriveDistribution:
 
     mean and variance are the moments of |b_n|^2, computed at construction;
     requested parameters that differ (truncation, literal-width binomial
-    mode) are recorded in metadata. The window bounds must be integers in
-    [0, 2**53]; they are stored as int. The coefficients are checked as given
+    mode) are recorded in metadata. The window ends at n_max = n_min +
+    len(coefficients) - 1; both bounds must be integers in [0, 2**53] and
+    are stored as int. The coefficients are checked as given
     (a float64 array is not converted) and then copied once, into the
     read-only complex array kept. For a float64 input of L levels the
     construction peaks at 32 L bytes, input and kept copy included.
@@ -71,20 +72,21 @@ class DriveDistribution:
     variance: float = field(init=False)
     coefficients: np.ndarray
     n_min: int
-    n_max: int
+    n_max: int = field(init=False)
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._adopt(self.kind, self.coefficients, self.n_min, self.n_max, self.metadata)
+        self._adopt(self.kind, self.coefficients, self.n_min, self.metadata)
 
-    def _adopt(self, kind: str, coefficients, n_min, n_max, metadata: dict,
+    def _adopt(self, kind: str, coefficients, n_min, metadata: dict,
                moments: tuple[float, float] | None = None) -> DriveDistribution:
         """Check and store the drive; its moments are those of |b_n|^2
         unless the caller's (mean, variance) are given."""
+        if not isinstance(metadata, dict):
+            raise UnsupportedParameters(f"metadata must be a dict, got {type(metadata).__name__}")
         n_min = integer(n_min, "integer photon number n_min")
-        n_max = integer(n_max, "integer photon number n_max")
-        b = array(coefficients, "coefficients", dtype=None, shape=(n_max - n_min + 1,),
-                  finite=False)
+        b = array(coefficients, "coefficients", dtype=None, shape=(None,), finite=False)
+        n_max = integer(n_min + len(b) - 1, "integer photon number n_max")
         w = np.abs(b)  # for real x, abs(x) == abs(complex(x)) exactly
         np.square(w, out=w)
         # written so that a NaN fails the check
@@ -118,22 +120,19 @@ class DriveDistribution:
 
 @dataclass(frozen=True)
 class JCConfig:
-    """Reduced interaction time plus the exchange rate behind it.
+    """Reduced interaction time tau = g sqrt(nbar) t, the primary time variable.
 
-    coupling is the exchange rate g; tau = g sqrt(nbar) t is the primary
-    time variable. Energies are counted in carrier photons, so no mode
-    frequency is needed.
+    Units are natural, hbar = g = 1: times are in units of 1/g and energies
+    in units of hbar g, so no coupling or mode frequency is needed.
     """
 
     tau: float
-    coupling: float = 1.0
 
     def __post_init__(self):
         real(self.tau, "reduced time", lo=0, hi=EXACT)
-        real(self.coupling, "coupling", lo=0, hi=EXACT, lo_open=True)
 
     def interaction_time(self, nbar: float) -> float:
-        """Physical duration t with tau = coupling * sqrt(nbar) * t.
+        """Duration t = tau / sqrt(nbar), in units of 1/g.
 
         A mean of 0 is accepted at tau = 0 only: a reduced time is undefined
         without a positive mean.
@@ -141,7 +140,7 @@ class JCConfig:
         nbar = real(nbar, "mean photon number", InvalidMean, 0, EXACT, lo_open=self.tau != 0)
         if self.tau == 0:
             return 0.0
-        return self.tau / (self.coupling * math.sqrt(nbar))
+        return self.tau / math.sqrt(nbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +223,9 @@ def _weights_drive(kind: str, w: np.ndarray, n_min: int, metadata: dict) -> Driv
     """The drive with |b_n|^2 = w from level n_min: the moments are taken
     from w, which then holds the amplitudes sqrt(w). They round as these
     weights do, not as |sqrt(w)|^2 would."""
-    n_max = n_min + len(w) - 1
-    moments = _moments(w, np.arange(n_min, n_max + 1))
-    return object.__new__(DriveDistribution)._adopt(kind, np.sqrt(w, out=w), n_min, n_max,
-                                                    metadata, moments)
+    moments = _moments(w, np.arange(n_min, n_min + len(w)))
+    return object.__new__(DriveDistribution)._adopt(kind, np.sqrt(w, out=w), n_min, metadata,
+                                                    moments)
 
 
 def poisson_drive(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DriveDistribution:
@@ -366,8 +364,7 @@ def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
     norm = np.linalg.norm(b)
     if norm == 0:
         raise UnsupportedParameters("coefficients must not all vanish")
-    return DriveDistribution(kind="custom", coefficients=b / norm,
-                             n_min=n_min, n_max=n_min + len(b) - 1)
+    return DriveDistribution(kind="custom", coefficients=b / norm, n_min=n_min)
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +596,17 @@ def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,
     """Large-nbar closed forms for the channel eigenerror lower bound.
 
     Poisson: (tau^2 + sin^2 tau) / (6 nbar).
-    Binomial: tau^2 variance / (6 nbar^2) + sin^2 tau / (6 variance).
-    The binomial form diverges as the variance goes to zero; that limit
-    returns inf rather than raising.
+    Binomial: tau^2 variance / (6 nbar^2) + sin^2 tau / (6 variance), which
+    alone reads the variance (checked for both) and returns inf, not an
+    error, in its divergent limit of zero variance.
     """
     nbar = _mean(nbar)
     tau = real(tau, "reduced time", lo=-EXACT, hi=EXACT)
+    variance = real(variance, "variance", lo=0)
     kind_l = kind.lower() if isinstance(kind, str) else None  # None matches no kind
     if kind_l == "poisson":
         return (tau ** 2 + math.sin(tau) ** 2) / (6 * nbar)
     if kind_l == "binomial":
-        variance = real(variance, "variance", lo=0)
         if variance == 0:
             return math.inf
         drift = tau ** 2 * variance  # / (6 nbar^2), which is subnormal below nbar ~ 1e-154

@@ -1,11 +1,11 @@
 """Quantum-speed-limit times and the photon cost of a target rotation.
 
-A rotation by Bures angle theta under a Hamiltonian with mean <H> and spread
-dH cannot beat t >= hbar theta / dH (spread limit) nor
-t >= hbar theta / <H> (mean-energy limit, measured from the ground state).
-For the drive-qubit exchange interaction both scales are hbar g sqrt(nbar),
-which ties the channel eigenerror to the drive's mean photon number alone:
-at large nbar it follows the leading-order asymptotic law
+In natural units hbar = g = 1 (times in 1/g, energies in hbar g), a rotation
+by Bures angle theta under a Hamiltonian with mean <H> and spread dH cannot
+beat t >= theta / dH (spread limit) nor t >= theta / <H> (mean-energy limit,
+measured from the ground state). For the drive-qubit exchange interaction
+both scales are sqrt(nbar), which ties the channel eigenerror to the drive's
+mean photon number alone: at large nbar it follows the leading-order law
 (theta^2 + sin^2 theta) / (6 nbar). That law is not a floor: the exact
 channel's eigenerror lies below it at every point tested (nbar = 10 to 1000),
 by about 1.2/nbar relative at theta = pi/2.
@@ -21,7 +21,7 @@ import numpy as np
 from ._domain import EXACT, real
 from .densmat import PureState
 from .errors import NonpositiveMeanEnergy, UnsupportedParameters
-from .jcdrive import DriveDistribution, JCConfig, _mean, asymptotic_eigenerror_lower_bound
+from .jcdrive import DriveDistribution, _mean, asymptotic_eigenerror_lower_bound
 
 # the largest rotation angle a Bures angle check lets through: pi/2 and its rounding
 _RIGHT_ANGLE = math.pi / 2 + 1e-15
@@ -49,45 +49,41 @@ class RotationTarget:
         real(self.theta, "rotation angle", lo=0, hi=_RIGHT_ANGLE)
 
 
-def mt_time(target: RotationTarget, moments: HamiltonianMoments,
-            hbar: float = 1.0) -> float:
-    """Spread-based minimal time hbar theta / dH.
+def mt_time(target: RotationTarget, moments: HamiltonianMoments) -> float:
+    """Spread-based minimal time theta / dH.
 
     A vanishing spread means frozen dynamics: the time is reported as +inf
     rather than raised, except for the trivial theta = 0 target.
     """
-    hbar = real(hbar, "hbar", lo=0, hi=EXACT, lo_open=True)
     if target.theta == 0:
         return 0.0
     if moments.stdev == 0:
         return math.inf
-    return hbar * target.theta / moments.stdev
+    return target.theta / moments.stdev
 
 
-def ml_time(target: RotationTarget, moments: HamiltonianMoments,
-            hbar: float = 1.0) -> float:
-    """Mean-energy minimal time hbar theta / <H>.
+def ml_time(target: RotationTarget, moments: HamiltonianMoments) -> float:
+    """Mean-energy minimal time theta / <H>.
 
     The mean must be measured from the ground state and be positive; use
     jc_moments(..., measure_from_ground=True) for drive-qubit generators.
     """
-    hbar = real(hbar, "hbar", lo=0, hi=EXACT, lo_open=True)
     if target.theta == 0:
         return 0.0
     if moments.mean <= 0:
         raise NonpositiveMeanEnergy(
             f"mean energy above ground must be positive, got {moments.mean}"
         )
-    return hbar * target.theta / moments.mean
+    return target.theta / moments.mean
 
 
-def ground_energy(drive: DriveDistribution, cfg: JCConfig, hbar: float = 1.0) -> float:
+def ground_energy(drive: DriveDistribution) -> float:
     """Lowest eigenvalue of the truncated exchange generator.
 
-    The invariant pairs (|m, 0>, |m-1, 1>) have eigenvalues +-hbar g sqrt(m);
+    The invariant pairs (|m, 0>, |m-1, 1>) have eigenvalues +-sqrt(m);
     the storage window for the drive extends one level above the support.
     """
-    return -hbar * cfg.coupling * math.sqrt(drive.n_max + 1)
+    return -math.sqrt(drive.n_max + 1)
 
 
 def _exchange_sum(drive: DriveDistribution) -> complex:
@@ -99,29 +95,27 @@ def _exchange_sum(drive: DriveDistribution) -> complex:
     return complex(np.sum(np.sqrt(n + 1) * np.conj(b[:-1]) * b[1:]))
 
 
-def jc_moments(drive: DriveDistribution, qubit: PureState, cfg: JCConfig,
-               hbar: float = 1.0, measure_from_ground: bool = False) -> HamiltonianMoments:
+def jc_moments(drive: DriveDistribution, qubit: PureState,
+               measure_from_ground: bool = False) -> HamiltonianMoments:
     """Exact <H> and dH of the exchange generator on the product state.
 
     Closed forms on the truncated window:
-        <H>   = -2 hbar g Im(Z a_0 conj(a_1)),  Z = sum sqrt(n+1) conj(b_n) b_{n+1}
-        <H^2> = (hbar g)^2 (nbar_realized + |a_1|^2)
+        <H>   = -2 Im(Z a_0 conj(a_1)),  Z = sum sqrt(n+1) conj(b_n) b_{n+1}
+        <H^2> = nbar_realized + |a_1|^2
     With measure_from_ground the mean is shifted above the truncated ground
     energy, the form the mean-energy time limit requires. Both scales behave
-    as hbar g sqrt(nbar) for phase-aligned coherent drives; see
-    asymptotic_scale and phase_aligned_qubit.
+    as sqrt(nbar) for phase-aligned coherent drives; see asymptotic_scale
+    and phase_aligned_qubit.
     """
-    hbar = real(hbar, "hbar", lo=0, hi=EXACT, lo_open=True)
     if qubit.dim != 2:
         raise UnsupportedParameters("moments are defined for a qubit logical system")
-    g = cfg.coupling
     z = _exchange_sum(drive)
     a0, a1 = qubit.amplitudes
-    mean = -2.0 * hbar * g * float(np.imag(z * a0 * np.conj(a1)))
-    second = (hbar * g) ** 2 * (drive.mean + abs(a1) ** 2)
+    mean = -2.0 * float(np.imag(z * a0 * np.conj(a1)))
+    second = drive.mean + abs(a1) ** 2
     var = max(second - mean ** 2, 0.0)
     if measure_from_ground:
-        mean = mean - ground_energy(drive, cfg, hbar)
+        mean = mean - ground_energy(drive)
     return HamiltonianMoments(mean=mean, stdev=math.sqrt(var))
 
 
@@ -132,9 +126,9 @@ def phase_aligned_qubit(drive: DriveDistribution) -> PureState:
     return PureState(np.array([1.0, phase]) / math.sqrt(2.0))
 
 
-def asymptotic_scale(drive: DriveDistribution, cfg: JCConfig, hbar: float = 1.0) -> float:
-    """Large-nbar energy scale hbar g sqrt(nbar) shared by <H> and dH."""
-    return hbar * cfg.coupling * math.sqrt(drive.mean)
+def asymptotic_scale(drive: DriveDistribution) -> float:
+    """Large-nbar energy scale sqrt(nbar) shared by <H> and dH."""
+    return math.sqrt(drive.mean)
 
 
 def bipartite_angle_check(theta_logical: float, drive_overlap: float) -> float:

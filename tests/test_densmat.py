@@ -407,6 +407,14 @@ class TestPassiveState:
         np.testing.assert_array_equal(out.matrix, np.diag([1.0, 0.0]))
         assert schatten_norm(rho, 1) == 1.0
 
+    def test_basis_slack_is_projected_onto_unit_trace(self):
+        # columns of norm 1 + 2.5e-11 pass the orthonormality check (ORTHO_TOL)
+        # but rebuild a trace that misses 1 by more than TRACE_TOL
+        basis = EnergyBasis(np.array([0.0, 1.0]), np.eye(2) * np.sqrt(1 + 5e-11))
+        out = passive_state(DensityMatrix.maximally_mixed(2), basis)
+        assert abs(np.trace(out.matrix).real - 1.0) <= 1e-15
+        np.testing.assert_allclose(out.matrix, np.eye(2) / 2, rtol=0, atol=1e-15)
+
     def test_an_unclamped_spectrum_keeps_its_bits(self, rng):
         # the rearrangement as written before clamped spectra were renormalized
         for _ in range(50):

@@ -3,7 +3,8 @@ that every public callable meets for every scalar and every array parameter.
 
 The contract: each value of a fixed adversarial vocabulary, put in place of
 one scalar or array argument of an otherwise valid call, gives a result or an
-EigenfidError, within a time limit and with warnings raised as errors. The
+EigenfidError, within a time limit and with warnings raised as errors; in
+place of a number, NaN, a bool, a string or None gives an EigenfidError. The
 callables come from eigenfid.__all__, so a new public name fails the
 coverage test until it has valid arguments here.
 """
@@ -334,10 +335,10 @@ VALID = {
     "random_density_matrix": lambda: _call(np.random.default_rng(1), 2),
     "sample_pure": lambda: _call(SeededSampler(1, 2)),
     # jcdrive
-    "DriveDistribution": lambda: _call("custom", [0.5 ** 0.5] * 2, 1, 2),
+    "DriveDistribution": lambda: _call("custom", [0.5 ** 0.5] * 2, 1),
     "FMatrixSet": lambda: (lambda f: _call(f.F00, f.F01, f.F10, f.F11))(
         f_matrices(4, 0.3, 4.0, poisson_drive(4.0))),
-    "JCConfig": lambda: _call(tau=1.0, coupling=1.0),
+    "JCConfig": lambda: _call(tau=1.0),
     "asymptotic_eigenerror_lower_bound": lambda: _call("binomial", 25.0, 5.0, 1.0),
     "binomial_drive": lambda: _call(25.0, 5.0, mode="moment_matched"),
     "build_channel_exact": lambda: _call(poisson_drive(9.0), JCConfig(tau=1.0)),
@@ -352,17 +353,20 @@ VALID = {
     "RotationTarget": lambda: _call(1.0),
     "bipartite_angle_check": lambda: _call(1.0, 0.9),
     "jc_moments": lambda: _call(poisson_drive(9.0), PureState(np.array([1.0, 1.0]) / 2 ** 0.5),
-                                JCConfig(tau=1.0), hbar=1.0, measure_from_ground=True),
-    "ml_time": lambda: _call(RotationTarget(1.0), HamiltonianMoments(2.0, 1.0), hbar=1.0),
-    "mt_time": lambda: _call(RotationTarget(1.0), HamiltonianMoments(2.0, 1.0), hbar=1.0),
+                                measure_from_ground=True),
+    "ml_time": lambda: _call(RotationTarget(1.0), HamiltonianMoments(2.0, 1.0)),
+    "mt_time": lambda: _call(RotationTarget(1.0), HamiltonianMoments(2.0, 1.0)),
     "phase_aligned_qubit": lambda: _call(poisson_drive(9.0)),
     "qsl_eigenerror_bound": lambda: _call(1.0, 25.0),
     "required_mean_photons": lambda: _call(1.0, 1e-3),
     "small_angle_eigenerror_bound": lambda: _call(0.1, 25.0),
 }
 
-# public methods with scalar or array parameters -> (method of a fresh owner, valid arguments)
+# public methods with scalar or array parameters -> (method of a fresh owner, valid arguments);
+# a function whose branches check different parameters adds a call for each further branch
 METHODS = {
+    "asymptotic_eigenerror_lower_bound(poisson)": lambda: (
+        eigenfid.asymptotic_eigenerror_lower_bound, _call("poisson", 25.0, 25.0, 1.0)),
     "DensityMatrix.diagonal": lambda: (DensityMatrix.diagonal, _call([0.75, 0.25])),
     "EnergyBasis.computational": lambda: (EnergyBasis.computational, _call([0.0, 1.0])),
     "PureState.from_vector": lambda: (PureState.from_vector, _call([3.0, 4.0j])),
@@ -440,10 +444,12 @@ def test_every_public_callable_has_valid_arguments():
     assert set(_public_callables()) == set(VALID)
 
 
-def _escapes(name: str, parameters: list, vocabulary: dict, time_limit) -> list:
-    """Each (parameter, value) put in place of the valid argument that neither
-    gives a result nor raises an EigenfidError; a value is built from the
-    valid argument it replaces."""
+def _escapes(name: str, parameters: list, vocabulary: dict, time_limit,
+             allowed: tuple = ("result", "typed")) -> list:
+    """Each (parameter, value) put in place of the valid argument whose
+    outcome is not allowed: by default, that neither gives a result nor
+    raises an EigenfidError; a value is built from the valid argument it
+    replaces."""
     escapes = []
     for parameter in parameters:
         for label, make in vocabulary.items():
@@ -451,7 +457,7 @@ def _escapes(name: str, parameters: list, vocabulary: dict, time_limit) -> list:
             bound.apply_defaults()
             bound.arguments[parameter] = make(bound.arguments[parameter])
             outcome = _outcome(function, bound.args, bound.kwargs, time_limit)
-            if outcome not in ("result", "typed"):
+            if outcome not in allowed:
                 escapes.append(f"{parameter}={label}: {outcome}")
     return escapes
 
@@ -464,6 +470,27 @@ def test_scalar_arguments_give_a_result_or_a_typed_error(name, time_limit, tmp_p
     assert _outcome(function, args, kwargs, time_limit) == "result"
     vocabulary = {label: lambda valid, value=value: value for label, value in VOCABULARY.items()}
     escapes = _escapes(name, _scalar_parameters(name), vocabulary, time_limit)
+    assert not escapes, "\n".join(escapes)
+
+
+# values that no number parameter takes: NaN is in no domain, and a bool, a
+# string or None is not a number
+NOT_NUMBERS = {"nan": math.nan, "np.float64(nan)": np.float64("nan"), "True": True,
+               "'1'": "1", "None": None}
+
+
+def _number_parameters(name: str) -> list:
+    return _parameters(name, lambda value: isinstance(value, numbers.Real)
+                       and not isinstance(value, bool))
+
+
+@pytest.mark.parametrize("name", [name for name in [*VALID, *METHODS] if _number_parameters(name)])
+def test_number_parameters_reject_what_is_not_a_number(name, time_limit, tmp_path,
+                                                       monkeypatch):
+    # a branch that never reads a parameter must still check it
+    monkeypatch.chdir(tmp_path)
+    vocabulary = {label: lambda valid, value=value: value for label, value in NOT_NUMBERS.items()}
+    escapes = _escapes(name, _number_parameters(name), vocabulary, time_limit, ("typed",))
     assert not escapes, "\n".join(escapes)
 
 
@@ -505,7 +532,9 @@ def test_the_contract_sees_the_scalar_parameters():
         "mode", "drive_kind", "seed", "output", "mc_samples", "jobs", "split_convention",
         "binomial_mode"]
     assert _scalar_parameters("concatenate") == ["count"]
-    assert _scalar_parameters("jc_moments") == ["hbar", "measure_from_ground"]
+    assert _scalar_parameters("jc_moments") == ["measure_from_ground"]
+    assert _scalar_parameters("asymptotic_eigenerror_lower_bound(poisson)") == [
+        "kind", "nbar", "variance", "tau"]
     assert _scalar_parameters("InvalidMean") == []
 
 

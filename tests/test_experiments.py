@@ -172,6 +172,14 @@ class TestSweepResult:
                                  "eigenerror_bound_upper"),
                         rows=((0.1, 0.5, 0.2),), config=cfg)
 
+    @pytest.mark.parametrize("row", [("a", "b", "c"), (0.1, None, 0.2), (0.1, 0.15, 0.2j),
+                                     (0.1, np.array([0.1, 0.15]), 0.2)])
+    def test_rejects_bracket_cells_that_are_not_numbers(self, row):
+        with pytest.raises(UnsupportedParameters, match="must be numbers"):
+            SweepResult(columns=("eigenerror_bound_lower", "eigenerror_exact",
+                                 "eigenerror_bound_upper"),
+                        rows=(row,), config=_scaling_config())
+
     def test_column_lookup(self):
         cfg = _scaling_config()
         res = SweepResult(columns=("eigenerror_bound_lower", "eigenerror_exact",

@@ -87,30 +87,23 @@ class TestSpeedLimitTimes:
         with pytest.raises(NonpositiveMeanEnergy):
             ml_time(RotationTarget(1.0), HamiltonianMoments(0.0, 1.0))
 
-    def test_hbar_scales_linearly(self):
-        t1 = mt_time(RotationTarget(1.0), HamiltonianMoments(0.0, 2.0), hbar=1.0)
-        t2 = mt_time(RotationTarget(1.0), HamiltonianMoments(0.0, 2.0), hbar=3.0)
-        assert abs(t2 - 3 * t1) < 1e-14
-
 
 # ---------------------------------------------------------------------------
 # exchange-generator moments
 
 class TestJcMoments:
-    CFG = JCConfig(tau=1.0)
-
     def test_fock_with_ground_qubit(self):
-        m = jc_moments(fock_drive(9), KET0_Q, self.CFG)
+        m = jc_moments(fock_drive(9), KET0_Q)
         assert m.mean == 0.0
         assert abs(m.stdev - 3.0) < 1e-12
 
     def test_fock_with_excited_qubit(self):
-        m = jc_moments(fock_drive(9), KET1_Q, self.CFG)
+        m = jc_moments(fock_drive(9), KET1_Q)
         assert m.mean == 0.0
         assert abs(m.stdev - math.sqrt(10.0)) < 1e-12
 
     def test_vacuum_dark_state(self):
-        m = jc_moments(fock_drive(0), KET0_Q, self.CFG)
+        m = jc_moments(fock_drive(0), KET0_Q)
         assert m.mean == 0.0 and m.stdev == 0.0
 
     def test_matches_dense_hamiltonian_oracle(self, rng):
@@ -119,9 +112,9 @@ class TestJcMoments:
         for drive in drives:
             for _ in range(4):
                 qubit = _random_qubit(rng)
-                m = jc_moments(drive, qubit, JCConfig(tau=0.5, coupling=1.7), hbar=1.3)
+                m = jc_moments(drive, qubit)
                 mean, var = oracles.dense_moments(
-                    drive.coefficients, drive.n_min, qubit.amplitudes, 1.3, 1.7
+                    drive.coefficients, drive.n_min, qubit.amplitudes, 1.0, 1.0
                 )
                 assert abs(m.mean - mean) < 1e-12
                 assert abs(m.stdev - math.sqrt(max(var, 0.0))) < 1e-10
@@ -131,58 +124,54 @@ class TestJcMoments:
         drive = poisson_drive(40.0)
         for _ in range(10):
             qubit = _random_qubit(rng)
-            m = jc_moments(drive, qubit, self.CFG)
+            m = jc_moments(drive, qubit)
             radius = drive.mean + abs(qubit.amplitudes[1]) ** 2
             assert abs(m.mean**2 + m.stdev**2 - radius) < 1e-10
 
     def test_rejects_non_qubit(self):
         with pytest.raises(UnsupportedParameters):
-            jc_moments(poisson_drive(4.0), PureState(np.array([1.0, 0, 0])), self.CFG)
+            jc_moments(poisson_drive(4.0), PureState(np.array([1.0, 0, 0])))
 
 
 class TestAsymptoticScales:
-    CFG = JCConfig(tau=1.0)
-
     def test_scale_value(self):
         drive = poisson_drive(100.0)
-        assert abs(asymptotic_scale(drive, JCConfig(tau=1.0, coupling=2.0), hbar=1.5)
-                   - 3.0 * math.sqrt(drive.mean)) < 1e-12
+        assert asymptotic_scale(drive) == math.sqrt(drive.mean)
 
     def test_phase_aligned_state_maximizes_mean_energy(self, rng):
         drive = custom_drive(rng.standard_normal(8) + 1j * rng.standard_normal(8), 2)
         aligned = phase_aligned_qubit(drive)
-        best = jc_moments(drive, aligned, self.CFG).mean
+        best = jc_moments(drive, aligned).mean
         assert best >= -1e-12
         for _ in range(30):
-            other = jc_moments(drive, _random_qubit(rng), self.CFG).mean
+            other = jc_moments(drive, _random_qubit(rng)).mean
             assert abs(other) <= best + 1e-10
 
     def test_mean_energy_asymptote_for_aligned_coherent_drive(self):
         drive = poisson_drive(100.0)
-        m = jc_moments(drive, phase_aligned_qubit(drive), self.CFG)
-        assert abs(m.mean / asymptotic_scale(drive, self.CFG) - 1.0) < 1e-6
+        m = jc_moments(drive, phase_aligned_qubit(drive))
+        assert abs(m.mean / asymptotic_scale(drive) - 1.0) < 1e-6
 
     def test_spread_asymptote_for_ground_state_qubit(self):
         drive = poisson_drive(100.0)
-        m = jc_moments(drive, KET0_Q, self.CFG)
-        assert abs(m.stdev / asymptotic_scale(drive, self.CFG) - 1.0) < 1e-8
+        m = jc_moments(drive, KET0_Q)
+        assert abs(m.stdev / asymptotic_scale(drive) - 1.0) < 1e-8
 
     def test_spread_asymptote_for_equal_weight_qubit(self):
         drive = poisson_drive(100.0)
         qubit = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0))
-        m = jc_moments(drive, qubit, self.CFG)
-        assert abs(m.stdev / asymptotic_scale(drive, self.CFG) - 1.0) < 0.1
+        m = jc_moments(drive, qubit)
+        assert abs(m.stdev / asymptotic_scale(drive) - 1.0) < 0.1
 
     def test_ground_energy_of_truncated_window(self):
-        assert abs(ground_energy(fock_drive(9), JCConfig(tau=1.0, coupling=2.0))
-                   + 2.0 * math.sqrt(10.0)) < 1e-12
+        assert ground_energy(fock_drive(9)) == -math.sqrt(10.0)
 
     def test_ground_shift_enables_mean_energy_limit(self, rng):
         drive = poisson_drive(25.0)
         qubit = _random_qubit(rng)
-        raw = jc_moments(drive, qubit, self.CFG)
-        shifted = jc_moments(drive, qubit, self.CFG, measure_from_ground=True)
-        assert abs(shifted.mean - (raw.mean - ground_energy(drive, self.CFG))) < 1e-12
+        raw = jc_moments(drive, qubit)
+        shifted = jc_moments(drive, qubit, measure_from_ground=True)
+        assert abs(shifted.mean - (raw.mean - ground_energy(drive))) < 1e-12
         assert shifted.mean > 0
         assert shifted.stdev == raw.stdev
         t = ml_time(RotationTarget(math.pi / 2), shifted)
