@@ -26,11 +26,14 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import tempfile
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from ._domain import EXACT, integer, real
 from ._version import __version__
@@ -56,29 +59,38 @@ _BINOMIAL_MODES = ("moment_matched", "paper_literal")
 
 
 def _sample_count(value, path: str) -> int:
-    n = integer(value, path, SchemaError, 0, MAX_SAMPLES)
+    n = integer(value, path, SchemaError, 0, MAX_SAMPLES, strict=True)
     if n == 1:
         raise SchemaError(path, "must be 0 (off), or at least 2 for a standard error, got 1")
     return n
 
 
+def _output(value, path: str):
+    if value is not None and not isinstance(value, str):
+        raise SchemaError(path, f"expected a string or null, got {type(value).__name__}")
+    return value
+
+
 # field -> check of a value at its JSON pointer; grids apply the rule to each
-# entry. Means and reduced times have the library's domains
+# entry. Counts are exact integers; means and reduced times have the
+# library's domains
 _SCALAR_RULES = {
-    "seed": lambda v, path: integer(v, path, SchemaError, 0, 2 ** 64 - 1),
+    "seed": lambda v, path: integer(v, path, SchemaError, 0, 2 ** 64 - 1, strict=True),
     "mc_samples": _sample_count,
-    "jobs": lambda v, path: integer(v, path, SchemaError, 1),
+    "jobs": lambda v, path: integer(v, path, SchemaError, 1, strict=True),
+    "output": _output,
 }
 _GRID_RULES = {
     "nbar_grid": lambda v, path: real(v, path, SchemaError, 0, EXACT, lo_open=True),
     "fano_grid": lambda v, path: real(v, path, SchemaError, 0, 1, lo_open=True),
     "tau_grid": lambda v, path: real(v, path, SchemaError, 0, EXACT),
-    "concat_grid": lambda v, path: integer(v, path, SchemaError, 1),
+    "concat_grid": lambda v, path: integer(v, path, SchemaError, 1, strict=True),
 }
 
 
 def _one_of(value, allowed: tuple, path: str) -> None:
-    if value not in allowed:
+    # an array must not reach ==, which it answers elementwise
+    if not isinstance(value, str) or value not in allowed:
         raise SchemaError(path, f"expected one of {allowed}, got {value!r}")
 
 
@@ -89,14 +101,15 @@ class SweepConfig:
     Construction checks every field against the sweep domain and raises
     SchemaError with the field's JSON pointer (/nbar_grid/1, /drive/kind);
     it is the only place that knows which configs are legal. Grids become
-    tuples of floats (counts: ints), so a config that constructs runs.
+    tuples of floats (counts: ints), so a config that constructs runs. A
+    tau_grid left unset is [pi/2] in split mode and empty otherwise.
     """
 
     mode: str
     drive_kind: str = "poisson"
     nbar_grid: tuple = ()
     fano_grid: tuple = ()
-    tau_grid: tuple = ()
+    tau_grid: tuple | None = None
     concat_grid: tuple = ()
     seed: int = 0
     output: str | None = None
@@ -112,6 +125,8 @@ class SweepConfig:
             raise SchemaError("/drive/kind", "split mode uses coherent (poisson) drives")
         _one_of(self.split_convention, SPLIT_CONVENTIONS, "/split_convention")
         _one_of(self.binomial_mode, _BINOMIAL_MODES, "/binomial_mode")
+        if self.tau_grid is None:
+            object.__setattr__(self, "tau_grid", (math.pi / 2,) if self.mode == "split" else ())
         for name, rule in _SCALAR_RULES.items():
             object.__setattr__(self, name, rule(getattr(self, name), f"/{name}"))
         for name, rule in _GRID_RULES.items():
@@ -153,8 +168,10 @@ class SweepResult:
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise UnsupportedParameters("row length does not match column count")
-            lo, ex, hi = (row[k] for k in bracket)
+            lo, ex, hi = cells = tuple(row[k] for k in bracket)
             try:
+                if any(isinstance(c, (bool, np.bool_)) for c in cells):
+                    raise TypeError  # a bool is not a number, though it compares as one
                 inside = lo - BOUND_SANDWICH_TOL <= ex <= hi + BOUND_SANDWICH_TOL
             except (TypeError, ValueError):  # a cell that is not a number
                 raise UnsupportedParameters(

@@ -360,7 +360,6 @@ def fock_drive(n_photons: int) -> DriveDistribution:
 def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
     """Arbitrary complex amplitudes on a contiguous window starting at n_min."""
     b = array(coefficients, "coefficients", shape=(None,))
-    n_min = integer(n_min, "n_min")
     norm = np.linalg.norm(b)
     if norm == 0:
         raise UnsupportedParameters("coefficients must not all vanish")
@@ -550,14 +549,14 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
             f"expansion requires spread <= mean, got sqrt(variance)="
             f"{math.sqrt(variance):.3f} > nbar={nbar}"
         )
-    kind_l = kind.lower() if isinstance(kind, str) else None  # None matches no kind
-    if kind_l == "poisson":
+    kind_s = kind if isinstance(kind, str) else None  # an array must not reach ==
+    if kind_s == "poisson":
         def r1(x: float) -> float:
             return math.sqrt(nbar / (x + 1))
 
         def r2(x: float) -> float:
             return nbar / math.sqrt((x + 1) * (x + 2))
-    elif kind_l == "binomial":
+    elif kind_s == "binomial":
         width = 4.0 * variance
         offset = nbar - 2.0 * variance
 
@@ -603,10 +602,10 @@ def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,
     nbar = _mean(nbar)
     tau = real(tau, "reduced time", lo=-EXACT, hi=EXACT)
     variance = real(variance, "variance", lo=0)
-    kind_l = kind.lower() if isinstance(kind, str) else None  # None matches no kind
-    if kind_l == "poisson":
+    kind_s = kind if isinstance(kind, str) else None  # an array must not reach ==
+    if kind_s == "poisson":
         return (tau ** 2 + math.sin(tau) ** 2) / (6 * nbar)
-    if kind_l == "binomial":
+    if kind_s == "binomial":
         if variance == 0:
             return math.inf
         drift = tau ** 2 * variance  # / (6 nbar^2), which is subnormal below nbar ~ 1e-154

@@ -12,9 +12,7 @@ exact.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import fields
-from functools import partial
 
 import numpy as np
 
@@ -22,7 +20,7 @@ from ._domain import integer, real
 from .channel import _IMAGES, QubitChannel
 from .densmat import DensityMatrix
 from .errors import SchemaError
-from .experiments import SweepConfig, _atomic_write, _json_text
+from .experiments import _GRID_RULES, SweepConfig, _atomic_write, _json_text
 from .jcdrive import (
     DriveDistribution,
     binomial_drive,
@@ -68,16 +66,6 @@ def _complex(cell, path: str) -> complex:
     return complex(real(cell[0], f"{path}/0", SchemaError), real(cell[1], f"{path}/1", SchemaError))
 
 
-# a JSON integer at a pointer; its domain is checked where it is used
-_json_integer = partial(integer, error=SchemaError, lo=-math.inf, hi=math.inf, strict=True)
-
-
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -113,17 +101,13 @@ def decode_matrix(value, path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sweep configs
 
-# the optional top-level scalars and their JSON types (counts are JSON integers)
-_SWEEP_SCALARS = {"seed": _json_integer, "mc_samples": _json_integer, "jobs": _json_integer,
-                  "output": _string, "split_convention": _string, "binomial_mode": _string}
-
-
 def sweep_config_from_dict(data: dict, expected_mode: str | None = None) -> SweepConfig:
-    """Read a sweep document; SweepConfig checks the values it carries.
+    """Read a sweep document; SweepConfig checks every value it carries.
 
-    The loader handles what is particular to JSON: the schema version,
-    unknown keys, the drive object and its one-point nbar/fano shorthands,
-    split's default tau = pi/2, and counts that must be JSON integers.
+    The loader handles only what is particular to JSON: the schema version,
+    unknown keys, the subcommand's mode, the drive object with its one-point
+    nbar/fano shorthands, and grids that must be arrays. Every other field
+    is passed through as it is.
     """
     _check_object(data, _SWEEP_KEYS, "")
     _check_schema(data)
@@ -140,24 +124,15 @@ def sweep_config_from_dict(data: dict, expected_mode: str | None = None) -> Swee
     if "kind" not in drive:
         _fail("/drive/kind", "missing required field")
 
-    def grid(name: str, shorthand: str | None = None, default: tuple = ()) -> tuple:
+    kwargs = {key: value for key, value in data.items() if key not in ("schema", "drive")}
+    kwargs.update(mode=mode, drive_kind=drive["kind"])
+    for name in _GRID_RULES:
+        shorthand = name.removesuffix("_grid")  # drive.nbar and drive.fano
         if name in data:
             if not isinstance(data[name], list):
                 _fail(f"/{name}", "expected an array")
-            return tuple(data[name])
-        return (drive[shorthand],) if shorthand in drive else default
-
-    concat_grid = grid("concat_grid")
-    kwargs = dict(
-        mode=mode,
-        drive_kind=drive["kind"],
-        nbar_grid=grid("nbar_grid", "nbar"),
-        fano_grid=grid("fano_grid", "fano"),
-        tau_grid=grid("tau_grid", default=(math.pi / 2,) if mode == "split" else ()),
-        concat_grid=tuple(_json_integer(v, f"/concat_grid/{i}") for i, v in enumerate(concat_grid)),
-    )
-    kwargs.update((key, check(data[key], f"/{key}"))
-                  for key, check in _SWEEP_SCALARS.items() if key in data)
+        elif shorthand in drive:
+            kwargs[name] = (drive[shorthand],)
     return SweepConfig(**kwargs)
 
 
@@ -173,22 +148,26 @@ def drive_from_spec(spec: dict, binomial_mode: str = "moment_matched",
     spec = _check_object(spec, _DRIVE_KEYS, path)
     if "kind" not in spec:
         _fail(f"{path}/kind", "missing required field")
-    kind = _string(spec["kind"], f"{path}/kind")
+    kind = spec["kind"]
+    if not isinstance(kind, str):
+        _fail(f"{path}/kind", f"expected a string, got {type(kind).__name__}")
     if kind == "poisson":
         if "nbar" not in spec:
             _fail(f"{path}/nbar", "missing: poisson drives need a mean")
-        return poisson_drive(real(spec["nbar"], f"{path}/nbar", SchemaError))
+        if "fano" in spec:
+            _fail(f"{path}/fano", "poisson drives have no Fano factor")
+        return poisson_drive(_GRID_RULES["nbar_grid"](spec["nbar"], f"{path}/nbar"))
     if kind == "binomial":
         for key in ("nbar", "fano"):
             if key not in spec:
                 _fail(f"{path}/{key}", "missing: binomial drives need nbar and fano")
-        nbar = real(spec["nbar"], f"{path}/nbar", SchemaError)
-        fano = real(spec["fano"], f"{path}/fano", SchemaError)
+        nbar = _GRID_RULES["nbar_grid"](spec["nbar"], f"{path}/nbar")
+        fano = _GRID_RULES["fano_grid"](spec["fano"], f"{path}/fano")
         return binomial_drive(nbar, fano * nbar, mode=binomial_mode)
     if kind == "fock":
         if "N" not in spec:
             _fail(f"{path}/N", "missing: fock drives need a photon number")
-        return fock_drive(_json_integer(spec["N"], f"{path}/N"))
+        return fock_drive(integer(spec["N"], f"{path}/N", SchemaError, strict=True))
     if kind == "custom":
         if "coeffs" not in spec:
             _fail(f"{path}/coeffs", "missing: custom drives need coefficients")

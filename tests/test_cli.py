@@ -343,6 +343,14 @@ class TestSweepRuns:
         assert main(["scaling", "--config", cfg]) == 2
         assert "/output" in capsys.readouterr().err
 
+    def test_null_output_means_no_output(self, capsys, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", output=None)
+        assert main(["scaling", "--config", cfg]) == 2
+        assert "/output: no output path" in capsys.readouterr().err
+        chosen = tmp_path / "chosen.csv"
+        assert main(["scaling", "--config", cfg, "-o", str(chosen)]) == 0
+        assert chosen.exists()
+
     def test_budget_too_small_exits_one_without_partial_files(self, capsys,
                                                               tmp_path):
         csv = tmp_path / "split.csv"

@@ -100,6 +100,17 @@ class TestSweepConfig:
         (dict(nbar_grid=(10 ** 400,)), "/nbar_grid/0"),
         (dict(mc_samples=MAX_SAMPLES + 1), "/mc_samples"),
         (dict(mc_samples=10 ** 29), "/mc_samples"),
+        # counts are exact integers: an integral float is not one
+        (dict(mode="concat", concat_grid=(2.0,)), "/concat_grid/0"),
+        (dict(jobs=2.0), "/jobs"),
+        (dict(seed=3.0), "/seed"),
+        (dict(mc_samples=100.0), "/mc_samples"),
+        (dict(output=5), "/output"),
+        (dict(output=Path("out.csv")), "/output"),
+        # a choice is a string; an array would answer == elementwise
+        (dict(mode=np.array(["scaling"])), "/mode"),
+        (dict(drive_kind=np.array(["poisson"])), "/drive/kind"),
+        (dict(split_convention=np.array(["physical"])), "/split_convention"),
     ])
     def test_errors_carry_the_field_pointer(self, kw, path):
         with pytest.raises(SchemaError) as excinfo:
@@ -140,14 +151,14 @@ class TestSweepConfig:
 
     def test_grids_are_coerced(self):
         cfg = SweepConfig(mode="concat", nbar_grid=[25], tau_grid=[1],
-                          concat_grid=[2.0])
+                          concat_grid=[np.int64(2)])
         assert cfg.nbar_grid == (25.0,)
         assert cfg.tau_grid == (1.0,)
         assert cfg.concat_grid == (2,)
-        assert isinstance(cfg.concat_grid[0], int)
+        assert type(cfg.concat_grid[0]) is int
 
     def test_integral_scalars_become_ints(self):
-        cfg = _scaling_config(seed=np.uint64(5), jobs=2.0)
+        cfg = _scaling_config(seed=np.uint64(5), jobs=np.int32(2))
         assert (cfg.seed, cfg.jobs) == (5, 2)
         assert type(cfg.seed) is int and type(cfg.jobs) is int
 
@@ -173,7 +184,8 @@ class TestSweepResult:
                         rows=((0.1, 0.5, 0.2),), config=cfg)
 
     @pytest.mark.parametrize("row", [("a", "b", "c"), (0.1, None, 0.2), (0.1, 0.15, 0.2j),
-                                     (0.1, np.array([0.1, 0.15]), 0.2)])
+                                     (0.1, np.array([0.1, 0.15]), 0.2), (False, 0.0, True),
+                                     (0.0, np.False_, 0.1)])
     def test_rejects_bracket_cells_that_are_not_numbers(self, row):
         with pytest.raises(UnsupportedParameters, match="must be numbers"):
             SweepResult(columns=("eigenerror_bound_lower", "eigenerror_exact",

@@ -927,11 +927,10 @@ def _copied_custom_drive(coefficients, n_min=0):
         raise DimensionMismatch(f"coefficients must be a nonempty vector, got shape {b.shape}")
     if not np.isfinite(b).all():
         raise UnsupportedParameters("coefficients must be finite, got a non-finite entry")
-    n_min = integer(n_min, "n_min")
     norm = np.linalg.norm(b)
     if norm == 0:
         raise UnsupportedParameters("coefficients must not all vanish")
-    return _copied_drive("custom", b / norm, int(n_min))
+    return _copied_drive("custom", b / norm, n_min)
 
 
 def _outcome(build, *args, **kwargs) -> tuple:
@@ -1076,9 +1075,11 @@ class TestBuildChannelTaylor2:
         with pytest.raises(ApproximationDomain):
             build_channel_taylor2(4.0, 25.0, "poisson", JCConfig(tau=1.0))
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(UnsupportedParameters):
-            build_channel_taylor2(10.0, 1.0, "thermal", JCConfig(tau=1.0))
+    # a kind is spelled exactly, and an array never reaches ==
+    @pytest.mark.parametrize("kind", ["thermal", "Poisson", "POISSON", np.array(["poisson"])])
+    def test_rejects_unknown_kind(self, kind):
+        with pytest.raises(UnsupportedParameters, match="drive kind"):
+            build_channel_taylor2(100.0, 100.0, kind, JCConfig(tau=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -1150,9 +1151,10 @@ class TestAsymptoticLowerBound:
         with pytest.raises(InvalidMean):
             asymptotic_eigenerror_lower_bound("poisson", 0.0, 1.0, 1.0)
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(UnsupportedParameters):
-            asymptotic_eigenerror_lower_bound("thermal", 10.0, 10.0, 1.0)
+    @pytest.mark.parametrize("kind", ["thermal", "Poisson", "POISSON", np.array(["poisson"])])
+    def test_rejects_unknown_kind(self, kind):
+        with pytest.raises(UnsupportedParameters, match="drive kind"):
+            asymptotic_eigenerror_lower_bound(kind, 10.0, 10.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

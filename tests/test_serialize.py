@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_channel
-from eigenfid import DensityMatrix, QubitChannel, random_density_matrix
+from eigenfid import DensityMatrix, QubitChannel, SweepConfig, random_density_matrix
 from eigenfid.errors import NonHermitianInput, SchemaError, UnsupportedParameters
 from eigenfid.serialize import (
     channel_from_dict,
@@ -217,6 +218,67 @@ class TestSweepConfigDocument:
 
 
 # ---------------------------------------------------------------------------
+# one rule set: a field value means the same in Python and in JSON
+
+_ABSENT = object()
+_PARITY_BASES = {
+    "scaling": {"mode": "scaling", "drive_kind": "poisson", "nbar_grid": [25.0],
+                "tau_grid": [1.5]},
+    "concat": {"mode": "concat", "drive_kind": "poisson", "nbar_grid": [25.0],
+               "tau_grid": [1.5], "concat_grid": [2]},
+    "split": {"mode": "split", "drive_kind": "poisson", "nbar_grid": [64.0],
+              "tau_grid": [1.0], "concat_grid": [1, 2]},
+}
+# (base, field, value); _ABSENT leaves the field out
+_PARITY_CASES = [
+    *[("scaling", field, value) for field in ("seed", "jobs", "mc_samples")
+      for value in (2.0, True, "3", None, 3, 1.5)],
+    *[("concat", "concat_grid", value) for value in ([3.0], [True], ["3"], [3], [2, 4.0])],
+    *[("scaling", "output", value) for value in (5, True, None, "out.csv", ["out.csv"])],
+    ("split", "tau_grid", _ABSENT),
+    ("split", "tau_grid", []),
+    ("scaling", "tau_grid", _ABSENT),
+    ("scaling", "fano_grid", [0.5]),
+    ("scaling", "drive_kind", "Poisson"),
+    ("scaling", "split_convention", 5),
+    ("scaling", "binomial_mode", True),
+]
+
+
+def _outcome(build) -> tuple:
+    """The config's fields, or the pointer of the SchemaError it raises."""
+    try:
+        return "accepted", dataclasses.asdict(build())
+    except SchemaError as exc:
+        return "rejected", exc.path
+
+
+def _json_config(fields: dict) -> SweepConfig:
+    doc = {key: value for key, value in fields.items() if key != "drive_kind"}
+    doc.update(schema=1, drive={"kind": fields["drive_kind"]})
+    return sweep_config_from_dict(json.loads(json.dumps(doc)))
+
+
+class TestOneRuleSet:
+    @pytest.mark.parametrize("base,field,value", _PARITY_CASES,
+                             ids=[f"{b}-{f}-{'absent' if v is _ABSENT else repr(v)}"
+                                  for b, f, v in _PARITY_CASES])
+    def test_python_and_json_configs_agree(self, base, field, value):
+        fields = dict(_PARITY_BASES[base])
+        if value is _ABSENT:
+            del fields[field]
+        else:
+            fields[field] = value
+        assert _outcome(lambda: SweepConfig(**fields)) == _outcome(lambda: _json_config(fields))
+
+    def test_the_table_sees_both_outcomes(self):
+        # a table whose values all pass, or all fail, would compare nothing
+        outcomes = {_outcome(lambda: SweepConfig(**{**_PARITY_BASES[base], field: value}))[0]
+                    for base, field, value in _PARITY_CASES if value is not _ABSENT}
+        assert outcomes == {"accepted", "rejected"}
+
+
+# ---------------------------------------------------------------------------
 # drive specs
 
 class TestDriveSpec:
@@ -252,6 +314,20 @@ class TestDriveSpec:
             ({"kind": "custom", "coeffs": [[1.0]]}, "/drive/coeffs/0"),
             ({"kind": "custom", "coeffs": [[1.0, "x"]]}, "/drive/coeffs/0/1"),
             ({"kind": "poisson", "nbar": 4.0, "shape": 1}, "/drive/shape"),
+            ({"kind": ["poisson"], "nbar": 9.0}, "/drive/kind"),
+            ({"kind": "Poisson", "nbar": 9.0}, "/drive/kind"),
+            # nbar and fano take the sweep's rules, and a Poisson drive no fano
+            *[({"kind": kind, "nbar": nbar, **fano}, "/drive/nbar")
+              for kind, fano in (("poisson", {}), ("binomial", {"fano": 0.5}))
+              for nbar in (0.0, -4.0, math.nan, math.inf, 2.0 ** 54, True, "9")],
+            *[({"kind": "binomial", "nbar": 10.0, "fano": fano}, "/drive/fano")
+              for fano in (0.0, -0.5, 1.5, math.nan, True, "0.5")],
+            ({"kind": "poisson", "nbar": 9.0, "fano": 0.5}, "/drive/fano"),
+            ({"kind": "poisson", "nbar": 9.0, "fano": 1.0}, "/drive/fano"),
+            ({"kind": "fock", "N": -1}, "/drive/N"),
+            ({"kind": "fock", "N": 4.0}, "/drive/N"),
+            ({"kind": "fock", "N": True}, "/drive/N"),
+            ({"kind": "fock", "N": 2 ** 60}, "/drive/N"),
         ],
     )
     def test_pointer_paths(self, spec, path):
