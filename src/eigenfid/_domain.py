@@ -1,11 +1,13 @@
-"""Argument domains: one real check, one integer check and one array check.
+"""Argument domains: real, integer, array, choice and sequence checks.
 
 Every numeric scalar argument of the public surface goes through real or
-integer, and every array argument through array. Each takes the error class
-to raise and the subject its message names; for a SchemaError the subject is
-the field's JSON pointer. A bool is never a number here, and NaN is outside
-every domain. An array's message names its dtype or shape, never its entries,
-and a wrong shape raises DimensionMismatch whatever the caller's class.
+integer, every array argument through array, every string choice through
+choice and every sequence of entries through sequence. Each takes the error
+class to raise and the subject its message names; for a SchemaError the
+subject is the field's JSON pointer. A bool is never a number here, and NaN
+is outside every domain. An array's message names its dtype or shape, never
+its entries, and a wrong shape raises DimensionMismatch whatever the
+caller's class.
 """
 
 from __future__ import annotations
@@ -105,6 +107,27 @@ def array(value, what: str, error: type = UnsupportedParameters, *, dtype=comple
     if finite and not np.isfinite(a).all():
         _fail(error, what, "finite", "a non-finite entry")
     return a
+
+
+def choice(value, allowed: tuple, what: str, error: type = UnsupportedParameters) -> str:
+    """value, a str in allowed; anything else fails, so an array never reaches ==."""
+    if isinstance(value, str) and value in allowed:
+        return value
+    _fail(error, what, f"one of {allowed}", _shown(value))
+
+
+def sequence(value, what: str, error: type = UnsupportedParameters) -> tuple:
+    """The entries of a list, tuple, range or 1-D ndarray, in order, as a tuple.
+
+    A string, bytes, mapping, set, iterator, scalar or None fails, as does an
+    ndarray of another rank: their entries are characters, keys, unordered,
+    used up once read, or not there.
+    """
+    if isinstance(value, (tuple, list, range)) or (isinstance(value, np.ndarray)
+                                                   and value.ndim == 1):
+        return tuple(value)
+    _fail(error, what, "a list, tuple, range or 1-D array",
+          f"shape {value.shape}" if isinstance(value, np.ndarray) else type(value).__name__)
 
 
 def _shown(value) -> str:

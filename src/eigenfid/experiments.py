@@ -31,16 +31,18 @@ import os
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from ._domain import EXACT, integer, real
+from ._domain import EXACT, choice, integer, real, sequence
 from ._version import __version__
 from .channel import QubitChannel, _powers, _purities, mc_channel_eigenfidelity
 from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
 from .haar import MAX_SAMPLES, SeededSampler
 from .jcdrive import (
+    _BINOMIAL_MODES,
+    _MOMENT_KINDS,
     _exact_transfers,
     asymptotic_eigenerror_lower_bound,
     binomial_drive,
@@ -54,8 +56,6 @@ logger = logging.getLogger("eigenfid.experiments")
 SPLIT_CONVENTIONS = ("physical", "per_pulse")
 BOUND_SANDWICH_TOL = 1e-10
 VERSION_STRING = f"eigenfid-{__version__}"
-_DRIVE_KINDS = ("poisson", "binomial")
-_BINOMIAL_MODES = ("moment_matched", "paper_literal")
 
 
 def _sample_count(value, path: str) -> int:
@@ -88,12 +88,6 @@ _GRID_RULES = {
 }
 
 
-def _one_of(value, allowed: tuple, path: str) -> None:
-    # an array must not reach ==, which it answers elementwise
-    if not isinstance(value, str) or value not in allowed:
-        raise SchemaError(path, f"expected one of {allowed}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid specification for one sweep run.
@@ -119,21 +113,18 @@ class SweepConfig:
     binomial_mode: str = "moment_matched"
 
     def __post_init__(self):
-        _one_of(self.mode, MODES, "/mode")
-        _one_of(self.drive_kind, _DRIVE_KINDS, "/drive/kind")
+        choice(self.mode, MODES, "/mode", SchemaError)
+        choice(self.drive_kind, _MOMENT_KINDS, "/drive/kind", SchemaError)
         if self.mode == "split" and self.drive_kind != "poisson":
             raise SchemaError("/drive/kind", "split mode uses coherent (poisson) drives")
-        _one_of(self.split_convention, SPLIT_CONVENTIONS, "/split_convention")
-        _one_of(self.binomial_mode, _BINOMIAL_MODES, "/binomial_mode")
+        choice(self.split_convention, SPLIT_CONVENTIONS, "/split_convention", SchemaError)
+        choice(self.binomial_mode, _BINOMIAL_MODES, "/binomial_mode", SchemaError)
         if self.tau_grid is None:
             object.__setattr__(self, "tau_grid", (math.pi / 2,) if self.mode == "split" else ())
         for name, rule in _SCALAR_RULES.items():
             object.__setattr__(self, name, rule(getattr(self, name), f"/{name}"))
         for name, rule in _GRID_RULES.items():
-            try:
-                values = tuple(getattr(self, name))
-            except TypeError:
-                raise SchemaError(f"/{name}", "expected a sequence") from None
+            values = sequence(getattr(self, name), f"/{name}", SchemaError)
             if name == "fano_grid" and values and self.drive_kind == "poisson":
                 raise SchemaError("/fano_grid", "poisson drives have no Fano factor to sweep")
             if values and name not in _MODES[self.mode].axes:
@@ -152,15 +143,15 @@ class SweepResult:
     columns: tuple
     rows: tuple
     config: SweepConfig
-    version: str = VERSION_STRING
+    version: ClassVar[str] = VERSION_STRING
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "columns", tuple(self.columns))
-            object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-            idx = {name: k for k, name in enumerate(self.columns)}
-        except TypeError:  # not a sequence, or a column name that cannot be a key
-            raise UnsupportedParameters("columns and rows must be sequences") from None
+        object.__setattr__(self, "columns", sequence(self.columns, "columns"))
+        object.__setattr__(self, "rows", tuple(sequence(row, "each row")
+                                               for row in sequence(self.rows, "rows")))
+        if not all(isinstance(name, str) for name in self.columns):
+            raise UnsupportedParameters("column names must be strings")
+        idx = {name: k for k, name in enumerate(self.columns)}
         bracket = [idx.get(name) for name in
                    ("eigenerror_bound_lower", "eigenerror_exact", "eigenerror_bound_upper")]
         if self.rows and None in bracket:
@@ -182,7 +173,7 @@ class SweepResult:
                 )
 
     def column(self, name: str) -> tuple:
-        k = self.columns.index(name)
+        k = self.columns.index(choice(name, self.columns, "column name"))
         return tuple(row[k] for row in self.rows)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._domain import EXACT, array, integer, real
+from ._domain import EXACT, array, choice, integer, real, sequence
 from .channel import CP_TOL, QubitChannel, _check_transfers
 from .densmat import _read_only_copy
 from .errors import (
@@ -36,6 +36,11 @@ from .errors import (
 NORMALIZATION_TOL = 1e-12
 DEFAULT_TAIL_TOL = 1e-12
 TAYLOR2_CP_SLACK = 1e-3
+_DRIVE_KINDS = ("poisson", "binomial", "fock", "custom")
+# the kinds set by a mean and a variance: those a sweep, the second-order
+# channel and the asymptotic law take
+_MOMENT_KINDS = _DRIVE_KINDS[:2]
+_BINOMIAL_MODES = ("moment_matched", "paper_literal")
 
 
 def _moments(w: np.ndarray, n: np.ndarray) -> tuple[float, float]:
@@ -76,7 +81,8 @@ class DriveDistribution:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._adopt(self.kind, self.coefficients, self.n_min, self.metadata)
+        self._adopt(choice(self.kind, _DRIVE_KINDS, "drive kind"), self.coefficients,
+                    self.n_min, self.metadata)
 
     def _adopt(self, kind: str, coefficients, n_min, metadata: dict,
                moments: tuple[float, float] | None = None) -> DriveDistribution:
@@ -321,13 +327,13 @@ def binomial_drive(nbar: float, variance: float,
     # the width and shift bound the mean: both are integers of at most 2**53
     nbar = real(nbar, "mean photon number", InvalidMean, 0, lo_open=True)
     variance = real(variance, "variance", lo=0, hi=nbar, lo_open=True)
-    if mode == "moment_matched":
+    if choice(mode, _BINOMIAL_MODES, "binomial mode") == "moment_matched":
         n_trials = integer(4 * variance, "width 4*variance", slack=_PRODUCT_SLACK)
         offset = integer(nbar - 2 * variance, "support shift mean - 2*variance", lo=-EXACT,
                          slack=_PRODUCT_SLACK)
         metadata = {"mode": mode, "width": n_trials,
                     "requested_mean": nbar, "requested_variance": variance}
-    elif mode == "paper_literal":
+    else:
         n_trials = integer(2 * variance, "width 2*variance", slack=_PRODUCT_SLACK)
         offset = integer(nbar - n_trials, "support shift mean - width", lo=-EXACT,
                          slack=_PRODUCT_SLACK)
@@ -336,8 +342,6 @@ def binomial_drive(nbar: float, variance: float,
                     "moment_mismatch": True,
                     "realized_mean": nbar - n_trials / 2,
                     "realized_variance": n_trials / 4}
-    else:
-        raise UnsupportedParameters(f"unknown binomial mode {mode!r}")
 
     w = _binomial_weights(n_trials)  # level offset + k has weight w[k]
     if offset < 0:
@@ -442,13 +446,10 @@ _TAU_BLOCK_ELEMENTS = 1 << 16
 
 def _exact_transfers(drive: DriveDistribution, taus) -> tuple[np.ndarray, np.ndarray]:
     """build_channels_exact as arrays: the checked (T, 4, 4) transfer matrices, residuals."""
-    entries = np.asarray(taus, dtype=object)  # checked as given, before any conversion
-    if entries.ndim != 1:
-        raise DimensionMismatch("taus must be a one-dimensional sequence of reduced times, "
-                                f"got {type(taus).__name__}")
-    for tau in entries.tolist():
+    entries = sequence(taus, "taus", DimensionMismatch)  # checked as given, then converted
+    for tau in entries:
         JCConfig(tau=tau).interaction_time(drive.mean)  # tau >= 0; tau > 0 needs a mean
-    taus = entries.astype(float)
+    taus = np.array(entries, dtype=float)
     b = drive.coefficients
     m = len(b)  # window levels n_min .. n_max; angles run to n_max + 2
     w = np.abs(b) ** 2
@@ -549,14 +550,13 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
             f"expansion requires spread <= mean, got sqrt(variance)="
             f"{math.sqrt(variance):.3f} > nbar={nbar}"
         )
-    kind_s = kind if isinstance(kind, str) else None  # an array must not reach ==
-    if kind_s == "poisson":
+    if choice(kind, _MOMENT_KINDS, "drive kind") == "poisson":
         def r1(x: float) -> float:
             return math.sqrt(nbar / (x + 1))
 
         def r2(x: float) -> float:
             return nbar / math.sqrt((x + 1) * (x + 2))
-    elif kind_s == "binomial":
+    else:
         width = 4.0 * variance
         offset = nbar - 2.0 * variance
 
@@ -572,8 +572,6 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
                 return 0.0
             return math.sqrt(max((width - k) * (width - k - 1), 0.0)
                              / ((k + 1) * (k + 2)))
-    else:
-        raise UnsupportedParameters(f"unsupported drive kind for expansion: {kind!r}")
 
     def val(j: _Jet) -> float:
         return j.v + 0.5 * j.d2 * variance
@@ -602,13 +600,10 @@ def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,
     nbar = _mean(nbar)
     tau = real(tau, "reduced time", lo=-EXACT, hi=EXACT)
     variance = real(variance, "variance", lo=0)
-    kind_s = kind if isinstance(kind, str) else None  # an array must not reach ==
-    if kind_s == "poisson":
+    if choice(kind, _MOMENT_KINDS, "drive kind") == "poisson":
         return (tau ** 2 + math.sin(tau) ** 2) / (6 * nbar)
-    if kind_s == "binomial":
-        if variance == 0:
-            return math.inf
-        drift = tau ** 2 * variance  # / (6 nbar^2), which is subnormal below nbar ~ 1e-154
-        drift = drift / (6 * nbar ** 2) if nbar > 1e-150 else drift / nbar / (6 * nbar)
-        return drift + math.sin(tau) ** 2 / (6 * variance)
-    raise UnsupportedParameters(f"no asymptotic law for drive kind {kind!r}")
+    if variance == 0:
+        return math.inf
+    drift = tau ** 2 * variance  # / (6 nbar^2), which is subnormal below nbar ~ 1e-154
+    drift = drift / (6 * nbar ** 2) if nbar > 1e-150 else drift / nbar / (6 * nbar)
+    return drift + math.sin(tau) ** 2 / (6 * variance)

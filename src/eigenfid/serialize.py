@@ -16,12 +16,13 @@ from dataclasses import fields
 
 import numpy as np
 
-from ._domain import integer, real
+from ._domain import choice, integer, real
 from .channel import _IMAGES, QubitChannel
 from .densmat import DensityMatrix
 from .errors import SchemaError
 from .experiments import _GRID_RULES, SweepConfig, _atomic_write, _json_text
 from .jcdrive import (
+    _DRIVE_KINDS,
     DriveDistribution,
     binomial_drive,
     custom_drive,
@@ -53,11 +54,11 @@ def _check_object(data, allowed: set, path: str) -> dict:
     return data
 
 
-def _check_schema(data: dict, path: str = ""):
+def _check_schema(data: dict):
     if "schema" not in data:
-        _fail(f"{path}/schema", "missing required field")
-    if data["schema"] != SCHEMA_VERSION:
-        _fail(f"{path}/schema", f"expected {SCHEMA_VERSION}, got {data['schema']!r}")
+        _fail("/schema", "missing required field")
+    if integer(data["schema"], "/schema", SchemaError, strict=True) != SCHEMA_VERSION:
+        _fail("/schema", f"expected {SCHEMA_VERSION}, got {data['schema']!r}")
 
 
 def _complex(cell, path: str) -> complex:
@@ -105,9 +106,9 @@ def sweep_config_from_dict(data: dict, expected_mode: str | None = None) -> Swee
     """Read a sweep document; SweepConfig checks every value it carries.
 
     The loader handles only what is particular to JSON: the schema version,
-    unknown keys, the subcommand's mode, the drive object with its one-point
-    nbar/fano shorthands, and grids that must be arrays. Every other field
-    is passed through as it is.
+    unknown keys, the subcommand's mode and the drive object with its
+    one-point nbar/fano shorthands. Every other field is passed through as
+    it is.
     """
     _check_object(data, _SWEEP_KEYS, "")
     _check_schema(data)
@@ -126,13 +127,9 @@ def sweep_config_from_dict(data: dict, expected_mode: str | None = None) -> Swee
 
     kwargs = {key: value for key, value in data.items() if key not in ("schema", "drive")}
     kwargs.update(mode=mode, drive_kind=drive["kind"])
-    for name in _GRID_RULES:
-        shorthand = name.removesuffix("_grid")  # drive.nbar and drive.fano
-        if name in data:
-            if not isinstance(data[name], list):
-                _fail(f"/{name}", "expected an array")
-        elif shorthand in drive:
-            kwargs[name] = (drive[shorthand],)
+    for key in ("nbar", "fano"):
+        if key in drive:
+            kwargs.setdefault(f"{key}_grid", (drive[key],))
     return SweepConfig(**kwargs)
 
 
@@ -143,14 +140,12 @@ def load_sweep_config(path: str, expected_mode: str | None = None) -> SweepConfi
 # ---------------------------------------------------------------------------
 # drives
 
-def drive_from_spec(spec: dict, binomial_mode: str = "moment_matched",
-                    path: str = "/drive") -> DriveDistribution:
+def drive_from_spec(spec: dict) -> DriveDistribution:
+    path = "/drive"
     spec = _check_object(spec, _DRIVE_KEYS, path)
     if "kind" not in spec:
         _fail(f"{path}/kind", "missing required field")
-    kind = spec["kind"]
-    if not isinstance(kind, str):
-        _fail(f"{path}/kind", f"expected a string, got {type(kind).__name__}")
+    kind = choice(spec["kind"], _DRIVE_KINDS, f"{path}/kind", SchemaError)
     if kind == "poisson":
         if "nbar" not in spec:
             _fail(f"{path}/nbar", "missing: poisson drives need a mean")
@@ -163,20 +158,18 @@ def drive_from_spec(spec: dict, binomial_mode: str = "moment_matched",
                 _fail(f"{path}/{key}", "missing: binomial drives need nbar and fano")
         nbar = _GRID_RULES["nbar_grid"](spec["nbar"], f"{path}/nbar")
         fano = _GRID_RULES["fano_grid"](spec["fano"], f"{path}/fano")
-        return binomial_drive(nbar, fano * nbar, mode=binomial_mode)
+        return binomial_drive(nbar, fano * nbar)
     if kind == "fock":
         if "N" not in spec:
             _fail(f"{path}/N", "missing: fock drives need a photon number")
         return fock_drive(integer(spec["N"], f"{path}/N", SchemaError, strict=True))
-    if kind == "custom":
-        if "coeffs" not in spec:
-            _fail(f"{path}/coeffs", "missing: custom drives need coefficients")
-        raw = spec["coeffs"]
-        if not isinstance(raw, list) or not raw:
-            _fail(f"{path}/coeffs", "expected a non-empty array of [re, im] pairs")
-        return custom_drive(np.array([_complex(cell, f"{path}/coeffs/{i}")
-                                      for i, cell in enumerate(raw)]))
-    _fail(f"{path}/kind", f"unknown drive kind {kind!r}")
+    if "coeffs" not in spec:
+        _fail(f"{path}/coeffs", "missing: custom drives need coefficients")
+    raw = spec["coeffs"]
+    if not isinstance(raw, list) or not raw:
+        _fail(f"{path}/coeffs", "expected a non-empty array of [re, im] pairs")
+    return custom_drive(np.array([_complex(cell, f"{path}/coeffs/{i}")
+                                  for i, cell in enumerate(raw)]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +217,9 @@ def channel_from_dict(data: dict) -> QubitChannel:
 def object_from_dict(data: dict):
     if not isinstance(data, dict):
         _fail("/", f"expected an object, got {type(data).__name__}")
-    kind = data.get("type")
-    if kind == "state":
+    if choice(data.get("type"), ("state", "channel"), "/type", SchemaError) == "state":
         return state_from_dict(data)
-    if kind == "channel":
-        return channel_from_dict(data)
-    _fail("/type", f"expected 'state' or 'channel', got {kind!r}")
+    return channel_from_dict(data)
 
 
 def load_object(path: str):

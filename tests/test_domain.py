@@ -1,12 +1,15 @@
-"""Argument domains: the three checks of eigenfid._domain, and the contract
-that every public callable meets for every scalar and every array parameter.
+"""Argument domains: the five checks of eigenfid._domain, and the contract
+that every public callable meets for every scalar, array, string-choice and
+sequence parameter.
 
 The contract: each value of a fixed adversarial vocabulary, put in place of
 one scalar or array argument of an otherwise valid call, gives a result or an
 EigenfidError, within a time limit and with warnings raised as errors; in
-place of a number, NaN, a bool, a string or None gives an EigenfidError. The
-callables come from eigenfid.__all__, so a new public name fails the
-coverage test until it has valid arguments here.
+place of a number, NaN, a bool, a string or None gives an EigenfidError. In
+place of a string choice, anything but a listed string gives an
+EigenfidError, and so does anything but a list, tuple, range or 1-D array in
+place of a sequence. The callables come from eigenfid.__all__, so a new
+public name fails the coverage test until it has valid arguments here.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from eigenfid import (
     poisson_drive,
     run,
 )
-from eigenfid._domain import EXACT, array, integer, real
+from eigenfid._domain import EXACT, array, choice, integer, real, sequence
 from eigenfid.errors import (
     DimensionMismatch,
     EigenfidError,
@@ -234,6 +237,68 @@ class TestArray:
 
 
 # ---------------------------------------------------------------------------
+# the choice check
+
+
+class TestChoice:
+    def test_a_listed_string_is_returned_as_it_is(self):
+        kind = "binomial"
+        assert choice(kind, ("poisson", "binomial"), "kind") is kind
+
+    @pytest.mark.parametrize("value,shown", [
+        ("Poisson", "'Poisson'"), ("", "''"), (None, "None"), (1, "1"), (True, "True"),
+        (b"poisson", "b'poisson'"), (["poisson"], "['poisson']"),
+        (np.array(["poisson"]), "array(['poisson'], dtype='<U7')"),
+        (np.array(["poisson", "x"]), "array(['poisson', 'x'], dtype='<U7')"),
+    ])
+    def test_anything_else_fails_and_no_array_reaches_eq(self, value, shown):
+        with pytest.raises(InvalidMean) as excinfo:
+            choice(value, ("poisson", "binomial"), "kind", InvalidMean)
+        assert str(excinfo.value) == f"kind must be one of ('poisson', 'binomial'), got {shown}"
+
+    def test_a_schema_error_gets_the_pointer_as_its_path(self):
+        with pytest.raises(SchemaError) as excinfo:
+            choice("walk", ("scaling",), "/mode", SchemaError)
+        assert excinfo.value.path == "/mode"
+        assert str(excinfo.value) == "/mode: must be one of ('scaling',), got 'walk'"
+
+
+# ---------------------------------------------------------------------------
+# the sequence check
+
+
+class TestSequence:
+    @pytest.mark.parametrize("value,entries", [
+        ((1.0, "a"), (1.0, "a")), ([3, 1, 2], (3, 1, 2)), (range(3), (0, 1, 2)),
+        (np.array([2.0, 1.0]), (2.0, 1.0)), ([], ()), (np.empty(0), ()),
+        ([[1.0]], ([1.0],)),
+    ])
+    def test_entries_come_back_in_order(self, value, entries):
+        got = sequence(value, "grid")
+        assert (type(got), got) == (tuple, entries)
+
+    def test_a_tuple_is_returned_as_it_is(self):
+        grid = (1.0, 2.0)
+        assert sequence(grid, "grid") is grid
+
+    @pytest.mark.parametrize("value,got", [
+        ("12", "str"), (b"12", "bytes"), ({1.0: "a"}, "dict"), ({1.0}, "set"),
+        (frozenset({1.0}), "frozenset"), ((x for x in [1.0]), "generator"),
+        (iter([1.0]), "list_iterator"), (1.0, "float"), (np.float64(1.0), "float64"),
+        (None, "NoneType"), (np.array(1.0), "shape ()"), (np.ones((2, 2)), "shape (2, 2)"),
+    ])
+    def test_anything_else_fails(self, value, got):
+        with pytest.raises(InvalidMean) as excinfo:
+            sequence(value, "grid", InvalidMean)
+        assert str(excinfo.value) == f"grid must be a list, tuple, range or 1-D array, got {got}"
+
+    def test_a_schema_error_gets_the_pointer_as_its_path(self):
+        with pytest.raises(SchemaError) as excinfo:
+            sequence({1.0}, "/nbar_grid", SchemaError)
+        assert excinfo.value.path == "/nbar_grid"
+
+
+# ---------------------------------------------------------------------------
 # the public surface
 
 def test_all_holds_no_module():
@@ -321,7 +386,7 @@ VALID = {
     "schatten_norm": lambda: _call(_state(), 3.0),
     # experiments (file names are relative: the test runs in a temporary directory)
     "SweepConfig": lambda: _call(mode="scaling", nbar_grid=(16.0,), tau_grid=(1.0,)),
-    "SweepResult": lambda: (lambda r: _call(r.columns, r.rows, r.config, r.version))(
+    "SweepResult": lambda: (lambda r: _call(r.columns, r.rows, r.config))(
         run(_config())),
     "run": lambda: _call(_config()),
     "run_scaling": lambda: _call(_config()),
@@ -381,6 +446,7 @@ METHODS = {
     "SeededSampler.sample_amplitudes": lambda: (SeededSampler(1, 2).sample_amplitudes,
                                                 _call(4)),
     "SeededSampler.bloch_blocks": lambda: (SeededSampler(1, 2).bloch_blocks, _call(4)),
+    "SweepResult.column": lambda: (run(_config()).column, _call("tau")),
 }
 
 
@@ -552,6 +618,81 @@ def test_the_contract_sees_the_array_parameters():
     assert _array_parameters("custom_drive") == ["coefficients"]
     assert _array_parameters("DensityMatrix.diagonal") == ["populations"]
     assert _array_parameters("poisson_drive") == []
+
+
+# string-choice parameters are the string-valued ones, less these free-text ones
+FREE_TEXT = {"SchemaError": ["path", "message"], "write_csv": ["path"],
+             "write_sidecar": ["path"]}
+
+
+def _choice_parameters(name: str) -> list:
+    return [p for p in _parameters(name, lambda value: isinstance(value, str))
+            if p not in FREE_TEXT.get(name, ())]
+
+
+def _sequence_parameters(name: str) -> list:
+    return _parameters(name, lambda value: isinstance(value, (list, tuple, range))
+                       or (isinstance(value, np.ndarray) and value.ndim == 1))
+
+
+# values that no string choice takes, built from the valid choice: the same
+# word in other case, the empty string, None, a number, a bool, bytes, and
+# the valid word inside a list or a one- or two-element array
+CHOICE_VOCABULARY = {
+    "other case": lambda valid: valid.upper(),
+    "''": lambda valid: "",
+    "None": lambda valid: None,
+    "1": lambda valid: 1,
+    "True": lambda valid: True,
+    "bytes": lambda valid: valid.encode(),
+    "[valid]": lambda valid: [valid],
+    "np.array([valid])": lambda valid: np.array([valid]),
+    "np.array([valid, valid])": lambda valid: np.array([valid, valid]),
+}
+
+
+@pytest.mark.parametrize("name", [name for name in [*VALID, *METHODS] if _choice_parameters(name)])
+def test_choice_arguments_take_only_a_listed_string(name, time_limit, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    escapes = _escapes(name, _choice_parameters(name), CHOICE_VOCABULARY, time_limit,
+                       ("typed",))
+    assert not escapes, "\n".join(escapes)
+
+
+# values that are no sequence, built from the valid one: its entries as a
+# set, as dict keys or from a generator, a string and a 2-D array
+SEQUENCE_VOCABULARY = {
+    "set": lambda valid: set(valid),
+    "dict": lambda valid: dict.fromkeys(valid),
+    "generator": lambda valid: (entry for entry in valid),
+    "'12'": lambda valid: "12",
+    "2-D array": lambda valid: np.ones((2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", [name for name in [*VALID, *METHODS]
+                                  if _sequence_parameters(name)])
+def test_sequence_arguments_take_only_an_ordered_sequence(name, time_limit, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    escapes = _escapes(name, _sequence_parameters(name), SEQUENCE_VOCABULARY, time_limit,
+                       ("typed",))
+    assert not escapes, "\n".join(escapes)
+
+
+def test_the_contract_sees_the_choice_and_sequence_parameters():
+    assert _choice_parameters("binomial_drive") == ["mode"]
+    for name in ("build_channel_taylor2", "asymptotic_eigenerror_lower_bound",
+                 "asymptotic_eigenerror_lower_bound(poisson)", "DriveDistribution"):
+        assert _choice_parameters(name) == ["kind"]
+    assert _choice_parameters("SweepConfig") == [
+        "mode", "drive_kind", "split_convention", "binomial_mode"]
+    assert _choice_parameters("SweepResult.column") == ["name"]
+    assert _choice_parameters("write_csv") == []
+    assert _sequence_parameters("SweepConfig") == [
+        "nbar_grid", "fano_grid", "tau_grid", "concat_grid"]
+    assert _sequence_parameters("build_channels_exact") == ["taus"]
+    assert _sequence_parameters("SweepResult") == ["columns", "rows"]
 
 
 def test_a_count_past_two_to_the_53_is_named_as_the_count():

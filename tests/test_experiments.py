@@ -9,7 +9,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +168,9 @@ class TestSweepConfig:
                         concat_grid=(1.5,))
 
 
+_BRACKET = ("eigenerror_bound_lower", "eigenerror_exact", "eigenerror_bound_upper")
+
+
 class TestSweepResult:
     def test_rejects_ragged_rows(self):
         cfg = _scaling_config()
@@ -191,6 +194,30 @@ class TestSweepResult:
             SweepResult(columns=("eigenerror_bound_lower", "eigenerror_exact",
                                  "eigenerror_bound_upper"),
                         rows=(row,), config=_scaling_config())
+
+    @pytest.mark.parametrize("columns,rows,text", [
+        ({"eigenerror_bound_lower", "eigenerror_exact", "eigenerror_bound_upper"}, (),
+         "columns must be a list, tuple, range or 1-D array, got set"),
+        (_BRACKET, {(0.1, 0.15, 0.2)}, "rows must be a list, tuple, range or 1-D array, got set"),
+        (_BRACKET, ({0.1: 0, 0.15: 1, 0.2: 2},),
+         "each row must be a list, tuple, range or 1-D array, got dict"),
+        ((1, 2, 3), (), "column names must be strings"),
+    ])
+    def test_columns_and_rows_are_ordered_sequences(self, columns, rows, text):
+        with pytest.raises(UnsupportedParameters, match=f"^{text}$"):
+            SweepResult(columns=columns, rows=rows, config=_scaling_config())
+
+    def test_rows_keep_their_cells(self):
+        row = np.array([0.1, 0.15, 0.2])
+        res = SweepResult(columns=list(_BRACKET), rows=[row], config=_scaling_config())
+        assert res.columns == _BRACKET
+        assert res.rows == ((0.1, 0.15, 0.2),)
+        assert type(res.rows[0][0]) is np.float64
+
+    def test_the_version_is_the_package_version(self):
+        res = SweepResult(columns=_BRACKET, rows=(), config=_scaling_config())
+        assert res.version == VERSION_STRING
+        assert [f.name for f in fields(SweepResult)] == ["columns", "rows", "config"]
 
     def test_column_lookup(self):
         cfg = _scaling_config()

@@ -99,6 +99,12 @@ class TestPoissonDrive:
 
 
 class TestBinomialDrive:
+    @pytest.mark.parametrize("mode", [np.array(["moment_matched"]), np.array(["a", "b"]),
+                                      "Moment_Matched"])
+    def test_the_mode_is_a_listed_string(self, mode):
+        with pytest.raises(UnsupportedParameters, match="^binomial mode must be one of "):
+            binomial_drive(10.0, 2.0, mode=mode)
+
     def test_moment_matched_realizes_requested_moments(self):
         drive = binomial_drive(25.0, 5.0)
         assert abs(drive.mean - 25.0) < 1e-9
@@ -223,6 +229,14 @@ class TestCustomDrive:
 
 
 class TestDriveDistribution:
+    @pytest.mark.parametrize("kind", ["Poisson", "thermal", np.array(["x"]),
+                                      np.array(["custom"]), None])
+    def test_the_kind_is_a_drive_kind(self, kind):
+        with pytest.raises(UnsupportedParameters, match="^drive kind must be one of "
+                                                        r"\('poisson', 'binomial', 'fock', "
+                                                        r"'custom'\), got "):
+            DriveDistribution(kind, [1.0], 0)
+
     def test_rejects_negative_window(self):
         with pytest.raises(UnsupportedParameters):
             DriveDistribution("custom", np.array([1.0 + 0j]), -1)
@@ -502,13 +516,17 @@ _BATCH_DRIVES = {
 _BATCH_TAUS = (0.0, 0.1, 0.7, math.pi / 2, 2.0, math.pi, 5.9, 0.7, 0.0)
 
 
-_NOT_A_SEQUENCE = "taus must be a one-dimensional sequence of reduced times"
+_NOT_A_SEQUENCE = "taus must be a list, tuple, range or 1-D array, got "
 _BAD_TAUS = [
-    (1.0, DimensionMismatch, _NOT_A_SEQUENCE), (None, DimensionMismatch, _NOT_A_SEQUENCE),
-    ("1.0", DimensionMismatch, _NOT_A_SEQUENCE),
-    (np.float64(1.0), DimensionMismatch, _NOT_A_SEQUENCE),
-    ({"a": 1}, DimensionMismatch, _NOT_A_SEQUENCE),
-    (np.array([[1.0]]), DimensionMismatch, _NOT_A_SEQUENCE),
+    (1.0, DimensionMismatch, _NOT_A_SEQUENCE + "float"),
+    (None, DimensionMismatch, _NOT_A_SEQUENCE + "NoneType"),
+    ("1.0", DimensionMismatch, _NOT_A_SEQUENCE + "str"),
+    (np.float64(1.0), DimensionMismatch, _NOT_A_SEQUENCE + "float64"),
+    ({"a": 1}, DimensionMismatch, _NOT_A_SEQUENCE + "dict"),
+    ({1.0, 2.0}, DimensionMismatch, _NOT_A_SEQUENCE + "set"),
+    (np.array([[1.0]]), DimensionMismatch, _NOT_A_SEQUENCE + "shape (1, 1)"),
+    # a nested list is a sequence whose entry is not a reduced time
+    ([[1.0]], UnsupportedParameters, "reduced time must be a real number, got [1.0]"),
     (["x"], UnsupportedParameters, "reduced time must be a real number, got 'x'"),
     ([None], UnsupportedParameters, "reduced time must be a real number, got None"),
     ([True], UnsupportedParameters, "reduced time must be a real number, got True"),
@@ -900,7 +918,8 @@ def _copied_binomial_drive(nbar: float, variance: float, mode: str = "moment_mat
                     "realized_mean": nbar - n_trials / 2,
                     "realized_variance": n_trials / 4}
     else:
-        raise UnsupportedParameters(f"unknown binomial mode {mode!r}")
+        raise UnsupportedParameters("binomial mode must be one of "
+                                    f"('moment_matched', 'paper_literal'), got {mode!r}")
     w = _copied_binomial_weights(n_trials)
     n = offset + np.arange(n_trials + 1)
     if n[0] < 0:

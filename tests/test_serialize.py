@@ -105,6 +105,9 @@ class TestSweepConfigDocument:
         [
             (lambda d: d.pop("schema"), "/schema"),
             (lambda d: d.update(schema=2), "/schema"),
+            # a bool is not a number, and a version is an exact integer
+            (lambda d: d.update(schema=True), "/schema"),
+            (lambda d: d.update(schema=1.0), "/schema"),
             (lambda d: d.update(extra=1), "/extra"),
             (lambda d: d["drive"].update(flavor="x"), "/drive/flavor"),
             (lambda d: d.pop("mode"), "/mode"),
@@ -236,6 +239,8 @@ _PARITY_CASES = [
     *[("concat", "concat_grid", value) for value in ([3.0], [True], ["3"], [3], [2, 4.0])],
     *[("scaling", "output", value) for value in (5, True, None, "out.csv", ["out.csv"])],
     ("split", "tau_grid", _ABSENT),
+    ("split", "tau_grid", None),
+    *[("scaling", "nbar_grid", value) for value in ("25", {"25": 1}, 25.0, None, [[25.0]])],
     ("split", "tau_grid", []),
     ("scaling", "tau_grid", _ABSENT),
     ("scaling", "fano_grid", [0.5]),
@@ -328,6 +333,7 @@ class TestDriveSpec:
             ({"kind": "fock", "N": 4.0}, "/drive/N"),
             ({"kind": "fock", "N": True}, "/drive/N"),
             ({"kind": "fock", "N": 2 ** 60}, "/drive/N"),
+            *[({"kind": kind, "nbar": 9.0}, "/drive/kind") for kind in ("", None, 1, True)],
         ],
     )
     def test_pointer_paths(self, spec, path):
@@ -445,6 +451,11 @@ class TestObjectDocuments:
         with pytest.raises(SchemaError) as excinfo:
             object_from_dict({"schema": 1, "type": "gate"})
         assert _path_of(excinfo) == "/type"
+
+    @pytest.mark.parametrize("kind", ["State", ["state"], None, 1])
+    def test_the_type_is_a_listed_string(self, kind):
+        with pytest.raises(SchemaError, match=r"^/type: must be one of \('state', 'channel'\)"):
+            object_from_dict({"schema": 1, "type": kind})
 
     def test_non_object(self):
         with pytest.raises(SchemaError) as excinfo:
