@@ -119,6 +119,7 @@ class TargetGate:
 
     unitary: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing product fails, as NaN does
     def __post_init__(self):
         u = array(self.unitary, "gate", NonHermitianInput, shape=(2, 2))
         if not np.abs(u.conj().T @ u - np.eye(2)).max() <= UNITARY_TOL:
@@ -140,6 +141,7 @@ class ChoiMatrix:
 
     entries: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing residual fails, as NaN does
     def __post_init__(self):
         s = array(self.entries, "Choi matrix", NonHermitianInput, shape=(4, 4))
         if not np.abs(s - s.conj().T).max() <= HERM_TOL:
@@ -147,7 +149,7 @@ class ChoiMatrix:
         # tracing out the output (second) factor must give the identity,
         # which is trace preservation seen from the Choi side
         reduced = np.array([[np.trace(s[2*i:2*i+2, 2*j:2*j+2]) for j in (0, 1)] for i in (0, 1)])
-        if np.abs(reduced - np.eye(2)).max() > 1e-8:
+        if not np.abs(reduced - np.eye(2)).max() <= 1e-8:
             raise NonHermitianInput("partial trace over the output is not the identity")
         object.__setattr__(self, "entries", _read_only_copy(s))
 
@@ -356,13 +358,14 @@ def mc_gate_fidelity(channel: QubitChannel, gate: TargetGate, sampler: SeededSam
     return _mc_estimate(channel, sampler, n_samples, values)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_transfers(s: np.ndarray, cp_slack) -> np.ndarray:
     """Choi residuals of a (T, 4, 4) stack of transfer matrices checked as channels.
 
     A channel's checks (trace preservation, a Hermitian Choi matrix, complete
     positivity at cp_slack, a scalar or one value per row) run in order over
-    the stack, each failing on NaN. The first row that fails one raises what
-    that row alone would raise.
+    the stack, each failing on NaN and so on a residual that overflows. The
+    first row that fails one raises what that row alone would raise.
     """
     tp = _trace_defects(s)
     if not tp.max(initial=0.0) <= TP_TOL:
@@ -374,8 +377,11 @@ def _check_transfers(s: np.ndarray, cp_slack) -> np.ndarray:
     if not np.abs(choi - adjoint).max(initial=0.0) <= HERM_TOL:
         raise NonHermitianInput("E00 and E11 must be Hermitian and E10 must equal "
                                 "the adjoint of E01")
-    # every entry is finite now; 0 - min(w, 0) is max(0, -w) with +0 for any zero
-    residual = 0.0 - np.minimum(np.linalg.eigvalsh((choi + adjoint) / 2)[:, 0], 0.0)
+    sym = (choi + adjoint) / 2  # every entry is finite now, but a sum may not be
+    if not np.isfinite(sym).all():
+        raise CPViolation("Choi matrix has entries past the float range")
+    # 0 - min(w, 0) is max(0, -w) with +0 for any zero
+    residual = 0.0 - np.minimum(np.linalg.eigvalsh(sym)[:, 0], 0.0)
     if not (residual <= cp_slack).all():
         k = int(np.argmax(~(residual <= cp_slack)))
         slack = np.broadcast_to(cp_slack, residual.shape)[k]

@@ -36,23 +36,38 @@ def _read_only_copy(a) -> np.ndarray:
     return a
 
 
+def _normalized(v: np.ndarray, error: type, zero: str) -> np.ndarray:
+    """v / norm(v), or error(zero) for a zero v. Where norm(v)**2 could overflow
+    or lose digits, v is first divided by its largest real or imaginary part."""
+    top = max(np.abs(v.real).max(), np.abs(v.imag).max())
+    if top == 0:
+        raise error(zero)
+    if not 1e-150 <= top <= 1e150:
+        v = v / top
+    return v / np.linalg.norm(v)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Positive-semidefinite, unit-trace complex matrix."""
 
     matrix: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing residual fails, as NaN does
     def __post_init__(self):
         a = array(self.matrix, "density matrix", NonHermitianInput, shape=(None, None))
-        if np.abs(a - a.conj().T).max() > HERMITIAN_TOL:
+        if not np.abs(a - a.conj().T).max() <= HERMITIAN_TOL:
             raise NonHermitianInput(
                 f"matrix deviates from Hermiticity by {np.abs(a - a.conj().T).max():.3e}"
             )
         tr = float(np.trace(a).real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise NonHermitianInput(f"trace is {tr!r}, expected 1")
-        w = np.linalg.eigvalsh((a + a.conj().T) / 2)
-        if w.min() < -PSD_TOL:
+        sym = (a + a.conj().T) / 2
+        if not np.isfinite(sym).all():
+            raise NonHermitianInput("matrix has entries past the float range")
+        w = np.linalg.eigvalsh(sym)
+        if not w.min() >= -PSD_TOL:
             raise NonHermitianInput(
                 f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})"
             )
@@ -84,6 +99,7 @@ class PureState:
 
     amplitudes: np.ndarray
 
+    @np.errstate(over="ignore")  # an overflowing norm fails
     def __post_init__(self):
         v = array(self.amplitudes, "state amplitudes", DimensionMismatch, shape=(None,))
         n = float(np.linalg.norm(v))
@@ -98,10 +114,7 @@ class PureState:
     @classmethod
     def from_vector(cls, v) -> "PureState":
         a = array(v, "state amplitudes", DimensionMismatch, shape=(None,))
-        n = np.linalg.norm(a)
-        if n == 0:
-            raise DimensionMismatch("cannot normalize the zero vector")
-        return cls(a / n)
+        return cls(_normalized(a, DimensionMismatch, "cannot normalize the zero vector"))
 
     def density(self) -> DensityMatrix:
         return DensityMatrix.pure(self)
@@ -114,10 +127,11 @@ class EnergyBasis:
     levels: np.ndarray
     basis: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing product fails, as NaN does
     def __post_init__(self):
         e = array(self.levels, "energy levels", DimensionMismatch, dtype=float, shape=(None,))
         b = array(self.basis, "basis", DimensionMismatch, shape=(len(e), len(e)))
-        if not np.all(np.diff(e) > 0):
+        if not np.all(e[1:] > e[:-1]):  # a difference of finite levels may overflow
             raise DimensionMismatch("energy levels must be strictly increasing")
         if not np.abs(b.conj().T @ b - np.eye(len(e))).max() <= ORTHO_TOL:
             raise DimensionMismatch("basis columns are not orthonormal")
@@ -251,7 +265,7 @@ def effective_temperature(rho: DensityMatrix, basis: EnergyBasis) -> float:
         raise InvalidDimension(f"effective temperature is defined for d=2, got d={rho.dim}")
     if basis.dim != 2:
         raise InvalidDimension("energy basis must be two-level")
-    gap = float(basis.levels[1] - basis.levels[0])
+    gap = float(basis.levels[1]) - float(basis.levels[0])  # inf past the float range
     r = eigenfidelity(rho)
     # top eigenvalue of a qubit state lies in [1/2, 1]
     r = min(max(r, 0.5), 1.0)

@@ -41,7 +41,6 @@ from .channel import QubitChannel, _powers, _purities, mc_channel_eigenfidelity
 from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
 from .haar import MAX_SAMPLES, SeededSampler
 from .jcdrive import (
-    _BINOMIAL_MODES,
     _MOMENT_KINDS,
     _exact_transfers,
     asymptotic_eigenerror_lower_bound,
@@ -110,7 +109,6 @@ class SweepConfig:
     mc_samples: int = 0
     jobs: int = 1
     split_convention: str = "physical"
-    binomial_mode: str = "moment_matched"
 
     def __post_init__(self):
         choice(self.mode, MODES, "/mode", SchemaError)
@@ -118,7 +116,6 @@ class SweepConfig:
         if self.mode == "split" and self.drive_kind != "poisson":
             raise SchemaError("/drive/kind", "split mode uses coherent (poisson) drives")
         choice(self.split_convention, SPLIT_CONVENTIONS, "/split_convention", SchemaError)
-        choice(self.binomial_mode, _BINOMIAL_MODES, "/binomial_mode", SchemaError)
         if self.tau_grid is None:
             object.__setattr__(self, "tau_grid", (math.pi / 2,) if self.mode == "split" else ())
         for name, rule in _SCALAR_RULES.items():
@@ -188,7 +185,7 @@ class SweepResult:
 def _drive(config: SweepConfig, nbar: float, fano):
     if config.drive_kind == "poisson":
         return poisson_drive(nbar)
-    return binomial_drive(nbar, fano * nbar, mode=config.binomial_mode)
+    return binomial_drive(nbar, fano * nbar)
 
 
 def _asymptote(config: SweepConfig, nbar: float, fano, tau: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._domain import EXACT, array, choice, integer, real, sequence
 from .channel import CP_TOL, QubitChannel, _check_transfers
-from .densmat import _read_only_copy
+from .densmat import _normalized, _read_only_copy
 from .errors import (
     ApproximationDomain,
     DimensionMismatch,
@@ -40,7 +40,6 @@ _DRIVE_KINDS = ("poisson", "binomial", "fock", "custom")
 # the kinds set by a mean and a variance: those a sweep, the second-order
 # channel and the asymptotic law take
 _MOMENT_KINDS = _DRIVE_KINDS[:2]
-_BINOMIAL_MODES = ("moment_matched", "paper_literal")
 
 
 def _moments(w: np.ndarray, n: np.ndarray) -> tuple[float, float]:
@@ -63,13 +62,13 @@ class DriveDistribution:
     """Drive state amplitudes b_n on a contiguous photon-number window.
 
     mean and variance are the moments of |b_n|^2, computed at construction;
-    requested parameters that differ (truncation, literal-width binomial
-    mode) are recorded in metadata. The window ends at n_max = n_min +
-    len(coefficients) - 1; both bounds must be integers in [0, 2**53] and
-    are stored as int. The coefficients are checked as given
-    (a float64 array is not converted) and then copied once, into the
-    read-only complex array kept. For a float64 input of L levels the
-    construction peaks at 32 L bytes, input and kept copy included.
+    requested parameters that differ (truncation, clipping) are recorded in
+    metadata. The window ends at n_max = n_min + len(coefficients) - 1;
+    both bounds must be integers in [0, 2**53] and are stored as int. The
+    coefficients are checked as given (a float64 array is not converted)
+    and then copied once, into the read-only complex array kept. For a
+    float64 input of L levels the construction peaks at 32 L bytes, input
+    and kept copy included.
     """
 
     kind: str
@@ -80,6 +79,7 @@ class DriveDistribution:
     n_max: int = field(init=False)
     metadata: dict = field(default_factory=dict)
 
+    @np.errstate(over="ignore")  # |b_n|^2 past the float range is inf, and fails
     def __post_init__(self):
         self._adopt(choice(self.kind, _DRIVE_KINDS, "drive kind"), self.coefficients,
                     self.n_min, self.metadata)
@@ -314,34 +314,21 @@ def _binomial_weights(n_trials: int) -> np.ndarray:
 _PRODUCT_SLACK = 1e-9
 
 
-def binomial_drive(nbar: float, variance: float,
-                   mode: str = "moment_matched") -> DriveDistribution:
+def binomial_drive(nbar: float, variance: float) -> DriveDistribution:
     """Symmetric binomial photon-number distribution shifted to mean nbar.
 
-    moment_matched picks width N = 4 variance centered on nbar, so the
-    realized mean and variance equal the requested ones exactly.
-    paper_literal uses width N = 2 variance with support ending at nbar; its
-    realized moments are nbar - N/2 and N/4, and the mismatch with the
-    requested values is flagged in metadata.
+    The width N = 4 variance is centered on nbar, so the realized mean and
+    variance equal the requested ones. The paper's literal drive at (nbar,
+    V), of width 2V with its support ending at nbar, is this drive at
+    (nbar - V, V/2), bit for bit.
     """
     # the width and shift bound the mean: both are integers of at most 2**53
     nbar = real(nbar, "mean photon number", InvalidMean, 0, lo_open=True)
     variance = real(variance, "variance", lo=0, hi=nbar, lo_open=True)
-    if choice(mode, _BINOMIAL_MODES, "binomial mode") == "moment_matched":
-        n_trials = integer(4 * variance, "width 4*variance", slack=_PRODUCT_SLACK)
-        offset = integer(nbar - 2 * variance, "support shift mean - 2*variance", lo=-EXACT,
-                         slack=_PRODUCT_SLACK)
-        metadata = {"mode": mode, "width": n_trials,
-                    "requested_mean": nbar, "requested_variance": variance}
-    else:
-        n_trials = integer(2 * variance, "width 2*variance", slack=_PRODUCT_SLACK)
-        offset = integer(nbar - n_trials, "support shift mean - width", lo=-EXACT,
-                         slack=_PRODUCT_SLACK)
-        metadata = {"mode": mode, "width": n_trials,
-                    "requested_mean": nbar, "requested_variance": variance,
-                    "moment_mismatch": True,
-                    "realized_mean": nbar - n_trials / 2,
-                    "realized_variance": n_trials / 4}
+    n_trials = integer(4 * variance, "width 4*variance", slack=_PRODUCT_SLACK)
+    offset = integer(nbar - 2 * variance, "support shift mean - 2*variance", lo=-EXACT,
+                     slack=_PRODUCT_SLACK)
+    metadata = {"width": n_trials, "requested_mean": nbar, "requested_variance": variance}
 
     w = _binomial_weights(n_trials)  # level offset + k has weight w[k]
     if offset < 0:
@@ -364,10 +351,8 @@ def fock_drive(n_photons: int) -> DriveDistribution:
 def custom_drive(coefficients, n_min: int = 0) -> DriveDistribution:
     """Arbitrary complex amplitudes on a contiguous window starting at n_min."""
     b = array(coefficients, "coefficients", shape=(None,))
-    norm = np.linalg.norm(b)
-    if norm == 0:
-        raise UnsupportedParameters("coefficients must not all vanish")
-    return DriveDistribution(kind="custom", coefficients=b / norm, n_min=n_min)
+    return DriveDistribution(kind="custom", n_min=n_min, coefficients=_normalized(
+        b, UnsupportedParameters, "coefficients must not all vanish"))
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +538,6 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
     if choice(kind, _MOMENT_KINDS, "drive kind") == "poisson":
         def r1(x: float) -> float:
             return math.sqrt(nbar / (x + 1))
-
-        def r2(x: float) -> float:
-            return nbar / math.sqrt((x + 1) * (x + 2))
     else:
         width = 4.0 * variance
         offset = nbar - 2.0 * variance
@@ -566,12 +548,8 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
                 return 0.0
             return math.sqrt(max(width - k, 0.0) / (k + 1))
 
-        def r2(x: float) -> float:
-            k = x - offset
-            if k + 1 <= 0:
-                return 0.0
-            return math.sqrt(max((width - k) * (width - k - 1), 0.0)
-                             / ((k + 1) * (k + 2)))
+    def r2(x: float) -> float:  # b_{n+2}/b_n, which is 0 wherever either step is
+        return r1(x) * r1(x + 1)
 
     def val(j: _Jet) -> float:
         return j.v + 0.5 * j.d2 * variance

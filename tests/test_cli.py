@@ -112,6 +112,20 @@ class TestBoundsCheck:
         assert main(argv) == 0
         assert capsys.readouterr().out.strip() == "prop1 OK prop2 OK thm1 OK"
 
+    # one broken quantity per check: the overlap of prop1, the Schatten norm
+    # of prop2, and each of thm1's two brackets
+    @pytest.mark.parametrize("name,broken,line", [
+        ("fidelity_to_pure", lambda rho, phi: 2.0, "prop1 FAIL prop2 OK thm1 OK"),
+        ("schatten_norm", lambda rho, p: 0.0, "prop1 OK prop2 FAIL thm1 OK"),
+        ("eigenfidelity_bounds", lambda rho: (2.0, 3.0), "prop1 OK prop2 OK thm1 FAIL"),
+        ("linear_entropy", lambda rho: 5.0, "prop1 OK prop2 OK thm1 FAIL"),
+    ])
+    def test_a_failed_suite_prints_fail_and_exits_one(self, capsys, monkeypatch, name, broken,
+                                                      line):
+        monkeypatch.setattr(f"eigenfid.cli.{name}", broken)
+        assert main(["bounds-check", "--trials", "5", "--seed", "7"]) == 1
+        assert capsys.readouterr().out.strip() == line
+
     @pytest.mark.parametrize("argv", [
         ["bounds-check", "--dim", "1"],
         ["bounds-check", "--trials", "0"],
@@ -333,6 +347,16 @@ class TestSweepRuns:
         err = capsys.readouterr().err
         assert "/mode" in err
         assert "scaling" in err and "concat" in err
+
+    @pytest.mark.parametrize("mode", ["moment_matched", "paper_literal"])
+    def test_a_binomial_mode_is_an_unknown_field(self, capsys, tmp_path, mode):
+        # one binomial rule: the paper's drive at (nbar, V) is the sweep's at (nbar - V, V/2)
+        cfg = _write_config(tmp_path / "cfg.json", drive={"kind": "binomial", "nbar": 20.0},
+                            fano_grid=[0.125], binomial_mode=mode,
+                            output=str(tmp_path / "x.csv"))
+        assert main(["scaling", "--config", cfg]) == 2
+        assert "config error: /binomial_mode: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_file_exits_two(self, capsys, tmp_path):
         assert main(["scaling", "--config", str(tmp_path / "gone.json")]) == 2

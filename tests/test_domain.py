@@ -405,7 +405,7 @@ VALID = {
         f_matrices(4, 0.3, 4.0, poisson_drive(4.0))),
     "JCConfig": lambda: _call(tau=1.0),
     "asymptotic_eigenerror_lower_bound": lambda: _call("binomial", 25.0, 5.0, 1.0),
-    "binomial_drive": lambda: _call(25.0, 5.0, mode="moment_matched"),
+    "binomial_drive": lambda: _call(25.0, 5.0),
     "build_channel_exact": lambda: _call(poisson_drive(9.0), JCConfig(tau=1.0)),
     "build_channel_taylor2": lambda: _call(100.0, 100.0, "poisson", JCConfig(tau=1.0)),
     "build_channels_exact": lambda: _call(poisson_drive(9.0), (0.5, 1.0)),
@@ -580,6 +580,9 @@ ARRAY_VOCABULARY = {
     "all-inf": lambda valid: np.full(np.shape(valid), math.inf),
     "complex": lambda valid: np.full(np.shape(valid), 0.5 + 0.5j),
     "{}": lambda valid: {},
+    "1e200 entries": lambda valid: np.full(np.shape(valid), 1e200),
+    "1e-200 entries": lambda valid: np.full(np.shape(valid), 1e-200),
+    "alternating ±1e308 entries": lambda valid: np.resize([1e308, -1e308], np.shape(valid)),
 }
 
 
@@ -591,12 +594,53 @@ def test_array_arguments_give_a_result_or_a_typed_error(name, time_limit, tmp_pa
     assert not escapes, "\n".join(escapes)
 
 
+_H = 0.5 ** 0.5
+
+
+# finite entries whose squares overflow or underflow: a normalizer divides
+# by the largest part first, so each gives the unit vector
+@pytest.mark.parametrize("entries,unit", [
+    ([1e200, 1e200], [_H, _H]), ([1e-200, 1e-200], [_H, _H]), ([1e308, -1e308], [_H, -_H]),
+    ([1e160, 1e160], [_H, _H]), ([1e-170, 1e-170], [_H, _H]), ([1e-160, 1e-160], [_H, _H]),
+    ([1.5e308 + 1.5e308j, 0.0], [_H + _H * 1j, 0.0]),
+])
+@pytest.mark.parametrize("build", [PureState.from_vector, eigenfid.custom_drive])
+def test_a_normalizer_takes_any_vector_with_a_nonzero_entry(build, entries, unit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = build(entries)
+    got = result.amplitudes if isinstance(result, PureState) else result.coefficients
+    np.testing.assert_allclose(got, unit, rtol=0, atol=1e-15)
+
+
+# Hermitian entries whose sum passes the float range, so no eigenvalue solver sees them
+@pytest.mark.parametrize("build", [
+    lambda: DensityMatrix(np.array([[0.5, 1e308, 0.0], [1e308, 0.5, 0.0], [0.0, 0.0, 0.0]])),
+    lambda: QubitChannel.from_images(np.diag([1.0, 0.0]), np.array([[1e308, -1e308]] * 2),
+                                     np.diag([0.0, 1.0])),
+    lambda: QubitChannel(np.array([[1.0, 1e308], [1e308, 0.0]]), np.zeros((2, 2)),
+                         np.zeros((2, 2)), np.diag([0.0, 1.0])),
+], ids=["DensityMatrix", "QubitChannel.from_images", "QubitChannel"])
+def test_entries_whose_sum_overflows_raise_a_typed_error(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenfidError, match="entries past the float range"):
+            build()
+
+
+def test_a_level_gap_past_the_float_range_is_an_infinite_temperature():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        temperature = eigenfid.effective_temperature(
+            DensityMatrix.diagonal([0.75, 0.25]), EnergyBasis.computational([-1e308, 1e308]))
+    assert temperature == math.inf
+
+
 def test_the_contract_sees_the_scalar_parameters():
     # a table entry whose scalars went unseen would test nothing
     assert _scalar_parameters("poisson_drive") == ["nbar", "tail_tol"]
     assert _scalar_parameters("SweepConfig") == [
-        "mode", "drive_kind", "seed", "output", "mc_samples", "jobs", "split_convention",
-        "binomial_mode"]
+        "mode", "drive_kind", "seed", "output", "mc_samples", "jobs", "split_convention"]
     assert _scalar_parameters("concatenate") == ["count"]
     assert _scalar_parameters("jc_moments") == ["measure_from_ground"]
     assert _scalar_parameters("asymptotic_eigenerror_lower_bound(poisson)") == [
@@ -681,12 +725,11 @@ def test_sequence_arguments_take_only_an_ordered_sequence(name, time_limit, tmp_
 
 
 def test_the_contract_sees_the_choice_and_sequence_parameters():
-    assert _choice_parameters("binomial_drive") == ["mode"]
+    assert _choice_parameters("binomial_drive") == []
     for name in ("build_channel_taylor2", "asymptotic_eigenerror_lower_bound",
                  "asymptotic_eigenerror_lower_bound(poisson)", "DriveDistribution"):
         assert _choice_parameters(name) == ["kind"]
-    assert _choice_parameters("SweepConfig") == [
-        "mode", "drive_kind", "split_convention", "binomial_mode"]
+    assert _choice_parameters("SweepConfig") == ["mode", "drive_kind", "split_convention"]
     assert _choice_parameters("SweepResult.column") == ["name"]
     assert _choice_parameters("write_csv") == []
     assert _sequence_parameters("SweepConfig") == [

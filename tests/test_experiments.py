@@ -60,7 +60,6 @@ class TestSweepConfig:
             dict(mode="walk"),
             dict(drive_kind="thermal"),
             dict(split_convention="thirds"),
-            dict(binomial_mode="exactish"),
             dict(seed=-1),
             dict(mc_samples=-5),
             dict(jobs=0),

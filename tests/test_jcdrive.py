@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import inspect
 import math
 import re
 import tracemalloc
@@ -99,12 +100,6 @@ class TestPoissonDrive:
 
 
 class TestBinomialDrive:
-    @pytest.mark.parametrize("mode", [np.array(["moment_matched"]), np.array(["a", "b"]),
-                                      "Moment_Matched"])
-    def test_the_mode_is_a_listed_string(self, mode):
-        with pytest.raises(UnsupportedParameters, match="^binomial mode must be one of "):
-            binomial_drive(10.0, 2.0, mode=mode)
-
     def test_moment_matched_realizes_requested_moments(self):
         drive = binomial_drive(25.0, 5.0)
         assert abs(drive.mean - 25.0) < 1e-9
@@ -122,15 +117,32 @@ class TestBinomialDrive:
         assert abs(drive.mean - 100.0) < 1e-9
         assert abs(drive.fano - 1.0) < 1e-9
 
-    def test_paper_literal_flags_moment_mismatch(self):
-        drive = binomial_drive(25.0, 5.0, mode="paper_literal")
-        meta = drive.metadata
-        assert meta["moment_mismatch"] is True
-        assert meta["width"] == 10
-        assert abs(meta["realized_mean"] - 20.0) < 1e-12
-        assert abs(meta["realized_variance"] - 2.5) < 1e-12
-        assert abs(drive.mean - 20.0) < 1e-9
-        assert abs(drive.variance - 2.5) < 1e-9
+    def test_takes_a_mean_and_a_variance_only(self):
+        assert list(inspect.signature(binomial_drive).parameters) == ["nbar", "variance"]
+
+    def test_the_paper_literal_drive_is_the_shifted_half_variance_drive(self, time_limit):
+        # the paper's drive at (nbar, V): width 2V, support ending at nbar,
+        # clipped at 0 as binomial_drive clips; it is binomial_drive(nbar - V, V/2)
+        built = clipped = 0
+        with time_limit(30):
+            for nbar in np.arange(0.5, 100.5, 0.5):
+                for variance in np.arange(0.5, nbar + 0.5, 0.5):
+                    try:
+                        drive = binomial_drive(nbar - variance, variance / 2)
+                    except (InvalidMean, UnsupportedParameters):
+                        continue
+                    width = int(2 * variance)
+                    n = np.arange(nbar - width, nbar + 1, dtype=int)
+                    w = _scalar_binomial_weights(width)
+                    if n[0] < 0:
+                        w, n = w[n >= 0], n[n >= 0]
+                        w = w / w.sum()
+                        clipped += 1
+                    assert (drive.n_min, drive.n_max) == (n[0], n[-1]), (nbar, variance)
+                    assert np.array_equal(drive.coefficients, np.sqrt(w)), (nbar, variance)
+                    assert (drive.mean, drive.variance) == _copied_moments(w, n), (nbar, variance)
+                    built += 1
+        assert built > 5000 and clipped > 500
 
     def test_rejects_fractional_width(self):
         with pytest.raises(UnsupportedParameters):
@@ -156,10 +168,9 @@ class TestBinomialDrive:
             binomial_drive(nbar, var)
 
     @pytest.mark.parametrize("nbar", [math.nan, math.inf])
-    @pytest.mark.parametrize("mode", ["moment_matched", "paper_literal"])
-    def test_rejects_non_finite_mean(self, nbar, mode):
+    def test_rejects_non_finite_mean(self, nbar):
         with pytest.raises(InvalidMean):
-            binomial_drive(nbar, 2.0, mode=mode)
+            binomial_drive(nbar, 2.0)
 
     @pytest.mark.parametrize("var", [math.nan, math.inf])
     def test_rejects_non_finite_variance(self, var):
@@ -667,10 +678,11 @@ _LARGE_POISSON_MEANS = sorted({*np.logspace(math.log10(2e3), 5, 12).tolist(),
 
 _BINOMIAL_DRIVES = {
     "moment-matched": lambda: binomial_drive(25.0, 5.0),
-    "paper-literal": lambda: binomial_drive(25.0, 5.0, mode="paper_literal"),
+    # the paper's literal drives at (25, 5) and (600, 300)
+    "paper-literal": lambda: binomial_drive(20.0, 2.5),
     "clipped": lambda: binomial_drive(19.0, 10.0),
     "wide": lambda: binomial_drive(1000.0, 200.0),
-    "wide-paper-literal": lambda: binomial_drive(600.0, 300.0, mode="paper_literal"),
+    "wide-paper-literal": lambda: binomial_drive(300.0, 150.0),
 }
 
 
@@ -900,26 +912,13 @@ def _copied_binomial_weights(n_trials: int) -> np.ndarray:
     return np.exp(logc - n_trials * math.log(2.0))
 
 
-def _copied_binomial_drive(nbar: float, variance: float, mode: str = "moment_matched"):
+def _copied_binomial_drive(nbar: float, variance: float):
     nbar = real(nbar, "mean photon number", InvalidMean, 0, lo_open=True)
     variance = real(variance, "variance", lo=0, hi=nbar, lo_open=True)
-    if mode == "moment_matched":
-        n_trials = integer(4 * variance, "width 4*variance", slack=1e-9)
-        offset = integer(nbar - 2 * variance, "support shift mean - 2*variance",
-                         lo=-EXACT, slack=1e-9)
-        metadata = {"mode": mode, "width": n_trials,
-                    "requested_mean": nbar, "requested_variance": variance}
-    elif mode == "paper_literal":
-        n_trials = integer(2 * variance, "width 2*variance", slack=1e-9)
-        offset = integer(nbar - n_trials, "support shift mean - width", lo=-EXACT, slack=1e-9)
-        metadata = {"mode": mode, "width": n_trials,
-                    "requested_mean": nbar, "requested_variance": variance,
-                    "moment_mismatch": True,
-                    "realized_mean": nbar - n_trials / 2,
-                    "realized_variance": n_trials / 4}
-    else:
-        raise UnsupportedParameters("binomial mode must be one of "
-                                    f"('moment_matched', 'paper_literal'), got {mode!r}")
+    n_trials = integer(4 * variance, "width 4*variance", slack=1e-9)
+    offset = integer(nbar - 2 * variance, "support shift mean - 2*variance",
+                     lo=-EXACT, slack=1e-9)
+    metadata = {"width": n_trials, "requested_mean": nbar, "requested_variance": variance}
     w = _copied_binomial_weights(n_trials)
     n = offset + np.arange(n_trials + 1)
     if n[0] < 0:
@@ -970,12 +969,14 @@ _REFERENCE_CASES = [
     *[(poisson_drive, (nbar,), {}) for nbar in
       (1e-3, 0.3, 1.0, 2.0, 7.0, 100.0, 900.0, 2e3, 5e4, 1e5)],
     (poisson_drive, (50.0,), {"tail_tol": 1e-6}),
-    # widths up to 4e5, clipped tails, failed normalizations and shifts
-    *[(binomial_drive, (nbar, fano * nbar), {"mode": mode})
+    # widths up to 4e5, clipped tails, failed normalizations and shifts; each
+    # (nbar, V) is followed by the paper's literal drive there, (nbar - V, V/2)
+    *[(binomial_drive, args, {})
       for nbar in (2.0, 10.0, 19.0, 25.0, 1e3, 4e3, 1e4, 1e5)
-      for fano in (0.1, 0.25, 0.5, 1.0) for mode in ("moment_matched", "paper_literal")],
+      for fano in (0.1, 0.25, 0.5, 1.0)
+      for args in ((nbar, fano * nbar), (nbar - fano * nbar, fano * nbar / 2))],
     (binomial_drive, (10.0, 0.0), {}), (binomial_drive, (10.0, 11.0), {}),
-    (binomial_drive, (10.0, 2.6), {}), (binomial_drive, (25.0, 5.0), {"mode": "other"}),
+    (binomial_drive, (10.0, 2.6), {}), (binomial_drive, (20.0, 2.5), {}),
     *[(fock_drive, (n,), {}) for n in (0, 3, 10 ** 6, 2.5, -1, 4.0)],
     *[(custom_drive, (b,), {"n_min": n_min})
       for b in ([0.3, 0.0, 0.5j, 0.0, -0.4 + 0.2j], [3, 4], np.float32([0.6, 0.8]),
@@ -1081,6 +1082,16 @@ class TestBuildChannelTaylor2:
                     for a, b in zip(approx.images(), exact.images()))
             )
         assert all(a > b for a, b in zip(dists, dists[1:]))
+
+    @pytest.mark.parametrize("tau,bound", [(1.0, 0.1), (math.pi / 2, 0.13)])
+    def test_second_neighbour_ratio_vanishes_past_the_support_top(self, tau, bound):
+        # a one-trial drive (V < 0.5) puts nbar + 1 past its top level, where
+        # b_{n+2}/b_n is 0 as b_{n+1}/b_n is; a ratio positive there misses
+        # the exact E01 by 0.121 at tau = 1 and 0.161 at pi/2
+        cfg = JCConfig(tau=tau)
+        exact = build_channel_exact(binomial_drive(10.5, 0.25), cfg)
+        approx = build_channel_taylor2(10.5, 0.25, "binomial", cfg)
+        assert np.abs(approx.E01 - exact.E01).max() <= bound
 
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(InvalidMean):
@@ -1254,9 +1265,6 @@ def _hand_written_taylor2(nbar: float, variance: float, kind: str, tau: float) -
     if kind == "poisson":
         def r1(x: float) -> float:
             return math.sqrt(nbar / (x + 1))
-
-        def r2(x: float) -> float:
-            return nbar / math.sqrt((x + 1) * (x + 2))
     else:
         width, offset = 4.0 * variance, nbar - 2.0 * variance
 
@@ -1264,11 +1272,8 @@ def _hand_written_taylor2(nbar: float, variance: float, kind: str, tau: float) -
             k = x - offset
             return 0.0 if k + 1 <= 0 else math.sqrt(max(width - k, 0.0) / (k + 1))
 
-        def r2(x: float) -> float:
-            k = x - offset
-            if k + 1 <= 0:
-                return 0.0
-            return math.sqrt(max((width - k) * (width - k - 1), 0.0) / ((k + 1) * (k + 2)))
+    def r2(x: float) -> float:
+        return r1(x) * r1(x + 1)
 
     def ref(j) -> _RefJet:
         return _RefJet(j.v, j.d1, j.d2)
@@ -1293,7 +1298,7 @@ _KERNEL_DRIVES = {
     **_BATCH_DRIVES,
     "poisson-small": lambda: poisson_drive(0.1),
     "poisson-2e3": lambda: poisson_drive(2e3),
-    "binomial-paper-literal": lambda: binomial_drive(25.0, 5.0, mode="paper_literal"),
+    "binomial-paper-literal": lambda: binomial_drive(20.0, 2.5),  # the paper's at (25, 5)
     "binomial-wide": lambda: binomial_drive(1000.0, 200.0),
     "fock-one": lambda: fock_drive(1),
     "custom-gaps-at-vacuum": lambda: custom_drive([0.0, 0.7, 0.0, 0.2, 0.1j]),
@@ -1305,7 +1310,7 @@ _KERNEL_TAUS = np.concatenate([[0.0], np.linspace(0.05, 2 * math.pi, 39)])
 _RATIO_DRIVES = {
     "poisson": lambda: poisson_drive(9.0),
     "binomial": lambda: binomial_drive(25.0, 5.0),
-    "binomial-paper-literal": lambda: binomial_drive(25.0, 5.0, mode="paper_literal"),
+    "binomial-paper-literal": lambda: binomial_drive(20.0, 2.5),
     "binomial-clipped": lambda: binomial_drive(2.0, 1.0),
     "custom": lambda: custom_drive([0.3, -0.5j, 0.4 + 0.2j, 0.6, 0.1 - 0.1j], n_min=2),
     "custom-at-vacuum": lambda: custom_drive([0.5, 0.5j, -0.5, 0.5]),

@@ -68,7 +68,6 @@ class TestSweepConfigDocument:
             "output": "runs/out.csv",
             "mc_samples": 1000,
             "jobs": 3,
-            "binomial_mode": "paper_literal",
         }
         cfg = sweep_config_from_dict(doc)
         assert cfg.nbar_grid == (25.0, 50.0)
@@ -78,7 +77,6 @@ class TestSweepConfigDocument:
         assert cfg.output == "runs/out.csv"
         assert cfg.mc_samples == 1000
         assert cfg.jobs == 3
-        assert cfg.binomial_mode == "paper_literal"
 
     def test_grid_wins_over_drive_scalar(self):
         doc = _minimal_config(nbar_grid=[100, 200])
@@ -134,6 +132,14 @@ class TestSweepConfigDocument:
         with pytest.raises(SchemaError) as excinfo:
             sweep_config_from_dict(doc)
         assert _path_of(excinfo) == path
+
+    @pytest.mark.parametrize("mode", ["moment_matched", "paper_literal"])
+    def test_a_binomial_mode_is_an_unknown_field(self, mode):
+        doc = _minimal_config(drive={"kind": "binomial", "nbar": 20.0, "fano": 0.125},
+                              binomial_mode=mode)
+        with pytest.raises(SchemaError, match="unknown field") as excinfo:
+            sweep_config_from_dict(doc)
+        assert _path_of(excinfo) == "/binomial_mode"
 
     def test_unknown_mode_hits_config_validation(self):
         with pytest.raises(UnsupportedParameters):
@@ -246,7 +252,6 @@ _PARITY_CASES = [
     ("scaling", "fano_grid", [0.5]),
     ("scaling", "drive_kind", "Poisson"),
     ("scaling", "split_convention", 5),
-    ("scaling", "binomial_mode", True),
 ]
 
 
