@@ -74,7 +74,6 @@ from .experiments import (
 from .haar import SeededSampler, mc_average, random_density_matrix, sample_pure
 from .jcdrive import (
     DriveDistribution,
-    FMatrixSet,
     JCConfig,
     asymptotic_eigenerror_lower_bound,
     binomial_drive,

@@ -42,6 +42,7 @@ from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
 from .haar import MAX_SAMPLES, SeededSampler
 from .jcdrive import (
     _MOMENT_KINDS,
+    _binomial_support,
     _exact_transfers,
     asymptotic_eigenerror_lower_bound,
     binomial_drive,
@@ -87,6 +88,14 @@ _GRID_RULES = {
 }
 
 
+def _binomial_pair(nbar: float, fano: float, path: str) -> None:
+    """SchemaError at path unless run's binomial drive at (nbar, fano) exists."""
+    try:
+        _binomial_support(nbar, fano * nbar)
+    except UnsupportedParameters as exc:
+        raise SchemaError(path, f"no binomial drive at nbar={nbar}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid specification for one sweep run.
@@ -94,8 +103,9 @@ class SweepConfig:
     Construction checks every field against the sweep domain and raises
     SchemaError with the field's JSON pointer (/nbar_grid/1, /drive/kind);
     it is the only place that knows which configs are legal. Grids become
-    tuples of floats (counts: ints), so a config that constructs runs. A
-    tau_grid left unset is [pi/2] in split mode and empty otherwise.
+    tuples of floats (counts: ints), so a config that constructs runs unless
+    a drive's weights or a split's budget fail. A tau_grid left unset is
+    [pi/2] in split mode and empty otherwise.
     """
 
     mode: str
@@ -131,6 +141,9 @@ class SweepConfig:
         for name in _MODES[self.mode].axes:
             if not _axis(self, name):
                 raise SchemaError(f"/{name}", f"must be non-empty for mode {self.mode!r}")
+        # a poisson config has no fano_grid, so no pairs
+        for nbar, (j, fano) in itertools.product(self.nbar_grid, enumerate(self.fano_grid)):
+            _binomial_pair(nbar, fano, f"/fano_grid/{j}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._domain import EXACT, array, choice, integer, real, sequence
 from .channel import CP_TOL, QubitChannel, _check_transfers
-from .densmat import _normalized, _read_only_copy
+from .densmat import _normalized
 from .errors import (
     ApproximationDomain,
     DimensionMismatch,
@@ -147,25 +147,6 @@ class JCConfig:
         if self.tau == 0:
             return 0.0
         return self.tau / math.sqrt(nbar)
-
-
-@dataclass(frozen=True, eq=False)
-class FMatrixSet:
-    """Per-level matrices whose drive expectation gives the channel images."""
-
-    F00: np.ndarray
-    F01: np.ndarray
-    F10: np.ndarray
-    F11: np.ndarray
-
-    def __post_init__(self):
-        for name in ("F00", "F01", "F10", "F11"):
-            m = array(getattr(self, name), name, shape=(2, 2))
-            object.__setattr__(self, name, _read_only_copy(m))
-        if not (abs(np.trace(self.F00) - 1) <= 1e-12 and abs(np.trace(self.F11) - 1) <= 1e-12):
-            raise UnsupportedParameters("diagonal F matrices must have unit trace")
-        if not abs(np.trace(self.F01)) <= 1e-12:
-            raise UnsupportedParameters("F01 must be traceless")
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +295,14 @@ def _binomial_weights(n_trials: int) -> np.ndarray:
 _PRODUCT_SLACK = 1e-9
 
 
+def _binomial_support(nbar: float, variance: float) -> tuple[int, int]:
+    """The binomial drive's width 4 variance and support shift nbar - 2 variance,
+    each an integer within _PRODUCT_SLACK; UnsupportedParameters otherwise."""
+    return (integer(4 * variance, "width 4*variance", slack=_PRODUCT_SLACK),
+            integer(nbar - 2 * variance, "support shift mean - 2*variance", lo=-EXACT,
+                    slack=_PRODUCT_SLACK))
+
+
 def binomial_drive(nbar: float, variance: float) -> DriveDistribution:
     """Symmetric binomial photon-number distribution shifted to mean nbar.
 
@@ -325,9 +314,7 @@ def binomial_drive(nbar: float, variance: float) -> DriveDistribution:
     # the width and shift bound the mean: both are integers of at most 2**53
     nbar = real(nbar, "mean photon number", InvalidMean, 0, lo_open=True)
     variance = real(variance, "variance", lo=0, hi=nbar, lo_open=True)
-    n_trials = integer(4 * variance, "width 4*variance", slack=_PRODUCT_SLACK)
-    offset = integer(nbar - 2 * variance, "support shift mean - 2*variance", lo=-EXACT,
-                     slack=_PRODUCT_SLACK)
+    n_trials, offset = _binomial_support(nbar, variance)
     metadata = {"width": n_trials, "requested_mean": nbar, "requested_variance": variance}
 
     w = _binomial_weights(n_trials)  # level offset + k has weight w[k]
@@ -394,34 +381,32 @@ def _images(at, w, x1, y1, y2, total) -> np.ndarray:
     return e.T.reshape(e.shape[1:] + (3, 2, 2))  # one leading axis at most
 
 
-def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> FMatrixSet:
-    """Per-level matrices F_ij(n) at reduced time tau: the one-level case of
-    _images, with weights 1, conj(r1), r1, r2 and no reduction.
+def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> tuple:
+    """Per-level matrices (F00, F01, F10, F11) at reduced time tau, read-only
+    and in the order of QubitChannel.images(): the one-level case of _images,
+    with weights 1, conj(r1), r1, r2 and no reduction.
 
     The weights carry the amplitude ratios r1 = b_{n+1}/b_n and
     r2 = b_{n+2}/b_n; they are set to zero when b_n vanishes, which keeps the
     drive expectation of these matrices equal to the amplitude-product form
     used by build_channel_exact for every drive without zero interior
-    coefficients.
+    coefficients. Ratios past the float range raise UnsupportedParameters.
     """
     n = integer(n, "photon number")
     JCConfig(tau=tau).interaction_time(nbar)  # tau >= 0; tau > 0 needs a mean
     c, s = _angles(n, n + 2, float(tau), float(nbar))  # c[j] = cos of level n + j
-
-    def amp(k: int) -> complex:
-        if drive.n_min <= k <= drive.n_max:
-            return complex(drive.coefficients[k - drive.n_min])
-        return 0.0
-
-    b0 = amp(n)
-    if b0 != 0:
-        r1 = amp(n + 1) / b0
-        r2 = amp(n + 2) / b0
-    else:
-        r1 = r2 = 0.0
-    f00, f01, f11 = _images(lambda j, _: (c[j], s[j]), 1.0, np.conj(r1), r1, r2,
-                            lambda x: x)
-    return FMatrixSet(f00, f01, f01.conj().T, f11)
+    b0, b1, b2 = (complex(drive.coefficients[k - drive.n_min])
+                  if drive.n_min <= k <= drive.n_max else 0.0 for k in range(n, n + 3))
+    r1, r2 = (b1 / b0, b2 / b0) if b0 != 0 else (0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
+        f00, f01, f11 = _images(lambda j, _: (c[j], s[j]), 1.0, np.conj(r1), r1, r2,
+                                lambda x: x)
+    # conjugated before the cast: a real F01 (b_n = 0) keeps +0 imaginary parts
+    f = np.array([f00, f01, f01.conj().T, f11], dtype=complex)
+    if not np.isfinite(f).all():
+        raise UnsupportedParameters(f"F matrices at level {n} are not finite")
+    f.setflags(write=False)
+    return tuple(f)
 
 
 # elements of each (tau x window) temporary in build_channels_exact: at most

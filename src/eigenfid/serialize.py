@@ -20,7 +20,7 @@ from ._domain import choice, integer, real
 from .channel import _IMAGES, QubitChannel
 from .densmat import DensityMatrix
 from .errors import SchemaError
-from .experiments import _GRID_RULES, SweepConfig, _atomic_write, _json_text
+from .experiments import _GRID_RULES, SweepConfig, _atomic_write, _binomial_pair, _json_text
 from .jcdrive import (
     _DRIVE_KINDS,
     DriveDistribution,
@@ -158,6 +158,7 @@ def drive_from_spec(spec: dict) -> DriveDistribution:
                 _fail(f"{path}/{key}", "missing: binomial drives need nbar and fano")
         nbar = _GRID_RULES["nbar_grid"](spec["nbar"], f"{path}/nbar")
         fano = _GRID_RULES["fano_grid"](spec["fano"], f"{path}/fano")
+        _binomial_pair(nbar, fano, f"{path}/fano")
         return binomial_drive(nbar, fano * nbar)
     if kind == "fock":
         if "N" not in spec:

@@ -6,8 +6,9 @@ sweep documents its CLI workloads run. Tier-1 never runs the benchmark, so
 a signature change or a stricter config loader would show only as
 `correct: false` or `run_failed` in its report. These tests evaluate every
 point of benchmarks/reference/domain.csv as the benchmark does and check
-the results against that file, and load every CLI sweep document through
-the sweep loader. They only read benchmarks/.
+the results against that file, load every CLI sweep document through the
+sweep loader, and replay each default-seed CLI sweep against its reference
+CSV as the benchmark's reference check does. They only read benchmarks/.
 """
 
 from __future__ import annotations
@@ -40,15 +41,33 @@ def test_every_domain_reference_point_evaluates_to_its_reference(monkeypatch):
     assert run.check_domain_reference(reference, evaluated) == []
 
 
+def _config(sweep: dict) -> experiments.SweepConfig:
+    """The sweep document loaded, with the invocation's flags as the CLI applies them."""
+    config = serialize.sweep_config_from_dict(sweep["config"], sweep["mode"])
+    args = _build_parser().parse_args([sweep["mode"], "--config", "-", *sweep["flags"]])
+    flags = {k: getattr(args, k) for k in ("seed", "jobs", "mc_samples")}
+    return replace(config, **{k: v for k, v in flags.items() if v is not None})
+
+
 def test_every_cli_sweep_document_loads_with_its_grid(monkeypatch):
     monkeypatch.syspath_prepend(str(_BENCHMARKS))
     workloads = importlib.import_module("workloads")
     for workload in workloads.CLI_WORKLOADS:
         for sweep in workloads.sweeps(workload, workloads.DEFAULT_SEED):
-            config = serialize.sweep_config_from_dict(sweep["config"], sweep["mode"])
-            # the invocation's flags, as the CLI applies them
-            args = _build_parser().parse_args([sweep["mode"], "--config", "-", *sweep["flags"]])
-            flags = {k: getattr(args, k) for k in ("seed", "jobs", "mc_samples")}
-            config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+            config = _config(sweep)
             axes = experiments._MODES[config.mode].axes
             assert math.prod(len(experiments._axis(config, a)) for a in axes) == sweep["rows"]
+
+
+def test_every_cli_sweep_replays_its_reference(monkeypatch, tmp_path):
+    # the rows do not depend on jobs, so the sweeps run in this process
+    monkeypatch.syspath_prepend(str(_BENCHMARKS))
+    workloads = importlib.import_module("workloads")
+    run = importlib.import_module("run")
+    for workload in workloads.CLI_WORKLOADS:
+        for sweep in workloads.sweeps(workload, workloads.DEFAULT_SEED):
+            path = str(tmp_path / f"{workload}.{sweep['name']}.csv")
+            experiments.write_csv(experiments.run(replace(_config(sweep), jobs=1)), path)
+            header, rows = run.read_csv(path)
+            assert run.compare_reference(header, rows,
+                                         run.reference_path(workload, sweep["name"])) == []

@@ -34,7 +34,6 @@ from eigenfid import (
     concatenate,
     cp_residual,
     eigenfidelity,
-    f_matrices,
     mc_average_purity,
     mc_channel_eigenfidelity,
     mc_gate_fidelity,
@@ -349,6 +348,31 @@ class TestChannelBounds:
         assert lo - 3 * err <= mean <= hi + 3 * err
         ref = oracles.rbar_quadrature(chan.images())
         assert abs(mean - ref) <= 3 * err
+
+
+# drives of the 40-digit bracket oracle's covered range (see its docstring)
+_ORACLE_DRIVES = {
+    **{f"poisson-{nbar:g}": (lambda nbar=nbar: poisson_drive(nbar))
+       for nbar in (1.0, 10.0, 100.0, 1000.0)},
+    **{f"binomial-{nbar:g}-{fano:g}": (
+        lambda nbar=nbar, fano=fano: binomial_drive(nbar, fano * nbar))
+       for nbar, fano in ((25.0, 0.2), (100.0, 0.5), (250.0, 1.0))},
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_DRIVES))
+def test_eigenerror_bracket_matches_a_40_digit_oracle(name, time_limit):
+    # the worst measured is 5.2e-11, at Poisson nbar = 1e3, tau = 0.05, C = 1,
+    # where 1 - purity cancels most of the digits
+    drive = _ORACLE_DRIVES[name]()
+    with time_limit(20):
+        for tau in (0.05, 0.3, 1.0, math.pi / 2, 3.0):
+            gate = build_channel_exact(drive, JCConfig(tau=tau))
+            for count in (1, 4, 64):
+                got = channel_eigenerror_bounds(concatenate(gate, count))[0]
+                want = oracles.eigenerror_lower_mp(drive.coefficients, drive.n_min, drive.mean,
+                                                   tau, count)
+                assert abs(got - want) <= 1e-9 * want, (tau, count, got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +900,6 @@ _ARRAY_HOLDERS = {
     "PureState": lambda: PureState(np.array([1.0, 0.0])),
     "EnergyBasis": lambda: EnergyBasis(np.array([0.0, 1.0]), np.eye(2)),
     "DriveDistribution": lambda: poisson_drive(4.0),
-    "FMatrixSet": lambda: f_matrices(4, 0.3, 4.0, poisson_drive(4.0)),
 }
 
 

@@ -358,6 +358,16 @@ class TestSweepRuns:
         assert "config error: /binomial_mode: unknown field" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_a_binomial_pair_that_no_drive_has_exits_two(self, capsys, tmp_path):
+        # nbar = 100 has a drive at this Fano factor, nbar = 10 none (width 13.2)
+        cfg = _write_config(tmp_path / "cfg.json", drive={"kind": "binomial"},
+                            nbar_grid=[100.0, 10.0], fano_grid=[0.33],
+                            output=str(tmp_path / "x.csv"))
+        assert main(["scaling", "--config", cfg]) == 2
+        assert "config error: /fano_grid/0: no binomial drive at nbar=10.0" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_config_file_exits_two(self, capsys, tmp_path):
         assert main(["scaling", "--config", str(tmp_path / "gone.json")]) == 2
         assert "config error" in capsys.readouterr().err

@@ -36,7 +36,6 @@ from eigenfid import (
     TargetGate,
     build_channel_exact,
     choi_matrix,
-    f_matrices,
     poisson_drive,
     run,
 )
@@ -401,8 +400,6 @@ VALID = {
     "sample_pure": lambda: _call(SeededSampler(1, 2)),
     # jcdrive
     "DriveDistribution": lambda: _call("custom", [0.5 ** 0.5] * 2, 1),
-    "FMatrixSet": lambda: (lambda f: _call(f.F00, f.F01, f.F10, f.F11))(
-        f_matrices(4, 0.3, 4.0, poisson_drive(4.0))),
     "JCConfig": lambda: _call(tau=1.0),
     "asymptotic_eigenerror_lower_bound": lambda: _call("binomial", 25.0, 5.0, 1.0),
     "binomial_drive": lambda: _call(25.0, 5.0),

@@ -139,6 +139,25 @@ class TestSweepConfig:
         with pytest.raises(UnsupportedParameters):
             _scaling_config(drive_kind="binomial")
 
+    @pytest.mark.parametrize("nbar_grid, fano_grid, path, nbar", [
+        # at nbar = 100 the width is 132; at nbar = 10 it is 13.2, which run meets second
+        ((100.0, 10.0), (0.33,), "/fano_grid/0", "10.0"),
+        ((100.0, 10.0), (0.25, 0.33), "/fano_grid/1", "10.0"),
+        # width 41, shift 10.25 - 20.5
+        ((10.25,), (1.0,), "/fano_grid/0", "10.25"),
+    ])
+    def test_a_binomial_pair_that_no_drive_has_fails_at_its_fano(self, nbar_grid, fano_grid,
+                                                                 path, nbar):
+        with pytest.raises(SchemaError, match=f"nbar={nbar}: ") as excinfo:
+            _scaling_config(drive_kind="binomial", nbar_grid=nbar_grid, fano_grid=fano_grid)
+        assert excinfo.value.path == path
+
+    def test_the_clipped_mass_of_a_binomial_pair_is_checked_at_run_time(self):
+        # width 40 centered on 10: 3.4e-4 of the mass lies below level 0
+        cfg = _scaling_config(drive_kind="binomial", nbar_grid=(10.0,), fano_grid=(1.0,))
+        with pytest.raises(UnsupportedParameters, match="negative photon numbers"):
+            run(cfg)
+
     def test_counts_must_be_positive(self):
         with pytest.raises(UnsupportedParameters):
             _scaling_config(mode="concat", concat_grid=(0,))

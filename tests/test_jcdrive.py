@@ -7,6 +7,7 @@ import inspect
 import math
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -358,25 +359,25 @@ class TestJCConfig:
 class TestFMatrices:
     def test_frozen_interaction(self):
         drive = poisson_drive(5.0)
-        fm = f_matrices(3, 0.0, 5.0, drive)
-        np.testing.assert_allclose(fm.F00, [[1, 0], [0, 0]], atol=1e-14)
-        np.testing.assert_allclose(fm.F11, [[0, 0], [0, 1]], atol=1e-14)
-        np.testing.assert_allclose(fm.F01, [[0, 1], [0, 0]], atol=1e-14)
+        f00, f01, _, f11 = f_matrices(3, 0.0, 5.0, drive)
+        np.testing.assert_allclose(f00, [[1, 0], [0, 0]], atol=1e-14)
+        np.testing.assert_allclose(f11, [[0, 0], [0, 1]], atol=1e-14)
+        np.testing.assert_allclose(f01, [[0, 1], [0, 0]], atol=1e-14)
 
     def test_full_exchange_at_quarter_period(self):
         # tau sqrt(1/nbar) = pi/2 swaps the excitation at level one
         drive = fock_drive(1)
-        fm = f_matrices(1, math.pi / 2, 1.0, drive)
-        np.testing.assert_allclose(fm.F00, np.diag([0.0, 1.0]), atol=1e-12)
+        f00 = f_matrices(1, math.pi / 2, 1.0, drive)[0]
+        np.testing.assert_allclose(f00, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_trace_identities(self, rng):
         drive = poisson_drive(12.0)
         for n in rng.integers(0, 30, size=8):
-            fm = f_matrices(int(n), 1.3, 12.0, drive)
-            assert abs(np.trace(fm.F00) - 1.0) < 1e-12
-            assert abs(np.trace(fm.F11) - 1.0) < 1e-12
-            assert abs(np.trace(fm.F01)) < 1e-12
-            np.testing.assert_allclose(fm.F10, fm.F01.conj().T, atol=1e-14)
+            f00, f01, f10, f11 = f_matrices(int(n), 1.3, 12.0, drive)
+            assert abs(np.trace(f00) - 1.0) < 1e-12
+            assert abs(np.trace(f11) - 1.0) < 1e-12
+            assert abs(np.trace(f01)) < 1e-12
+            np.testing.assert_allclose(f10, f01.conj().T, atol=1e-14)
 
     def test_expectation_reproduces_channel_images(self):
         drive = poisson_drive(9.0)
@@ -384,8 +385,7 @@ class TestFMatrices:
         chan = build_channel_exact(drive, cfg)
         sums = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
         for n, w in zip(drive.support, drive.weights):
-            fm = f_matrices(int(n), cfg.tau, drive.mean, drive)
-            for k, m in enumerate((fm.F00, fm.F01, fm.F10, fm.F11)):
+            for k, m in enumerate(f_matrices(int(n), cfg.tau, drive.mean, drive)):
                 sums[k] += w * m
         for got, want in zip(sums, chan.images()):
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -1051,10 +1051,10 @@ class TestBuildChannelTaylor2:
     def test_zero_variance_collapses_to_central_matrices(self):
         tau, nbar = 0.7, 100.0
         chan = build_channel_taylor2(nbar, 0.0, "poisson", JCConfig(tau=tau))
-        fm = f_matrices(100, tau, nbar, poisson_drive(nbar))
-        np.testing.assert_allclose(chan.E00, fm.F00, atol=1e-12)
-        np.testing.assert_allclose(chan.E01, fm.F01, atol=1e-12)
-        np.testing.assert_allclose(chan.E11, fm.F11, atol=1e-12)
+        f00, f01, _, f11 = f_matrices(100, tau, nbar, poisson_drive(nbar))
+        np.testing.assert_allclose(chan.E00, f00, atol=1e-12)
+        np.testing.assert_allclose(chan.E01, f01, atol=1e-12)
+        np.testing.assert_allclose(chan.E11, f11, atol=1e-12)
 
     def test_zero_variance_binomial_has_no_neighbor_terms(self):
         tau, nbar = 0.7, 9.0
@@ -1347,12 +1347,12 @@ class TestOneKernel:
         lo = max(0, drive.n_min - 2)
         for n in range(lo, min(drive.n_max + 2, lo + 10) + 1):
             for tau in (0.0, 0.3, math.pi / 2, 2.9):
-                fm = f_matrices(n, tau, nbar, drive)
-                for got, want in zip((fm.F00, fm.F01, fm.F11),
+                f00, f01, f10, f11 = f_matrices(n, tau, nbar, drive)
+                for got, want in zip((f00, f01, f11),
                                      _hand_written_f_matrices(n, tau, nbar, drive)):
                     np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
                     np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
-                np.testing.assert_array_equal(fm.F10, fm.F01.conj().T)
+                np.testing.assert_array_equal(f10, f01.conj().T)
 
     @pytest.mark.parametrize("name", list(_RATIO_DRIVES))
     def test_level_sums_of_f_matrices_give_the_exact_channel(self, name):
@@ -1361,8 +1361,7 @@ class TestOneKernel:
             chan = build_channel_exact(drive, JCConfig(tau=tau))
             sums = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
             for n, w in zip(drive.support, drive.weights):
-                fm = f_matrices(int(n), tau, drive.mean, drive)
-                for k, m in enumerate((fm.F00, fm.F01, fm.F10, fm.F11)):
+                for k, m in enumerate(f_matrices(int(n), tau, drive.mean, drive)):
                     sums[k] += w * m
             for got, want in zip(sums, chan.images()):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -1385,22 +1384,28 @@ class TestFMatricesDomain:
             JCConfig(tau=1.0).interaction_time(nbar)
 
     def test_zero_time_at_zero_mean_is_the_frozen_interaction(self):
-        fm = f_matrices(0, 0.0, 0.0, fock_drive(0))
-        np.testing.assert_array_equal(fm.F00, [[1, 0], [0, 0]])
-        np.testing.assert_array_equal(fm.F11, [[0, 0], [0, 1]])
-        np.testing.assert_array_equal(fm.F01, [[0, 1], [0, 0]])
+        f00, f01, _, f11 = f_matrices(0, 0.0, 0.0, fock_drive(0))
+        np.testing.assert_array_equal(f00, [[1, 0], [0, 0]])
+        np.testing.assert_array_equal(f11, [[0, 0], [0, 1]])
+        np.testing.assert_array_equal(f01, [[0, 1], [0, 0]])
 
-    @pytest.mark.parametrize("name,entry", [("F00", (0, 0)), ("F00", (0, 1)),
-                                            ("F01", (1, 1)), ("F01", (1, 0)),
-                                            ("F11", (1, 1)), ("F10", (0, 1))])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_set_rejects_non_finite_entries(self, name, entry, bad):
-        fm = {"F00": np.diag([1.0, 0.0]), "F01": np.array([[0.0, 1.0], [0.0, 0.0]]),
-              "F10": np.array([[0.0, 0.0], [1.0, 0.0]]), "F11": np.diag([0.0, 1.0])}
-        fm[name] = fm[name].astype(complex)
-        fm[name][entry] = bad
-        with pytest.raises(UnsupportedParameters):
-            jcdrive.FMatrixSet(**fm)
+    def test_a_ratio_past_the_float_range_is_a_typed_error_without_a_warning(self):
+        # b_1 / b_0 overflows: the entries are inf and NaN, which numpy would warn about
+        drive = custom_drive([1e-310, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedParameters, match="level 0"):
+                f_matrices(0, 1.0, 1.0, drive)
+
+    def test_returns_the_images_order_as_read_only_complex_arrays(self):
+        drive = poisson_drive(5.0)
+        f = f_matrices(4, 1.0, 5.0, drive)
+        assert type(f) is tuple and len(f) == 4
+        for m in f:
+            assert (m.dtype, m.shape, m.flags.writeable) == (complex, (2, 2), False)
+        np.testing.assert_array_equal(f[2], f[1].conj().T)
+        with pytest.raises(ValueError):
+            f[0][0, 0] = 2.0
 
 
 class TestClosedFormDomain:
@@ -1483,9 +1488,8 @@ class TestClosedFormDomain:
 
     def test_f_matrices_takes_an_integral_float_level(self):
         drive = poisson_drive(5.0)
-        a, b = f_matrices(3.0, 1.0, 5.0, drive), f_matrices(3, 1.0, 5.0, drive)
-        for name in ("F00", "F01", "F10", "F11"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for a, b in zip(f_matrices(3.0, 1.0, 5.0, drive), f_matrices(3, 1.0, 5.0, drive)):
+            np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """The README's examples run: its Python blocks in one namespace, and each
-JSON document through the loader the README names for it."""
+JSON document through the loader the README names for it. Its module table
+names only what exists."""
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
 import re
 from pathlib import Path
@@ -11,6 +14,8 @@ from eigenfid import DensityMatrix, QubitChannel, SweepConfig, serialize
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 _BLOCK = re.compile(r"^```(\w*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
+_TABLE_ROW = re.compile(r"^\| `(eigenfid\.\w+)` *\|(.*)\|$", re.MULTILINE)
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*(\(\))?")
 
 
 def _blocks(language: str) -> list[str]:
@@ -37,3 +42,29 @@ def test_json_documents_load():
             loaded.append(serialize.sweep_config_from_dict(doc, doc["mode"]))
     assert sorted(type(obj).__name__ for obj in loaded) == sorted(
         cls.__name__ for cls in (SweepConfig, DensityMatrix, QubitChannel))
+
+
+def _resolves(owner, dotted: str) -> bool:
+    try:
+        functools.reduce(getattr, dotted.removesuffix("()").split("."), owner)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_module_table_names_only_what_exists():
+    # a name resolves as an attribute of the row's module or of a class in it;
+    # the field names of the JSON documents are not attributes
+    fields = (serialize._SWEEP_KEYS | serialize._DRIVE_KEYS | serialize._STATE_KEYS
+              | serialize._CHANNEL_KEYS)
+    rows = _TABLE_ROW.findall(README.read_text(encoding="utf-8"))
+    assert len(rows) >= 8
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        owners = [module, *(v for v in vars(module).values() if isinstance(v, type))]
+        for name in re.findall(r"`([^`]*)`", contents):
+            if (_IDENTIFIER.fullmatch(name) and name not in fields
+                    and not any(_resolves(owner, name) for owner in owners)):
+                missing.append(f"{module_name}: {name}")
+    assert not missing

@@ -339,6 +339,9 @@ class TestDriveSpec:
             ({"kind": "fock", "N": True}, "/drive/N"),
             ({"kind": "fock", "N": 2 ** 60}, "/drive/N"),
             *[({"kind": kind, "nbar": 9.0}, "/drive/kind") for kind in ("", None, 1, True)],
+            # no binomial drive: width 13.2, and width 41 with shift -10.25
+            ({"kind": "binomial", "nbar": 10.0, "fano": 0.33}, "/drive/fano"),
+            ({"kind": "binomial", "nbar": 10.25, "fano": 1.0}, "/drive/fano"),
         ],
     )
     def test_pointer_paths(self, spec, path):
