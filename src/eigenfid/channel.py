@@ -13,8 +13,9 @@ Average gate fidelity against a target unitary comes in closed form from the
 real Pauli form of the gate-twisted channel, the affine map of Bloch vectors.
 The Monte Carlo estimators stream the sampler's unchanged draw through Bloch
 blocks of haar._BLOCK (4096) rows: a call holds 8 B per sample, the values
-whose mean and standard error it returns, plus about 0.5 MB of block buffers,
-and its estimates equal a full-array pass over the same draw bit for bit.
+whose mean and standard error it returns, plus one block workspace of about
+0.4 MB per thread, kept between calls, and its estimates equal a full-array
+pass over the same draw bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from ._domain import array, integer, real
 from .densmat import DensityMatrix, _read_only_copy
 from .errors import CPViolation, DimensionMismatch, NonHermitianInput
-from .haar import _BLOCK, SeededSampler, _estimate_count, _mean_stderr
+from .haar import _BLOCK, SeededSampler, _estimate_count, _mean_stderr, _scratch
 
 TP_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -289,19 +290,22 @@ def _mc_estimate(channel: QubitChannel, sampler: SeededSampler, n_samples: int,
 
     One loop over the sampler's Bloch blocks serves every estimator. For
     each block it forms the output trace defects d = t - 1 (k,) and Bloch
-    vectors m (3, k) in a reused buffer, and fill(d, m, bloch, out) writes
-    the block's values into its slice out of one (n,) array. A call holds 8 B
-    per sample plus the block buffers; the values are those of one
-    full-array pass over the same draws, bit for bit.
+    vectors m (3, k) in the thread's kept output block, and fill(d, m, bloch,
+    out) writes the block's values into its slice out of one (n,) array. A
+    call holds 8 B per sample beside the thread's workspace; the values are
+    those of one full-array pass over the same draws, bit for bit.
     """
     n = _estimate_count(n_samples)
     r = _pauli_form(channel._transfer)
+    linear, constant = r[:, 1:], r[:, 0].tolist()
     vals = np.empty(n)
-    flat = np.empty(4 * min(n, _BLOCK))  # a block of k rows is its first 4k entries, as (4, k)
-    for rows, bloch in sampler.bloch_blocks(n):
-        out = np.matmul(r[:, 1:], bloch, out=flat[:4 * bloch.shape[1]].reshape(4, -1))
-        out += r[:, :1]
-        fill(out[0], out[1:], bloch, vals[rows])
+    # a block of k rows is the first 4k entries of flat, as (4, k)
+    with _scratch((4 * _BLOCK,)) as flat:
+        for rows, bloch in sampler.bloch_blocks(n):
+            out = np.matmul(linear, bloch, out=flat[:4 * bloch.shape[1]].reshape(4, -1))
+            for row, c in zip(out, constant):
+                row += c
+            fill(out[0], out[1:], bloch, vals[rows])
     return _mean_stderr(vals)
 
 
@@ -332,7 +336,7 @@ def mc_channel_eigenfidelity(channel: QubitChannel, sampler: SeededSampler, n_sa
         d2 = d + 2.0
         d2 *= d
         out -= d2
-        np.clip(out, 0.0, None, out=out)
+        np.maximum(out, 0.0, out=out)
         np.sqrt(out, out=out)
         out *= 0.5
         out += 0.5

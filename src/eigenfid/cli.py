@@ -90,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, metavar="U64",
                         help="override the config seed")
         sp.add_argument("--jobs", type=int, metavar="N",
-                        help="parallel workers for Monte Carlo sweeps (default from config, 1)")
+                        help="parallel workers for Monte Carlo sweeps, at most one per drive "
+                             "(default from config, 1)")
         sp.add_argument("--mc-samples", dest="mc_samples", type=int, metavar="N",
                         help="enable Monte Carlo eigenerror columns")
         sp.add_argument("-o", "--output", metavar="PATH",

@@ -315,11 +315,13 @@ def run(config: SweepConfig) -> SweepResult:
     for i, point in enumerate(grid):
         units.setdefault(mode.drive_key(config, *point), []).append((i, point))
     work = [(config, key, points) for key, points in units.items()]
-    if config.jobs > 1 and config.mc_samples and len(work) > 1:
+    # at most one worker per unit: a pool forks all its workers at the first submit
+    jobs = min(config.jobs, len(work))
+    if jobs > 1 and config.mc_samples:
         from concurrent.futures import ProcessPoolExecutor  # costly import, only pools pay it
 
-        chunk = max(1, len(work) // (4 * config.jobs))
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        chunk = max(1, len(work) // (4 * jobs))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_evaluate, work, chunksize=chunk))
     else:
         done = [_evaluate(w) for w in work]

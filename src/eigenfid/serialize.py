@@ -19,7 +19,7 @@ import numpy as np
 from ._domain import choice, integer, real
 from .channel import _IMAGES, QubitChannel
 from .densmat import DensityMatrix
-from .errors import SchemaError
+from .errors import SchemaError, UnsupportedParameters
 from .experiments import _GRID_RULES, SweepConfig, _atomic_write, _binomial_pair, _json_text
 from .jcdrive import (
     _DRIVE_KINDS,
@@ -159,7 +159,10 @@ def drive_from_spec(spec: dict) -> DriveDistribution:
         nbar = _GRID_RULES["nbar_grid"](spec["nbar"], f"{path}/nbar")
         fano = _GRID_RULES["fano_grid"](spec["fano"], f"{path}/fano")
         _binomial_pair(nbar, fano, f"{path}/fano")
-        return binomial_drive(nbar, fano * nbar)
+        try:
+            return binomial_drive(nbar, fano * nbar)
+        except UnsupportedParameters as exc:  # rules that need the weights: the clipped mass
+            raise SchemaError(f"{path}/fano", f"no binomial drive at nbar={nbar}: {exc}") from None
     if kind == "fock":
         if "N" not in spec:
             _fail(f"{path}/N", "missing: fock drives need a photon number")

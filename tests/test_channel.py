@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -883,6 +884,50 @@ class TestStreamedEstimators:
         finally:
             tracemalloc.stop()
         assert peak < 10 * n, peak / n
+
+    def test_a_warm_estimate_holds_its_values_and_no_new_block_buffers(self):
+        # the block workspace is kept per thread, so once warm a call holds
+        # its 8 B per sample and little more: 485 KiB more with buffers per call
+        chan, n = self.CHANNELS[2], 20000
+        mc_channel_eigenfidelity(chan, SeededSampler(2, 2), n)
+        tracemalloc.start()
+        try:
+            mc_channel_eigenfidelity(chan, SeededSampler(3, 2), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 128 * 1024, (peak - 8 * n) / 1024
+
+    def test_estimates_on_threads_equal_the_sequential_values(self):
+        # each thread keeps its own workspace, so concurrent calls share no buffer
+        jobs = [(chan, seed) for chan in self.CHANNELS for seed in (31, 32)]
+        assert len(jobs) == 16
+
+        def estimate(job):
+            chan, seed = job
+            return mc_channel_eigenfidelity(chan, SeededSampler(seed, 2), 3 * _BLOCK + 7)
+
+        want = [estimate(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(estimate, jobs)) == want
+
+    def test_each_estimator_streams_one_draw_of_n(self, monkeypatch):
+        # the estimators draw only through bloch_blocks, which a tracer can wrap
+        calls = []
+        blocks = SeededSampler.bloch_blocks
+
+        def counted(sampler, n):
+            calls.append(n)
+            return blocks(sampler, n)
+
+        monkeypatch.setattr(SeededSampler, "bloch_blocks", counted)
+        chan, gate, n = self.CHANNELS[1], self.GATES[0], _BLOCK + 9
+        for estimate in (lambda s: mc_average_purity(chan, s, n),
+                         lambda s: mc_channel_eigenfidelity(chan, s, n),
+                         lambda s: mc_gate_fidelity(chan, gate, s, n)):
+            calls.clear()
+            estimate(SeededSampler(5, 2))
+            assert calls == [n]
 
     @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10 ** 29, 2.5, -1])
     def test_rejects_a_count_that_is_not_an_index(self, n):

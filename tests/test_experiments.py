@@ -448,7 +448,9 @@ class TestWorkUnits:
             assert row[idx["eigenerror_bound_lower"]] == lo
             assert row[idx["eigenerror_bound_upper"]] == hi
 
-    def test_a_pool_starts_only_for_monte_carlo(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of each pool that run starts, with the pool mapped in process."""
         import concurrent.futures
 
         started = []
@@ -467,14 +469,27 @@ class TestWorkUnits:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return started
+
+    def test_a_pool_starts_only_for_monte_carlo(self, pool_sizes):
         cfg = SweepConfig(mode="concat", nbar_grid=(25.0, 60.0, 100.0),
                           tau_grid=(0.5, PI / 2), concat_grid=(1, 3))
         serial = TestDeterminism._strip_runtime(run(cfg))
         parallel = TestDeterminism._strip_runtime(run(replace(cfg, jobs=2)))
-        assert started == []
+        assert pool_sizes == []
         assert repr(parallel) == repr(serial)
         run(replace(cfg, jobs=2, mc_samples=20))
-        assert started == [2]
+        assert pool_sizes == [2]
+
+    def test_a_pool_has_at_most_one_worker_per_unit(self, pool_sizes):
+        # two drives, so two units: a pool forks all its workers at once,
+        # and a larger one would leave the rest idle
+        cfg = SweepConfig(mode="concat", nbar_grid=(25.0, 60.0), tau_grid=(0.5, PI / 2),
+                          concat_grid=(1, 3), seed=4, mc_samples=20)
+        serial = run(cfg)
+        parallel = run(replace(cfg, jobs=10 ** 6))
+        assert pool_sizes == [2]
+        assert TestDeterminism._strip_runtime(parallel) == TestDeterminism._strip_runtime(serial)
 
     def test_runtime_is_the_unit_time_shared_by_its_rows(self):
         res = run(_scaling_config(nbar_grid=(25.0, 50.0), tau_grid=(0.5, 1.0, 1.5)))

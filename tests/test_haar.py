@@ -216,6 +216,19 @@ class TestBlochBlocks:
     def test_zero_samples_yield_no_block(self):
         assert list(SeededSampler(3, 2).bloch_blocks(0)) == []
 
+    def test_interleaved_generators_keep_separate_blocks(self):
+        # the block buffers are kept per thread, so a second generator that
+        # runs while the first holds them must get buffers of its own
+        n = 3 * _BLOCK + 5
+        want = {seed: oracles.full_bloch(seed, n) for seed in (21, 22)}
+        pairs = zip(SeededSampler(21, 2).bloch_blocks(n), SeededSampler(22, 2).bloch_blocks(n))
+        count = 0
+        for (rows_a, a), (rows_b, b) in pairs:
+            np.testing.assert_array_equal(a, want[21][rows_a].T)
+            np.testing.assert_array_equal(b, want[22][rows_b].T)
+            count += 1
+        assert count == 4
+
     @pytest.mark.parametrize("dim", [1, 3, 5])
     def test_needs_a_qubit_sampler(self, dim):
         with pytest.raises(DimensionMismatch):

@@ -349,6 +349,13 @@ class TestDriveSpec:
             drive_from_spec(spec)
         assert _path_of(excinfo) == path
 
+    def test_clipped_mass_fails_at_the_fano(self):
+        # width 40 centered on 10: 3.4e-4 of the mass lies below level 0,
+        # which only the built weights show
+        with pytest.raises(SchemaError, match="nbar=10.0: .*negative photon numbers") as excinfo:
+            drive_from_spec({"kind": "binomial", "nbar": 10.0, "fano": 1.0})
+        assert _path_of(excinfo) == "/drive/fano"
+
 
 # ---------------------------------------------------------------------------
 # matrices, states, channels
