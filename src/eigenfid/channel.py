@@ -195,12 +195,19 @@ def concatenate(channel: QubitChannel, count: int) -> QubitChannel:
 
 
 def _powers(s: np.ndarray, residual, count: int) -> tuple:
-    """(count-th powers, slacks CP_TOL + count residual, Choi residuals) of a checked stack."""
+    """(count-th powers, slacks CP_TOL + count residual, Choi residuals) of a checked stack.
+
+    A power that fails its check raises the check's error class, with the
+    count in front: the stack passed, only its power failed.
+    """
     if count == 1:
         return s, np.full(len(s), CP_TOL), residual
     slack = CP_TOL + count * residual
     s = np.linalg.matrix_power(s, count)
-    return s, slack, _check_transfers(s, slack)
+    try:
+        return s, slack, _check_transfers(s, slack)
+    except (NonHermitianInput, CPViolation) as exc:
+        raise type(exc)(f"{count}-fold power: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         write_csv(result, config.output)
         sidecar = _sidecar_path(config.output)
         write_sidecar(result, sidecar)
-    except (EigenfidError, OSError) as exc:
+    # a sample count within MAX_SAMPLES can still exceed the machine's memory
+    except (EigenfidError, OSError, MemoryError) as exc:
         print(f"eigenfid: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(result.rows)} rows to {config.output} "

@@ -39,7 +39,7 @@ from ._domain import EXACT, choice, integer, real, sequence
 from ._version import __version__
 from .channel import QubitChannel, _powers, _purities, mc_channel_eigenfidelity
 from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
-from .haar import MAX_SAMPLES, SeededSampler
+from .haar import _SEED_MAX, MAX_SAMPLES, SeededSampler
 from .jcdrive import (
     _MOMENT_KINDS,
     _binomial_support,
@@ -75,7 +75,7 @@ def _output(value, path: str):
 # entry. Counts are exact integers; means and reduced times have the
 # library's domains
 _SCALAR_RULES = {
-    "seed": lambda v, path: integer(v, path, SchemaError, 0, 2 ** 64 - 1, strict=True),
+    "seed": lambda v, path: integer(v, path, SchemaError, 0, _SEED_MAX, strict=True),
     "mc_samples": _sample_count,
     "jobs": lambda v, path: integer(v, path, SchemaError, 1, strict=True),
     "output": _output,
@@ -126,6 +126,8 @@ class SweepConfig:
         if self.mode == "split" and self.drive_kind != "poisson":
             raise SchemaError("/drive/kind", "split mode uses coherent (poisson) drives")
         choice(self.split_convention, SPLIT_CONVENTIONS, "/split_convention", SchemaError)
+        if self.mode != "split" and self.split_convention != "physical":
+            raise SchemaError("/split_convention", f"mode {self.mode!r} does not read it")
         if self.tau_grid is None:
             object.__setattr__(self, "tau_grid", (math.pi / 2,) if self.mode == "split" else ())
         for name, rule in _SCALAR_RULES.items():

@@ -27,8 +27,9 @@ from .densmat import DensityMatrix, PureState
 from .errors import DimensionMismatch
 
 _SEED_MAX = 2 ** 64 - 1  # seeds are unsigned 64-bit integers
-# sample counts are array lengths, so they must fit in an index
-MAX_SAMPLES = int(np.iinfo(np.intp).max)
+# an estimate holds one float per sample, so a count is at most the length of
+# the largest float64 array numpy can size: 2**60 - 1 on a 64-bit machine
+MAX_SAMPLES = int(np.iinfo(np.intp).max) // 8
 # rows per Bloch block. With 4096, a Monte Carlo estimate at 10^6 samples
 # peaks at 8.5 B per sample under tracemalloc (80 B as one full-array pass),
 # and at 2e4 samples it takes 1.9-2.7 ms against the full pass's 2.4-3.0 ms
@@ -103,8 +104,15 @@ class SeededSampler:
         return SeededSampler(seed=derived, dim=self.dim)
 
     def sample_amplitudes(self, n: int) -> np.ndarray:
-        """n Haar-random unit vectors as rows of an (n, dim) complex array."""
-        z = self._rng.standard_normal((sample_count(n), 2 * self.dim))
+        """n Haar-random unit vectors as rows of an (n, dim) complex array.
+
+        The draw is n x 2 dim floats, which is held to MAX_SAMPLES as well.
+        """
+        n = sample_count(n)
+        if n * 2 * self.dim > MAX_SAMPLES:
+            raise DimensionMismatch(f"{n} samples of dimension {self.dim} draw "
+                                    f"{n * 2 * self.dim} floats, more than {MAX_SAMPLES}")
+        z = self._rng.standard_normal((n, 2 * self.dim))
         v = z[:, : self.dim] + 1j * z[:, self.dim:]
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         return v

@@ -358,33 +358,37 @@ def _angles(k_lo: int, k_hi: int, tau, nbar: float) -> tuple[np.ndarray, np.ndar
     return np.cos(theta), np.sin(theta)
 
 
-def _images(at, w, x1, y1, y2, total) -> np.ndarray:
-    """E00, E01, E11 from the per-level entries of F_ij(n), stacked on axis -3.
+def _images(at, w, x1, y2, total) -> np.ndarray:
+    """E00, E01, E10, E11 from the per-level entries of F_ij(n), stacked on
+    axis -3 in the order of QubitChannel.images().
 
     at(j, weight) gives cos and sin at level n + j for the levels that weight
-    covers. w weighs the diagonal terms, x1 the E00 and E11 coherences, y1
-    the E01 exchange and y2 its next-neighbour term; total reduces each
-    weighted term. Inputs meet only * (jets have no **), so window arrays,
-    one level's scalars and jets all fit; a leading axis, if any, leads the
-    result too. Each term is reduced over its own levels: zero-padding one
-    would regroup numpy's pairwise sum and change its rounding.
+    covers. w weighs the diagonal terms, x1 = b_n conj(b_{n+1}) the
+    coherences and, as a conjugate reduction, the E01 exchange (cos and sin
+    are real, so that is the sum over conj(x1)), y2 its next-neighbour term;
+    total reduces each weighted term. E10 is E01^dag, taken after the array
+    cast. Inputs meet only * (jets have no **), so window arrays, one level's
+    scalars and jets all fit; a leading axis, if any, leads the result too.
+    Each term is reduced over its own levels: zero-padding one would regroup
+    numpy's pairwise sum and change its rounding.
     """
     (c0, s0), (c1, s1) = at(0, w), at(1, w)
-    (c0x, _), (c1x, s1x), (c2x, _) = at(0, x1), at(1, y1), at(2, x1)  # x1, y1: same levels
+    (c0x, _), (c1x, s1x), (c2x, _) = at(0, x1), at(1, x1), at(2, x1)
     (_, s1y), (_, s2y) = at(1, y2), at(2, y2)
     coh00 = total(x1 * c0x * s1x)
     coh11 = -total(x1 * s1x * c2x)
-    exchange = total(y1 * c1x * s1x)
+    exchange = np.conj(total(x1 * c1x * s1x))
     e = np.array([total(w * (c0 * c0)), coh00, np.conj(coh00), total(w * (s0 * s0)),
                   -exchange, total(w * c0 * c1), -total(y2 * s1y * s2y), exchange,
                   total(w * (s1 * s1)), coh11, np.conj(coh11), total(w * (c1 * c1))])
-    return e.T.reshape(e.shape[1:] + (3, 2, 2))  # one leading axis at most
+    e = np.concatenate((e[:8], e[[4, 6, 5, 7]].conj(), e[8:]))  # E10 = E01^dag
+    return e.T.reshape(e.shape[1:] + (4, 2, 2))  # one leading axis at most
 
 
 def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> tuple:
     """Per-level matrices (F00, F01, F10, F11) at reduced time tau, read-only
     and in the order of QubitChannel.images(): the one-level case of _images,
-    with weights 1, conj(r1), r1, r2 and no reduction.
+    with weights 1, conj(r1), r2 and no reduction.
 
     The weights carry the amplitude ratios r1 = b_{n+1}/b_n and
     r2 = b_{n+2}/b_n; they are set to zero when b_n vanishes, which keeps the
@@ -399,10 +403,8 @@ def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> tup
                   if drive.n_min <= k <= drive.n_max else 0.0 for k in range(n, n + 3))
     r1, r2 = (b1 / b0, b2 / b0) if b0 != 0 else (0.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
-        f00, f01, f11 = _images(lambda j, _: (c[j], s[j]), 1.0, np.conj(r1), r1, r2,
-                                lambda x: x)
-    # conjugated before the cast: a real F01 (b_n = 0) keeps +0 imaginary parts
-    f = np.array([f00, f01, f01.conj().T, f11], dtype=complex)
+        f = np.array(_images(lambda j, _: (c[j], s[j]), 1.0, np.conj(r1), r2, lambda x: x),
+                     dtype=complex)
     if not np.isfinite(f).all():
         raise UnsupportedParameters(f"F matrices at level {n} are not finite")
     f.setflags(write=False)
@@ -425,10 +427,9 @@ def _exact_transfers(drive: DriveDistribution, taus) -> tuple[np.ndarray, np.nda
     w = np.abs(b) ** 2
     # neighbor products on the contiguous window; entries past the edge are 0
     x1 = b[:-1] * np.conj(b[1:])
-    y1 = np.conj(b[:-1]) * b[1:]
     y2 = np.conj(b[:-2]) * b[2:]
 
-    images = np.zeros((len(taus), 4, 2, 2), dtype=complex)  # E00, E01, E10, E11 per tau
+    images = np.empty((len(taus), 4, 2, 2), dtype=complex)  # E00, E01, E10, E11 per tau
     step = max(1, _TAU_BLOCK_ELEMENTS // (m + 2))
     for start in range(0, len(taus), step):
         # column j of c and s is level n_min + j
@@ -438,15 +439,13 @@ def _exact_transfers(drive: DriveDistribution, taus) -> tuple[np.ndarray, np.nda
             return c[:, j:j + len(weight)], s[:, j:j + len(weight)]
 
         # np.sum(x, axis=1) bit for bit, without np.sum's Python wrapper
-        images[start:start + step, [0, 1, 3]] = _images(at, w, x1, y1, y2,
-                                                        lambda x: np.add.reduce(x, axis=1))
-    images[:, 2] = images[:, 1].conj().transpose(0, 2, 1)
+        images[start:start + step] = _images(at, w, x1, y2, lambda x: np.add.reduce(x, axis=1))
     images.setflags(write=False)
     s = images.reshape(-1, 4, 4).transpose(0, 2, 1)  # row 2i+j of S.T is vec(E_ij)
     try:
         return s, _check_transfers(s, CP_TOL)
     except NonHermitianInput as exc:
-        # E00, E11 Hermitian and E10 = E01^dag by construction: only the trace check fails
+        # E00, E11 Hermitian and _images' E10 = E01^dag: only the trace check fails
         raise TruncationError(f"{exc}; drive support window is too small") from None
 
 
@@ -455,12 +454,13 @@ def build_channels_exact(drive: DriveDistribution, taus) -> list[QubitChannel]:
     one per reduced time in taus, in order.
 
     The entries come from _images on (tau x window) arrays, weighted by
-    |b_n|^2 and the amplitude products b_n conj(b_{n+1}), conj(b_n) b_{n+1}
-    and conj(b_n) b_{n+2}, with total a sum over the window axis. Products,
+    |b_n|^2 and the two amplitude products b_n conj(b_{n+1}) and
+    conj(b_n) b_{n+2}, with total a sum over the window axis. Products,
     never ratios, handle drives with zero coefficients exactly. The window
     sums run over a leading tau axis, in blocks of taus, so the memory they
-    take is bounded whatever len(taus) is. The channels are checked as one
-    stack, not one by one; their images are read-only views of it.
+    take is bounded whatever len(taus) is: 72 B per window level for one tau
+    (|b_n|^2, the two products, a cos and a sin row, one product). The
+    channels are checked as one stack; their images are read-only views of it.
     """
     return [QubitChannel._trusted(t, CP_TOL, r) for t, r in zip(*_exact_transfers(drive, taus))]
 
@@ -508,7 +508,7 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
     The trigonometric n-dependence is differentiated analytically; the
     distribution-dependent amplitude-ratio factors are differentiated by
     central finite differences with unit step. The entries come from
-    _images on these jets, weighted 1, r1, r1, r2 (jets too), with total
+    _images on these jets, weighted 1, r1, r2 (jets too), with total
     the Taylor value above. The result deviates from the truncated exact sum by
     O(higher moments), so the channel is constructed with a loosened
     complete-positivity slack.
@@ -541,14 +541,13 @@ def build_channel_taylor2(nbar: float, variance: float, kind: str,
 
     try:  # at tiny means nbar - 1 + 1 or nbar * nbar rounds to 0
         jets = [_trig_jets(k, cfg.tau, nbar) for k in range(3)]  # cos, sin at nbar + k
-        j1 = _fd_jet(r1, nbar)
-        images = _images(lambda j, _: jets[j], _Jet(1.0), j1, j1, _fd_jet(r2, nbar), val)
+        images = _images(lambda j, _: jets[j], _Jet(1.0), _fd_jet(r1, nbar), _fd_jet(r2, nbar),
+                         val)
     except ZeroDivisionError:
         images = math.nan
     if not np.isfinite(images).all():
         raise ApproximationDomain(f"derivative jets are not finite at nbar={nbar}")
-    e00, e01, e11 = images
-    return QubitChannel(e00, e01, e01.conj().T, e11, cp_slack=TAYLOR2_CP_SLACK)
+    return QubitChannel(*images, cp_slack=TAYLOR2_CP_SLACK)
 
 
 def asymptotic_eigenerror_lower_bound(kind: str, nbar: float, variance: float,

@@ -35,6 +35,7 @@ from eigenfid import (
     concatenate,
     cp_residual,
     eigenfidelity,
+    mc_average,
     mc_average_purity,
     mc_channel_eigenfidelity,
     mc_gate_fidelity,
@@ -482,6 +483,18 @@ class TestStackedChecks:
             cat = concatenate(c, count)
             assert np.array_equal(p, cat._transfer)
             assert (r, s) == (cp_residual(cat), cat.cp_slack)
+
+    def test_a_power_that_fails_its_check_names_the_count(self):
+        # the channel passes; the rounding of 40 squarings breaks its power's trace
+        chan = build_channel_exact(poisson_drive(25.0), JCConfig(tau=1.0))
+        with pytest.raises(NonHermitianInput, match=r"^1099511627776-fold power: trace "
+                                                     r"preservation broken: image traces off by"):
+            concatenate(chan, 2 ** 40)
+        # the transpose map: trace preserving, Hermitian, not CP, and its own cube
+        swap = np.eye(4)[[0, 2, 1, 3]][None]
+        with pytest.raises(CPViolation, match=r"^3-fold power: Choi matrix has eigenvalue "
+                                              r"-1\.000e\+00 below -1\.0e-08$"):
+            _powers(swap, np.zeros(1), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +946,21 @@ class TestStreamedEstimators:
     def test_rejects_a_count_that_is_not_an_index(self, n):
         with pytest.raises(DimensionMismatch):
             mc_channel_eigenfidelity(self.CHANNELS[0], SeededSampler(3, 2), n)
+
+    @pytest.mark.parametrize("n", [2 ** 60, MAX_SAMPLES + 1])
+    def test_rejects_a_count_numpy_cannot_size_before_drawing(self, n):
+        # one 8-byte value per sample: past MAX_SAMPLES numpy cannot size the
+        # estimate's array, and the check comes before any draw
+        chan, gate = self.CHANNELS[0], self.GATES[0]
+        for estimate in (lambda s: mc_average_purity(chan, s, n),
+                         lambda s: mc_channel_eigenfidelity(chan, s, n),
+                         lambda s: mc_gate_fidelity(chan, gate, s, n),
+                         lambda s: mc_average(purity, s, n)):
+            sampler = SeededSampler(3, 2)
+            with pytest.raises(DimensionMismatch, match="sample count must be in"):
+                estimate(sampler)
+            np.testing.assert_array_equal(sampler.sample_amplitudes(4),
+                                          SeededSampler(3, 2).sample_amplitudes(4))
 
 
 # every frozen dataclass that holds arrays compares by identity: a generated

@@ -340,6 +340,28 @@ class TestSweepRuns:
         assert "config error: /mc_samples" in err and "Traceback" not in err
         assert not csv.exists()
 
+    def test_mc_sample_count_numpy_cannot_size_is_a_config_error(self, capsys, tmp_path):
+        # 2**62 values of 8 B each are past any array numpy can size
+        csv = tmp_path / "mc.csv"
+        cfg = _write_config(tmp_path / "cfg.json", output=str(csv),
+                            nbar_grid=[25.0], tau_grid=[1.0])
+        assert main(["scaling", "--config", cfg, "--mc-samples", str(2 ** 62)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: /mc_samples" in err and "Traceback" not in err
+        assert not csv.exists()
+
+    def test_a_run_out_of_memory_exits_one_on_one_line(self, capsys, monkeypatch, tmp_path):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr("eigenfid.cli.run", exhausted)
+        csv = tmp_path / "mc.csv"
+        cfg = _write_config(tmp_path / "cfg.json", output=str(csv))
+        assert main(["scaling", "--config", cfg, "--mc-samples", "64"]) == 1
+        err = capsys.readouterr().err
+        assert err == "eigenfid: MemoryError: Unable to allocate 8.00 EiB for an array\n"
+        assert not csv.exists()
+
     def test_mode_mismatch_is_a_config_error(self, capsys, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json",
                             output=str(tmp_path / "x.csv"))

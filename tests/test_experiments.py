@@ -39,7 +39,12 @@ from eigenfid import experiments
 from eigenfid.experiments import VERSION_STRING, run, sidecar_dict
 from eigenfid.haar import MAX_SAMPLES
 from eigenfid.serialize import dump_object
-from eigenfid.errors import BudgetTooSmall, SchemaError, UnsupportedParameters
+from eigenfid.errors import (
+    BudgetTooSmall,
+    NonHermitianInput,
+    SchemaError,
+    UnsupportedParameters,
+)
 
 PI = math.pi
 
@@ -98,6 +103,7 @@ class TestSweepConfig:
         (dict(nbar_grid=25.0), "/nbar_grid"),
         (dict(nbar_grid=(10 ** 400,)), "/nbar_grid/0"),
         (dict(mc_samples=MAX_SAMPLES + 1), "/mc_samples"),
+        (dict(mc_samples=2 ** 60), "/mc_samples"),
         (dict(mc_samples=10 ** 29), "/mc_samples"),
         # counts are exact integers: an integral float is not one
         (dict(mode="concat", concat_grid=(2.0,)), "/concat_grid/0"),
@@ -130,6 +136,19 @@ class TestSweepConfig:
         with pytest.raises(SchemaError) as excinfo:
             _scaling_config(**kw)
         assert excinfo.value.path == path
+
+    @pytest.mark.parametrize("mode, extra", [("scaling", {}), ("concat", {"concat_grid": (2,)})])
+    def test_rejects_a_split_convention_the_mode_never_reads(self, mode, extra):
+        with pytest.raises(SchemaError, match="does not read it") as excinfo:
+            _scaling_config(mode=mode, split_convention="per_pulse", **extra)
+        assert excinfo.value.path == "/split_convention"
+
+    @pytest.mark.parametrize("mode, convention", [("scaling", "physical"),
+                                                  ("split", "physical"), ("split", "per_pulse")])
+    def test_split_convention_builds_where_it_is_read_or_default(self, mode, convention):
+        extra = {"concat_grid": (1, 2)} if mode == "split" else {}
+        cfg = _scaling_config(mode=mode, split_convention=convention, **extra)
+        assert cfg.split_convention == convention
 
     def test_concat_mode_needs_counts(self):
         with pytest.raises(UnsupportedParameters):
@@ -332,6 +351,15 @@ class TestRunConcat:
                     if row[res.columns.index("tau")] == tau]
             assert len(errs) == 3
             assert all(a <= b + 1e-12 for a, b in zip(errs, errs[1:]))
+
+    @pytest.mark.parametrize("count", [2 ** 40, 2 ** 53])
+    def test_a_power_that_fails_its_check_names_the_count(self, count):
+        # the n-bar = 25 channel passes; its power's rounding breaks the trace
+        cfg = SweepConfig(mode="concat", nbar_grid=(25.0,), tau_grid=(1.0,),
+                          concat_grid=(1, count))
+        with pytest.raises(NonHermitianInput,
+                           match=rf"^{count}-fold power: trace preservation broken"):
+            run(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -276,3 +276,32 @@ class TestSamplerDomain:
     def test_rejects_a_sample_count_that_is_not_a_nonnegative_integer(self, draw, n):
         with pytest.raises(DimensionMismatch):
             next(iter(getattr(SeededSampler(3, 2), draw)(n)))
+
+    def test_max_samples_is_the_longest_float_array_numpy_can_size(self):
+        # an estimate holds one 8-byte value per sample
+        assert MAX_SAMPLES == np.iinfo(np.intp).max // 8
+        with pytest.raises(ValueError, match="too big"):
+            np.empty(MAX_SAMPLES + 1)
+
+    @pytest.mark.parametrize("n", [2 ** 58, MAX_SAMPLES // 4 + 1, MAX_SAMPLES])
+    def test_rejects_a_draw_of_more_floats_than_max_samples(self, n):
+        # a qubit draw is 4 floats per sample: checked before anything is drawn
+        sampler = SeededSampler(3, 2)
+        with pytest.raises(DimensionMismatch, match="more than"):
+            sampler.sample_amplitudes(n)
+        np.testing.assert_array_equal(sampler.sample_amplitudes(4),
+                                      SeededSampler(3, 2).sample_amplitudes(4))
+
+    def test_largest_qubit_draw_passes_the_count_check(self, monkeypatch):
+        # MAX_SAMPLES // 4 samples make MAX_SAMPLES - 3 floats; the draw itself is not made
+        shapes = []
+
+        class Rng:
+            def standard_normal(self, shape):
+                shapes.append(shape)
+                return np.ones((1, shape[1]))
+
+        sampler = SeededSampler(3, 2)
+        monkeypatch.setattr(sampler, "_rng", Rng())
+        sampler.sample_amplitudes(MAX_SAMPLES // 4)
+        assert shapes == [(MAX_SAMPLES // 4, 4)]

@@ -1367,6 +1367,49 @@ class TestOneKernel:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+class TestOneKernelCall:
+    """_images gives all four images, so each caller's E10 is the kernel's."""
+
+    @pytest.mark.parametrize("name", list(_KERNEL_DRIVES))
+    def test_exact_e10_is_the_adjoint_of_e01(self, name):
+        for chan in build_channels_exact(_KERNEL_DRIVES[name](), _KERNEL_TAUS):
+            assert np.array_equal(chan.E10, chan.E01.conj().T)
+
+    @pytest.mark.parametrize("name", [*_RATIO_DRIVES, "custom-gaps", "custom-single", "fock",
+                                      "custom-gaps-at-vacuum"])
+    def test_f_matrices_e10_is_the_adjoint_of_e01_at_every_level(self, name):
+        drive = {**_KERNEL_DRIVES, **_RATIO_DRIVES}[name]()
+        nbar = drive.mean if drive.mean > 0 else 1.0
+        # every level of the window, and one past each edge
+        for n in range(max(0, drive.n_min - 1), drive.n_max + 2):
+            for tau in (0.0, 0.3, math.pi / 2, 2.9):
+                _, f01, f10, _ = f_matrices(n, tau, nbar, drive)
+                assert np.array_equal(f10, f01.conj().T)
+
+    @pytest.mark.parametrize("kind", ["poisson", "binomial"])
+    def test_taylor2_e10_is_the_adjoint_of_e01(self, kind):
+        for nbar in (30.0, 200.0):
+            for tau in (0.0, 0.3, 1.0, 2.5):
+                chan = build_channel_taylor2(nbar, 0.5 * nbar, kind, JCConfig(tau=tau))
+                assert np.array_equal(chan.E10, chan.E01.conj().T)
+
+    def test_an_exact_build_holds_at_most_80_bytes_per_window_level(self):
+        # |b_n|^2, two amplitude products, a cos and a sin row and one product
+        # temporary: 72 B per level
+        drive = binomial_drive(1e5, 1e5)
+        levels = len(drive.coefficients)
+        cfg = JCConfig(tau=1.0)
+        build_channel_exact(drive, cfg)  # warm: process-wide tables are filled
+        tracemalloc.start()
+        try:
+            build_channel_exact(drive, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert levels == 300_001
+        assert peak <= 80 * levels, peak / levels
+
+
 class TestFMatricesDomain:
     @pytest.mark.parametrize("tau", [math.nan, -1.0, math.inf, -math.inf])
     def test_rejects_a_time_outside_its_domain(self, tau):

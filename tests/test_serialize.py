@@ -123,6 +123,7 @@ class TestSweepConfigDocument:
             (lambda d: d.update(seed="zero"), "/seed"),
             (lambda d: d.update(jobs=1.5), "/jobs"),
             (lambda d: d.update(split_convention="thirds"), "/split_convention"),
+            (lambda d: d.update(split_convention="per_pulse"), "/split_convention"),
             (lambda d: d.update(binomial_mode="weird"), "/binomial_mode"),
         ],
     )
@@ -252,6 +253,9 @@ _PARITY_CASES = [
     ("scaling", "fano_grid", [0.5]),
     ("scaling", "drive_kind", "Poisson"),
     ("scaling", "split_convention", 5),
+    # a convention other than the default outside split mode is a knob that does nothing
+    *[(base, "split_convention", value) for base in ("scaling", "concat", "split")
+      for value in ("physical", "per_pulse")],
 ]
 
 
