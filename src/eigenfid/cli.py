@@ -2,17 +2,24 @@
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags, schema
 violations, unreadable files) with a diagnostic naming the offending field,
-1 for failures inside a run: numerical errors, or output that cannot be
-written. Output files are written atomically,
+1 for failures inside a run: numerical errors, memory that runs out, or
+output that cannot be written. Output files are written atomically,
 so a failed run never leaves a partial CSV behind.
 
 Logging verbosity comes from the EIGENFID_LOG environment variable
 (error | warn | info | debug; default warn).
+
+The `eigenfid` script and `python -m eigenfid.cli` share one entry,
+program(). It freezes the import-time heap (gc.freeze), which is never
+garbage, so no later collection, the one at exit included, walks it again;
+pool workers fork from it frozen. main(argv), for embedding, has no
+process-wide effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -42,7 +49,7 @@ from .densmat import (
 )
 from .errors import EigenfidError, SchemaError
 from .experiments import MODES, run, write_csv, write_sidecar
-from .haar import _SEED_MAX, random_density_matrix
+from .haar import _SEED_MAX, MAX_DIM, random_density_matrix
 from .qsl import qsl_eigenerror_bound
 
 logger = logging.getLogger("eigenfid.cli")
@@ -133,8 +140,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         write_csv(result, config.output)
         sidecar = _sidecar_path(config.output)
         write_sidecar(result, sidecar)
-    # a sample count within MAX_SAMPLES can still exceed the machine's memory
-    except (EigenfidError, OSError, MemoryError) as exc:
+    except (EigenfidError, OSError) as exc:
         print(f"eigenfid: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(result.rows)} rows to {config.output} "
@@ -150,7 +156,7 @@ def _sidecar_path(output: str) -> str:
 
 def _bounds_check(args: argparse.Namespace) -> int:
     try:
-        dim = integer(args.dim, "--dim", lo=2)
+        dim = integer(args.dim, "--dim", lo=2, hi=MAX_DIM)
         trials = integer(args.trials, "--trials", lo=1)
         seed = integer(args.seed, "--seed", hi=_SEED_MAX)
     except EigenfidError as exc:
@@ -258,8 +264,20 @@ def main(argv=None) -> int:
         "qsl": _qsl,
         "inspect": _inspect,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    # a size within its bound (MAX_SAMPLES, MAX_DIM) can still exceed the
+    # machine's memory
+    except MemoryError as exc:
+        print(f"eigenfid: MemoryError: {exc}", file=sys.stderr)
+        return 1
+
+
+def program() -> int:
+    """Process entry: freeze the import-time heap, then run main()."""
+    gc.freeze()
+    return main()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(program())

@@ -15,6 +15,7 @@ independently derived child samplers rather than sharing one stream.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,6 +31,9 @@ _SEED_MAX = 2 ** 64 - 1  # seeds are unsigned 64-bit integers
 # an estimate holds one float per sample, so a count is at most the length of
 # the largest float64 array numpy can size: 2**60 - 1 on a 64-bit machine
 MAX_SAMPLES = int(np.iinfo(np.intp).max) // 8
+# a random density matrix is a dim x dim complex (16 B) array, so dim is at
+# most the side of the largest one numpy can size: 759250124 on a 64-bit machine
+MAX_DIM = math.isqrt(int(np.iinfo(np.intp).max) // 16)
 # rows per Bloch block. With 4096, a Monte Carlo estimate at 10^6 samples
 # peaks at 8.5 B per sample under tracemalloc (80 B as one full-array pass),
 # and at 2e4 samples it takes 1.9-2.7 ms against the full pass's 2.4-3.0 ms
@@ -175,8 +179,12 @@ def sample_pure(sampler: SeededSampler) -> PureState:
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Full-rank random state G G^dag / tr(G G^dag) with Ginibre G."""
-    dim = integer(dim, "dimension", DimensionMismatch, 1)
+    """Full-rank random state G G^dag / tr(G G^dag) with Ginibre G.
+
+    dim is at most MAX_DIM; a larger one raises DimensionMismatch before
+    anything is drawn.
+    """
+    dim = integer(dim, "dimension", DimensionMismatch, 1, MAX_DIM)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     m = m / np.trace(m).real

@@ -1,13 +1,14 @@
 """End-to-end checks for the command-line front end.
 
 Most tests drive ``eigenfid.cli.main`` in-process and read the captured
-streams; one smoke test runs the ``eigenfid`` console-script launcher
-declared in ``pyproject.toml`` in a separate process, against the tree
-under test.
+streams; a few run the process entry in a separate process, against the
+tree under test: as ``python -m eigenfid.cli`` and through the ``eigenfid``
+console-script launcher declared in ``pyproject.toml``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from eigenfid import serialize
 from eigenfid.channel import QubitChannel
 from eigenfid.cli import main
 from eigenfid.densmat import DensityMatrix
+from eigenfid.haar import MAX_DIM
 from eigenfid.qsl import qsl_eigenerror_bound
 
 
@@ -131,12 +133,25 @@ class TestBoundsCheck:
         ["bounds-check", "--trials", "0"],
         ["bounds-check", "--seed", "-1"],
         ["bounds-check", "--seed", str(2**64)],
+        # past the side of the largest complex matrix numpy can size: nothing is drawn
+        *(["bounds-check", "--dim", str(dim), "--trials", "1"]
+          for dim in (MAX_DIM + 1, 3_037_000_500, 4_000_000_000)),
     ])
     def test_bad_arguments_exit_two(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err
         assert f"config error: {argv[1]} must be in [" in err
+
+    def test_a_draw_out_of_memory_exits_one_on_one_line(self, capsys, monkeypatch):
+        def exhausted(rng, dim):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr("eigenfid.cli.random_density_matrix", exhausted)
+        assert main(["bounds-check", "--dim", "100000", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "eigenfid: MemoryError: Unable to allocate 74.5 GiB for an array\n"
 
 
 class TestInspect:
@@ -443,21 +458,63 @@ class TestLoggingEnvironment:
         assert float(capsys.readouterr().out) > 0
 
 
+# prefixed to a checked process: at exit it prints how many objects are frozen
+_FREEZE_PROBE = ("import atexit, gc\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n")
+_SRC = Path(eigenfid.__file__).resolve().parents[1]
+
+
+def _run_python(args, cwd) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _version_and_freeze_count(proc: subprocess.CompletedProcess) -> tuple[str, int]:
+    assert proc.returncode == 0, proc.stderr
+    version, frozen = proc.stdout.splitlines()
+    label, count = frozen.split()
+    assert label == "frozen"
+    return version, int(count)
+
+
 class TestConsoleScript:
-    def test_installed_entry_point_reports_version(self, tmp_path):
+    @staticmethod
+    def _launch(tmp_path, prelude: str = "") -> subprocess.CompletedProcess:
         tomllib = pytest.importorskip("tomllib")
-        src = Path(eigenfid.__file__).resolve().parents[1]
-        with open(src.parent / "pyproject.toml", "rb") as fh:
+        with open(_SRC.parent / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         # The launcher the PyPA entry-points specification prescribes for
         # a ``module:attr`` console script, run against the tree under test.
         module, attr = scripts["eigenfid"].split(":")
         launcher = tmp_path / "eigenfid"
         launcher.write_text(
-            f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())\n")
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        proc = subprocess.run([sys.executable, str(launcher), "--version"],
-                              cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=60)
+            prelude + f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())\n")
+        return _run_python([str(launcher), "--version"], tmp_path)
+
+    def test_installed_entry_point_reports_version(self, tmp_path):
+        proc = self._launch(tmp_path)
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"eigenfid {eigenfid.__version__}"
+
+    def test_installed_entry_point_freezes_the_import_time_heap(self, tmp_path):
+        version, frozen = _version_and_freeze_count(self._launch(tmp_path, _FREEZE_PROBE))
+        assert version == f"eigenfid {eigenfid.__version__}"
+        assert frozen > 0
+
+
+class TestProcessEntry:
+    def test_python_m_freezes_the_import_time_heap(self, tmp_path):
+        # what ``python -m eigenfid.cli --version`` runs, with the probe first
+        code = _FREEZE_PROBE + ("import runpy, sys\n"
+                                "sys.argv = ['eigenfid', '--version']\n"
+                                "runpy.run_module('eigenfid.cli', run_name='__main__')\n")
+        version, frozen = _version_and_freeze_count(_run_python(["-c", code], tmp_path))
+        assert version == f"eigenfid {eigenfid.__version__}"
+        assert frozen > 0
+
+    def test_main_freezes_nothing(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["--version"]) == 0
+        assert gc.get_freeze_count() == frozen
+        assert capsys.readouterr().out.strip() == f"eigenfid {eigenfid.__version__}"

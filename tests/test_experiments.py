@@ -550,17 +550,21 @@ class TestMonteCarloDraws:
             assert row[idx["eigenerror_mc_stderr"]] == err
 
     def test_a_sweep_without_monte_carlo_never_loads_numpy_random(self):
-        # loading numpy.random costs a CLI process about 15 ms and 5 MB
+        # loading numpy.random costs a CLI process about 15 ms and 5 MB, and
+        # the pool's modules, imported only where a pool starts, about 12 ms
         code = ("import sys\n"
+                "import eigenfid.cli\n"
                 "from eigenfid import SweepConfig, run\n"
                 "run(SweepConfig(mode='concat', nbar_grid=(25.0, 60.0), tau_grid=(1.0,),"
                 " concat_grid=(1, 2)))\n"
-                "print('numpy.random' in sys.modules)\n")
+                "print('numpy.random' in sys.modules)\n"
+                "print([m for m in ('multiprocessing', 'concurrent.futures')"
+                " if m in sys.modules])\n")
         env = {**os.environ, "PYTHONPATH": str(Path(eigenfid.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines() == ["False", "[]"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from eigenfid import (
     sample_pure,
 )
 from eigenfid.errors import DimensionMismatch
-from eigenfid.haar import _BLOCK, MAX_SAMPLES
+from eigenfid.haar import _BLOCK, MAX_DIM, MAX_SAMPLES
 
 
 class TestSampler:
@@ -305,3 +305,29 @@ class TestSamplerDomain:
         monkeypatch.setattr(sampler, "_rng", Rng())
         sampler.sample_amplitudes(MAX_SAMPLES // 4)
         assert shapes == [(MAX_SAMPLES // 4, 4)]
+
+    def test_max_dim_is_the_side_of_the_largest_complex_matrix_numpy_can_size(self):
+        # a density matrix is dim x dim complex values of 16 bytes each
+        assert 16 * MAX_DIM ** 2 <= np.iinfo(np.intp).max < 16 * (MAX_DIM + 1) ** 2
+        with pytest.raises(ValueError, match="too big"):
+            np.empty((MAX_DIM + 1, MAX_DIM + 1), dtype=complex)
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 3_037_000_500, 4_000_000_000])
+    def test_rejects_a_density_matrix_numpy_cannot_size_before_drawing(self, dim):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(DimensionMismatch, match=f"in \\[1, {MAX_DIM}\\]"):
+            random_density_matrix(rng, dim)
+        assert rng.bit_generator.state == state
+
+    def test_largest_density_matrix_passes_the_dimension_check(self):
+        # the draw itself is not made: a 2 x 2 stand-in is returned for it
+        shapes = []
+
+        class Rng:
+            def standard_normal(self, shape):
+                shapes.append(shape)
+                return np.eye(2)
+
+        assert random_density_matrix(Rng(), MAX_DIM).dim == 2
+        assert shapes == [(MAX_DIM, MAX_DIM)] * 2
