@@ -28,8 +28,10 @@ _SHAPES = {(None,): "a nonempty vector", (None, None): "a nonempty square matrix
 
 
 def real(value, what: str, error: type = UnsupportedParameters, lo: float = -math.inf,
-         hi: float = math.inf, *, lo_open: bool = False, finite: bool = True) -> float:
-    """value as a float in [lo, hi], or (lo, hi] with lo_open; finite unless finite is False.
+         hi: float = math.inf, *, lo_open: bool = False, hi_open: bool = False,
+         finite: bool = True) -> float:
+    """value as a float in [lo, hi], with lo or hi left out under lo_open or
+    hi_open; finite unless finite is False.
 
     An integer too large for a float is taken as the infinity of its sign,
     so it fails where an infinity does.
@@ -44,7 +46,8 @@ def real(value, what: str, error: type = UnsupportedParameters, lo: float = -mat
         except OverflowError:
             number = math.inf if value > 0 else -math.inf
     # written so that NaN fails it
-    if (lo < number if lo_open else lo <= number) and number <= hi \
+    if (lo < number if lo_open else lo <= number) \
+            and (number < hi if hi_open else number <= hi) \
             and (not finite or math.isfinite(number)):
         return number
     if hi == math.inf and lo == 0:
@@ -52,7 +55,8 @@ def real(value, what: str, error: type = UnsupportedParameters, lo: float = -mat
     elif hi == math.inf and lo == -math.inf:
         domain = "finite" if finite else "a number"
     else:
-        domain = f"in {'(' if lo_open else '['}{_NAMED.get(lo, lo)}, {_NAMED.get(hi, hi)}]"
+        domain = (f"in {'(' if lo_open else '['}{_NAMED.get(lo, lo)}, "
+                  f"{_NAMED.get(hi, hi)}{')' if hi_open else ']'}")
     _fail(error, what, domain, _shown(value))
 
 

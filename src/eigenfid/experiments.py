@@ -42,6 +42,7 @@ from .errors import BudgetTooSmall, SchemaError, UnsupportedParameters
 from .haar import _SEED_MAX, MAX_SAMPLES, SeededSampler
 from .jcdrive import (
     _MOMENT_KINDS,
+    MAX_POISSON_MEAN,
     _binomial_support,
     _exact_transfers,
     asymptotic_eigenerror_lower_bound,
@@ -86,6 +87,14 @@ _GRID_RULES = {
     "tau_grid": lambda v, path: real(v, path, SchemaError, 0, EXACT),
     "concat_grid": lambda v, path: integer(v, path, SchemaError, 1, strict=True),
 }
+
+
+def _poisson_mean(nbar: float, path: str) -> float:
+    """nbar, or SchemaError at path when no poisson drive has that mean."""
+    if nbar > MAX_POISSON_MEAN:
+        raise SchemaError(path, f"a poisson drive's mean must be at most {MAX_POISSON_MEAN:g}, "
+                                f"got {nbar!r}")
+    return nbar
 
 
 def _binomial_pair(nbar: float, fano: float, path: str) -> None:
@@ -143,6 +152,11 @@ class SweepConfig:
         for name in _MODES[self.mode].axes:
             if not _axis(self, name):
                 raise SchemaError(f"/{name}", f"must be non-empty for mode {self.mode!r}")
+        if self.drive_kind == "poisson":
+            # split gates are driven at nbar / C, the most at the fewest gates
+            fewest = min(self.concat_grid) if self.mode == "split" else 1
+            for i, nbar in enumerate(self.nbar_grid):
+                _poisson_mean(nbar / fewest, f"/nbar_grid/{i}")
         # a poisson config has no fano_grid, so no pairs
         for nbar, (j, fano) in itertools.product(self.nbar_grid, enumerate(self.fano_grid)):
             _binomial_pair(nbar, fano, f"/fano_grid/{j}")

@@ -20,7 +20,14 @@ from ._domain import choice, integer, real
 from .channel import _IMAGES, QubitChannel
 from .densmat import DensityMatrix
 from .errors import SchemaError, UnsupportedParameters
-from .experiments import _GRID_RULES, SweepConfig, _atomic_write, _binomial_pair, _json_text
+from .experiments import (
+    _GRID_RULES,
+    SweepConfig,
+    _atomic_write,
+    _binomial_pair,
+    _json_text,
+    _poisson_mean,
+)
 from .jcdrive import (
     _DRIVE_KINDS,
     DriveDistribution,
@@ -151,7 +158,8 @@ def drive_from_spec(spec: dict) -> DriveDistribution:
             _fail(f"{path}/nbar", "missing: poisson drives need a mean")
         if "fano" in spec:
             _fail(f"{path}/fano", "poisson drives have no Fano factor")
-        return poisson_drive(_GRID_RULES["nbar_grid"](spec["nbar"], f"{path}/nbar"))
+        nbar = _GRID_RULES["nbar_grid"](spec["nbar"], f"{path}/nbar")
+        return poisson_drive(_poisson_mean(nbar, f"{path}/nbar"))
     if kind == "binomial":
         for key in ("nbar", "fano"):
             if key not in spec:

@@ -405,6 +405,25 @@ class TestSweepRuns:
             capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_a_poisson_mean_above_the_maximum_exits_two(self, capsys, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", nbar_grid=[25.0, 2e8],
+                            output=str(tmp_path / "x.csv"))
+        assert main(["scaling", "--config", cfg]) == 2
+        assert "config error: /nbar_grid/1: a poisson drive's mean must be at most 1e+08" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_scaling_runs_at_means_where_the_greedy_search_never_ended(self, capsys, tmp_path,
+                                                                       time_limit):
+        csv = tmp_path / "run.csv"
+        cfg = _write_config(tmp_path / "cfg.json", nbar_grid=[1208.3197359978, 3000.0],
+                            output=str(csv))
+        with time_limit(20):
+            assert main(["scaling", "--config", cfg]) == 0
+        assert "wrote 4 rows" in capsys.readouterr().out
+        nbars = [float(row[1]) for row in _read_rows(csv)[1:]]  # 11 significant digits
+        assert nbars == pytest.approx([1208.3197359978] * 2 + [3000.0] * 2, rel=1e-10)
+
     def test_missing_config_file_exits_two(self, capsys, tmp_path):
         assert main(["scaling", "--config", str(tmp_path / "gone.json")]) == 2
         assert "config error" in capsys.readouterr().err

@@ -122,6 +122,26 @@ class TestSweepConfig:
             _scaling_config(**kw)
         assert excinfo.value.path == path
 
+    @pytest.mark.parametrize("kw, path", [
+        (dict(nbar_grid=(25.0, 1e8 * (1 + 2 ** -52))), "/nbar_grid/1"),
+        (dict(mode="concat", nbar_grid=(2e8,), concat_grid=(1,)), "/nbar_grid/0"),
+        # a split gate is driven at nbar / C; at the fewest gates here, 1.5e8
+        (dict(mode="split", nbar_grid=(25.0, 3e8), concat_grid=(4, 2)), "/nbar_grid/1"),
+    ])
+    def test_rejects_a_poisson_mean_above_the_maximum(self, kw, path):
+        with pytest.raises(SchemaError, match="mean must be at most 1e") as excinfo:
+            _scaling_config(**kw)
+        assert excinfo.value.path == path
+
+    @pytest.mark.parametrize("kw", [
+        dict(nbar_grid=(1e8,)),
+        dict(mode="split", nbar_grid=(3e8,), concat_grid=(3, 4)),
+        # the rule is the poisson drive's: binomial means are bounded by their shift
+        dict(drive_kind="binomial", nbar_grid=(2e8,), fano_grid=(0.5,)),
+    ])
+    def test_takes_a_poisson_mean_up_to_the_maximum(self, kw):
+        _scaling_config(**kw)
+
     def test_poisson_drive_takes_no_fano_grid(self):
         with pytest.raises(SchemaError) as excinfo:
             _scaling_config(fano_grid=(0.3,))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import inspect
 import math
 import re
@@ -10,6 +9,7 @@ import tracemalloc
 import warnings
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,7 +82,9 @@ class TestPoissonDrive:
 
     def test_metadata(self):
         drive = poisson_drive(5.0, tail_tol=1e-10)
+        trimmed = drive.metadata.pop("trimmed_mass")
         assert drive.metadata == {"requested_mean": 5.0, "tail_tol": 1e-10}
+        assert 0 < trimmed <= 7 / 8 * 1e-10  # at most 7/16 of tail_tol a side
 
     @pytest.mark.parametrize("nbar", [0.0, -2.0])
     def test_rejects_nonpositive_mean(self, nbar):
@@ -94,10 +96,27 @@ class TestPoissonDrive:
         with pytest.raises(InvalidMean):
             poisson_drive(nbar)
 
-    @pytest.mark.parametrize("tail_tol", [math.nan, math.inf, 0.0, -1e-12])
+    @pytest.mark.parametrize("tail_tol", [math.nan, math.inf, 0.0, -1e-12, 1.0, 2.0])
     def test_rejects_a_tail_tolerance_outside_its_domain(self, tail_tol):
-        with pytest.raises(UnsupportedParameters):
+        with pytest.raises(UnsupportedParameters, match=r"tail_tol must be in \(0, 1\)"):
             poisson_drive(5.0, tail_tol=tail_tol)
+
+    @pytest.mark.parametrize("tail_tol", [5e-324, 0.5, 1 - 2 ** -53])
+    def test_takes_any_tail_tolerance_in_its_domain(self, tail_tol):
+        drive = poisson_drive(5.0, tail_tol=tail_tol)
+        assert drive.metadata["trimmed_mass"] <= 7 / 8 * tail_tol
+
+    @pytest.mark.parametrize("nbar", [math.nextafter(jcdrive.MAX_POISSON_MEAN, math.inf),
+                                      1e15, 2 ** 53])
+    def test_rejects_a_mean_above_the_maximum_before_allocating(self, nbar):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidMean, match=r"must be in \(0, 100000000.0\]"):
+                poisson_drive(nbar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 14
 
 
 class TestBinomialDrive:
@@ -631,25 +650,29 @@ class TestBuildChannelsExact:
 # ---------------------------------------------------------------------------
 # vectorized constructions against the scalar rules they replaced
 
-def _scalar_poisson(nbar: float, tail_tol: float) -> tuple[int, int, np.ndarray]:
-    """Window and renormalized weights from the level-by-level greedy loop."""
+def _scalar_poisson(nbar: float, tail_tol: float) -> tuple[int, int, np.ndarray, float]:
+    """Window, renormalized weights and trimmed mass, level by level: the pmf
+    within the Bernstein half-width of nbar, less the outermost levels of
+    each side while their running sum stays within 7 tail_tol / 16."""
     def logpmf(n: int) -> float:
         return -nbar + n * math.log(nbar) - math.lgamma(n + 1)
 
-    lo = hi = int(nbar)
-    total = math.exp(logpmf(lo))
-    while total < 1.0 - tail_tol:
-        p_lo = math.exp(logpmf(lo - 1)) if lo > 0 else -1.0
-        p_hi = math.exp(logpmf(hi + 1))
-        if p_lo >= p_hi:
-            lo -= 1
-            total += p_lo
-        else:
-            hi += 1
-            total += p_hi
-    w = np.exp([logpmf(k) for k in range(lo, hi + 1)])
-    w /= w.sum()
-    return lo, hi, w
+    big_l = math.log(16.0) - math.log(tail_tol)
+    reach = big_l / 3 + math.sqrt(big_l ** 2 / 9 + 2 * big_l * nbar)
+    first, last = max(0, math.ceil(nbar - reach)), math.floor(nbar + reach)
+    p = np.exp([logpmf(k) for k in range(first, last + 1)])
+    budget = 7 * tail_tol / 16
+    lo, total = 0, 0.0
+    while total + p[lo] <= budget:
+        total += p[lo]
+        lo += 1
+    hi, total = len(p) - 1, 0.0
+    while total + p[hi] <= budget:
+        total += p[hi]
+        hi -= 1
+    trimmed = float(p[:lo].sum() + p[hi + 1:].sum())
+    w = p[lo:hi + 1]
+    return first + lo, first + hi, w / w.sum(), trimmed
 
 
 def _scalar_binomial_weights(n_trials: int) -> np.ndarray:
@@ -660,21 +683,35 @@ def _scalar_binomial_weights(n_trials: int) -> np.ndarray:
 
 def _assert_poisson_matches_scalar(nbar: float, tail_tol: float) -> None:
     drive = poisson_drive(nbar, tail_tol=tail_tol)
-    lo, hi, w = _scalar_poisson(nbar, tail_tol)
+    lo, hi, w, trimmed = _scalar_poisson(nbar, tail_tol)
     assert (drive.n_min, drive.n_max) == (lo, hi), nbar
     assert np.array_equal(drive.coefficients, np.sqrt(w)), nbar
+    assert drive.metadata["trimmed_mass"] == trimmed, nbar
     n = np.arange(lo, hi + 1)
     mean = float(np.sum(w * n))
     assert drive.mean == mean, nbar
     assert drive.variance == float(np.sum(w * (n - mean) ** 2)), nbar
 
 
-# none of these means makes the greedy rule hang; it never ends for some
-# means from about 1.2e3 up, at 1208.3197359978 for example
 _POISSON_GRID = sorted({*np.logspace(-3, math.log10(2e3), 41).tolist(), 1.0, 2.0, 3.0, 100.0})
-# above the grid, plus three means at which the rule never ends
+# the means at which the greedy search of earlier versions never ended
+_HANGING_POISSON_MEANS = [1208.3197359978, 1399.7442202159666, 2754.0, 3000.0, 2e4]
 _LARGE_POISSON_MEANS = sorted({*np.logspace(math.log10(2e3), 5, 12).tolist(),
-                               1399.7442202159666, 2754.0, 3000.0})
+                               *_HANGING_POISSON_MEANS, 1e6, jcdrive.MAX_POISSON_MEAN})
+# the true discarded mass is checked on these means
+_TAIL_MEANS = sorted({*np.logspace(-3, 8, 23).tolist(), 25.0, 900.0, *_HANGING_POISSON_MEANS})
+
+
+def _true_discarded_mass(drive) -> mpmath.mpf:
+    """Poisson(mean) mass outside the drive's window, to 40 digits: the
+    regularized upper incomplete gamma Q(k, mean) is P(X < k). Taken at 60
+    digits, so 1 - Q(n_max + 1, mean) keeps 40 where Q is near 1."""
+    with mpmath.workdps(60):
+        nbar = mpmath.mpf(drive.metadata["requested_mean"])
+        below = mpmath.gammainc(drive.n_min, nbar, mpmath.inf, regularized=True) \
+            if drive.n_min else mpmath.mpf(0)
+        return below + 1 - mpmath.gammainc(drive.n_max + 1, nbar, mpmath.inf, regularized=True)
+
 
 _BINOMIAL_DRIVES = {
     "moment-matched": lambda: binomial_drive(25.0, 5.0),
@@ -694,66 +731,48 @@ def test_time_limit_stops_a_loop_that_never_ends(time_limit):
 
 class TestScalarRules:
     @pytest.mark.parametrize("tail_tol", [1e-12, 1e-10, 1e-6])
-    def test_poisson_drive_matches_the_greedy_loop(self, time_limit, tail_tol):
+    def test_poisson_drive_matches_the_level_by_level_rule(self, time_limit, tail_tol):
         with time_limit(20):
             for nbar in _POISSON_GRID:
                 _assert_poisson_matches_scalar(nbar, tail_tol)
 
     @pytest.mark.parametrize("nbar", _LARGE_POISSON_MEANS)
-    def test_large_means_match_the_greedy_loop_or_both_never_end(self, time_limit, nbar):
-        # the scalar loop takes about 6 ms at nbar = 1e5 on a 2-vCPU Xeon VM
-        def within_limit(build):
-            with contextlib.suppress(TimeoutError), time_limit(0.2):
-                return build()
-            return None
-
-        drive = within_limit(lambda: poisson_drive(nbar))
-        scalar = within_limit(lambda: _scalar_poisson(nbar, 1e-12))
-        assert (drive is None) == (scalar is None), nbar
-        if drive is not None:
-            lo, hi, w = scalar
-            assert (drive.n_min, drive.n_max) == (lo, hi), nbar
-            assert np.array_equal(drive.coefficients, np.sqrt(w)), nbar
-
-    @pytest.mark.parametrize("nbar", [0.3, 7.0, 50.0, 900.0])
-    def test_window_chunks_leave_the_drive_unchanged(self, monkeypatch, time_limit, nbar):
-        # one level per side and chunk: every step crosses a chunk boundary
-        monkeypatch.setattr(jcdrive, "_WINDOW_CHUNK_LEVELS", 1)
-        monkeypatch.setattr(jcdrive, "_WINDOW_CHUNK_SIGMAS", 0)
+    def test_large_means_match_the_level_by_level_rule(self, time_limit, nbar):
+        # the level-by-level rule takes about 0.1 s at nbar = 1e8 on a 2-vCPU Xeon VM
         with time_limit(20):
             _assert_poisson_matches_scalar(nbar, 1e-12)
 
-    def test_default_search_takes_one_pass(self, monkeypatch):
-        # the first chunk pair holds the whole window at the default
-        # tail_tol, so the log-weights are computed once, and on no more
-        # than 12 + 7.5 sigma levels on either side of int(nbar)
-        calls = []
-        logpmf = jcdrive._poisson_logpmf
+    @pytest.mark.parametrize("nbar", _HANGING_POISSON_MEANS)
+    def test_poisson_drive_ends_where_the_greedy_search_never_did(self, time_limit, nbar):
+        # the drive takes under 2 ms at these means
+        with time_limit(0.5):
+            drive = poisson_drive(nbar)
+        assert drive.n_min < nbar < drive.n_max
 
-        def spy(nbar, start, stop):
-            calls.append((start, stop))
-            return logpmf(nbar, start, stop)
+    @pytest.mark.parametrize("tail_tol", [1e-6, 1e-10, 1e-12])
+    def test_poisson_drive_discards_at_most_tail_tol(self, time_limit, tail_tol):
+        # the greedy search of earlier versions discarded 1.056 tail_tol at
+        # nbar = 900 and 19.6 tail_tol at 1e5, at tail_tol = 1e-12
+        with time_limit(60):
+            for nbar in _TAIL_MEANS:
+                drive = poisson_drive(nbar, tail_tol=tail_tol)
+                discarded = _true_discarded_mass(drive)
+                assert discarded <= tail_tol, (nbar, float(discarded / tail_tol))
+                # past the trimmed levels, at most tail_tol / 16 a side
+                assert discarded - drive.metadata["trimmed_mass"] <= tail_tol / 8, nbar
 
-        monkeypatch.setattr(jcdrive, "_poisson_logpmf", spy)
-        for nbar in _POISSON_GRID:
-            calls.clear()
-            poisson_drive(nbar)
-            assert len(calls) == 1, (nbar, calls)
-            (start, stop), reach = calls[0], 12 + 7.5 * math.sqrt(nbar)
-            assert int(nbar) - start <= reach and stop - 1 - int(nbar) <= reach, (nbar, calls)
-
-    def test_search_memory_stays_bounded(self, time_limit):
-        # at this mean the rounded running sum stalls below 1 - tail_tol and
-        # the search never ends; whether it ends or is stopped, it holds no
-        # more than one chunk at a time
+    def test_window_memory_stays_bounded(self, time_limit):
+        # at the largest mean, 1.4e5 kept levels: the window's log-factorials,
+        # pmf and two running sums, and the kept copies; 41 B a kept level
+        # measured on a 2-vCPU Xeon VM
         tracemalloc.start()
         try:
-            with contextlib.suppress(TimeoutError), time_limit(0.3):
-                poisson_drive(3000.0)
+            with time_limit(20):
+                drive = poisson_drive(jcdrive.MAX_POISSON_MEAN)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert peak <= 48 * len(drive.coefficients), peak / len(drive.coefficients)
 
     def test_binomial_weights_match_the_comprehension(self, time_limit):
         with time_limit(20):
@@ -898,11 +917,11 @@ def _copied_drive(kind, coefficients, n_min, metadata=None, moments=None):
 
 
 def _copied_poisson_drive(nbar: float, tail_tol: float = 1e-12):
-    # the greedy loop's window and weights equal poisson_drive's bit for bit
-    # (TestScalarRules); what follows them is the code under test
-    lo, hi, w = _scalar_poisson(nbar, tail_tol)
+    # the level-by-level rule's window and weights equal poisson_drive's bit
+    # for bit (TestScalarRules); what follows them is the code under test
+    lo, hi, w, trimmed = _scalar_poisson(nbar, tail_tol)
     return _copied_drive("poisson", np.sqrt(w), lo,
-                         {"requested_mean": nbar, "tail_tol": tail_tol},
+                         {"requested_mean": nbar, "tail_tol": tail_tol, "trimmed_mass": trimmed},
                          _copied_moments(w, np.arange(lo, hi + 1)))
 
 

@@ -346,6 +346,8 @@ class TestDriveSpec:
             # no binomial drive: width 13.2, and width 41 with shift -10.25
             ({"kind": "binomial", "nbar": 10.0, "fano": 0.33}, "/drive/fano"),
             ({"kind": "binomial", "nbar": 10.25, "fano": 1.0}, "/drive/fano"),
+            # past the largest mean a poisson drive takes
+            ({"kind": "poisson", "nbar": 2e8}, "/drive/nbar"),
         ],
     )
     def test_pointer_paths(self, spec, path):
