@@ -131,6 +131,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
         config = replace(config, **{k: v for k, v in flags.items() if v is not None})
         if not config.output:
             raise SchemaError("/output", "no output path: set it in the config or pass -o")
+        for path in (config.output, _sidecar_path(config.output)):
+            if os.path.realpath(path) == os.path.realpath(args.config):
+                raise SchemaError("/output", f"{path} would overwrite the config {args.config}")
     except (EigenfidError, OSError, ValueError) as exc:
         print(f"eigenfid: config error: {exc}", file=sys.stderr)
         return 2
@@ -149,8 +152,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _sidecar_path(output: str) -> str:
-    # appended suffix, never a swapped extension: a swapped extension could
-    # collide with the config file the sweep was launched from
+    # appended suffix, never a swapped extension, so run.csv never writes
+    # over run.json; _run_sweep rejects an output whose sidecar is the config
     return output + ".json"
 
 

@@ -156,7 +156,11 @@ class SweepConfig:
             # split gates are driven at nbar / C, the most at the fewest gates
             fewest = min(self.concat_grid) if self.mode == "split" else 1
             for i, nbar in enumerate(self.nbar_grid):
-                _poisson_mean(nbar / fewest, f"/nbar_grid/{i}")
+                mean = _poisson_mean(nbar / fewest, f"/nbar_grid/{i}")
+                # a tiny mean's drive is trimmed to the vacuum, whose mean 0 reduces no tau > 0
+                if any(self.tau_grid) and mean < 1 and poisson_drive(mean).n_max == 0:
+                    raise SchemaError(f"/nbar_grid/{i}", f"the poisson drive at mean {mean!r} "
+                                      "keeps only the vacuum, which takes no tau > 0")
         # a poisson config has no fano_grid, so no pairs
         for nbar, (j, fano) in itertools.product(self.nbar_grid, enumerate(self.fano_grid)):
             _binomial_pair(nbar, fano, f"/fano_grid/{j}")

@@ -4,7 +4,7 @@ A qubit exchanging a single excitation with a bosonic drive mode couples the
 levels |n, 0> and |n-1, 1>, which oscillate at frequency omega_n = g sqrt(n).
 Tracing out a drive prepared with amplitudes b_n leaves a qubit channel whose
 basis images are expectation values of per-level matrices F_ij(n) over the
-photon-number weights |b_n|^2. This module builds drive distributions, the
+bands of |b><b| (DriveDistribution.bands). This module builds drives, the
 exact truncated-sum channel, a second-order Taylor approximant in the photon
 number, and the closed-form asymptotic eigenerror laws. The entries of F_ij(n)
 are written once, in _images: the exact sum, f_matrices and the approximant
@@ -61,14 +61,15 @@ def _mean(nbar) -> float:
 class DriveDistribution:
     """Drive state amplitudes b_n on a contiguous photon-number window.
 
-    mean and variance are the moments of |b_n|^2, computed at construction;
-    requested parameters that differ (truncation, clipping) are recorded in
-    metadata. The window ends at n_max = n_min + len(coefficients) - 1;
-    both bounds must be integers in [0, 2**53] and are stored as int. The
-    coefficients are checked as given (a float64 array is not converted)
-    and then copied once, into the read-only complex array kept. For a
-    float64 input of L levels the construction peaks at 32 L bytes, input
-    and kept copy included.
+    weights (|b_n|^2, squared once for the normalization check) are kept
+    read-only, and bands is the one way the library reads a drive. mean and
+    variance are the weights' moments, or a constructor's before its square
+    root. Requested parameters that differ (truncation, clipping) are in
+    metadata. The window ends at n_max = n_min + len(coefficients) - 1, both
+    bounds ints in [0, 2**53]. The coefficients are checked as given (a
+    float64 array is not converted), then copied once into the read-only
+    complex array kept: with the weights, 24 B a level. A float64 input of
+    L levels peaks at 32 L bytes, input included.
     """
 
     kind: str
@@ -78,6 +79,7 @@ class DriveDistribution:
     n_min: int
     n_max: int = field(init=False)
     metadata: dict = field(default_factory=dict)
+    weights: np.ndarray = field(init=False, repr=False)
 
     @np.errstate(over="ignore")  # |b_n|^2 past the float range is inf, and fails
     def __post_init__(self):
@@ -103,9 +105,10 @@ class DriveDistribution:
         mean, variance = moments or _moments(w, np.arange(n_min, n_max + 1))
         b = np.array(b, dtype=complex)
         b.setflags(write=False)
+        w.setflags(write=False)
         for name, value in (("kind", kind), ("mean", mean), ("variance", variance),
                             ("coefficients", b), ("n_min", n_min), ("n_max", n_max),
-                            ("metadata", dict(metadata))):
+                            ("metadata", dict(metadata)), ("weights", w)):
             object.__setattr__(self, name, value)
         return self
 
@@ -114,8 +117,11 @@ class DriveDistribution:
         return np.arange(self.n_min, self.n_max + 1)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.abs(self.coefficients) ** 2
+    def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, x1, y2), the bands of |b><b| that reach the qubit: weights,
+        x1_n = b_n conj(b_{n+1}) and y2_n = conj(b_n) b_{n+2}, formed per call."""
+        b = self.coefficients
+        return self.weights, b[:-1] * np.conj(b[1:]), np.conj(b[:-2]) * b[2:]
 
     @property
     def fano(self) -> float:
@@ -322,14 +328,15 @@ def _images(at, w, x1, y2, total) -> np.ndarray:
     axis -3 in the order of QubitChannel.images().
 
     at(j, weight) gives cos and sin at level n + j for the levels that weight
-    covers. w weighs the diagonal terms, x1 = b_n conj(b_{n+1}) the
-    coherences and, as a conjugate reduction, the E01 exchange (cos and sin
-    are real, so that is the sum over conj(x1)), y2 its next-neighbour term;
-    total reduces each weighted term. E10 is E01^dag, taken after the array
-    cast. Inputs meet only * (jets have no **), so window arrays, one level's
-    scalars and jets all fit; a leading axis, if any, leads the result too.
-    Each term is reduced over its own levels: zero-padding one would regroup
-    numpy's pairwise sum and change its rounding.
+    covers. w, x1, y2 are DriveDistribution.bands or their one-level forms:
+    w weighs the diagonal terms, x1 the coherences and, as a conjugate
+    reduction, the E01 exchange (cos and sin are real, so that is the sum
+    over conj(x1)), y2 its next-neighbour term; total reduces each weighted
+    term. E10 is E01^dag, taken after the array cast. Inputs meet only *
+    (jets have no **), so window arrays, one level's scalars and jets all
+    fit; a leading axis, if any, leads the result too. Each term is reduced
+    over its own levels: zero-padding one would regroup numpy's pairwise sum
+    and change its rounding.
     """
     (c0, s0), (c1, s1) = at(0, w), at(1, w)
     (c0x, _), (c1x, s1x), (c2x, _) = at(0, x1), at(1, x1), at(2, x1)
@@ -349,10 +356,10 @@ def f_matrices(n: int, tau: float, nbar: float, drive: DriveDistribution) -> tup
     and in the order of QubitChannel.images(): the one-level case of _images,
     with weights 1, conj(r1), r2 and no reduction.
 
-    The weights carry the amplitude ratios r1 = b_{n+1}/b_n and
-    r2 = b_{n+2}/b_n; they are set to zero when b_n vanishes, which keeps the
-    drive expectation of these matrices equal to the amplitude-product form
-    used by build_channel_exact for every drive without zero interior
+    The weights are the band ratios (w, x1, y2)/w_n at level n, taken from
+    r1 = b_{n+1}/b_n and r2 = b_{n+2}/b_n; they are zero when b_n vanishes,
+    which keeps the drive expectation of these matrices equal to the bands'
+    form used by build_channel_exact for every drive without zero interior
     coefficients. Ratios past the float range raise UnsupportedParameters.
     """
     n = integer(n, "photon number")
@@ -381,12 +388,8 @@ def _exact_transfers(drive: DriveDistribution, taus) -> tuple[np.ndarray, np.nda
     for tau in entries:
         JCConfig(tau=tau).interaction_time(drive.mean)  # tau >= 0; tau > 0 needs a mean
     taus = np.array(entries, dtype=float)
-    b = drive.coefficients
-    m = len(b)  # window levels n_min .. n_max; angles run to n_max + 2
-    w = np.abs(b) ** 2
-    # neighbor products on the contiguous window; entries past the edge are 0
-    x1 = b[:-1] * np.conj(b[1:])
-    y2 = np.conj(b[:-2]) * b[2:]
+    w, x1, y2 = drive.bands
+    m = len(w)  # window levels n_min .. n_max; angles run to n_max + 2
 
     images = np.empty((len(taus), 4, 2, 2), dtype=complex)  # E00, E01, E10, E11 per tau
     step = max(1, _TAU_BLOCK_ELEMENTS // (m + 2))
@@ -413,12 +416,11 @@ def build_channels_exact(drive: DriveDistribution, taus) -> list[QubitChannel]:
     one per reduced time in taus, in order.
 
     The entries come from _images on (tau x window) arrays, weighted by
-    |b_n|^2 and the two amplitude products b_n conj(b_{n+1}) and
-    conj(b_n) b_{n+2}, with total a sum over the window axis. Products,
+    DriveDistribution.bands, with total a sum over the window axis. Products,
     never ratios, handle drives with zero coefficients exactly. The window
     sums run over a leading tau axis, in blocks of taus, so the memory they
-    take is bounded whatever len(taus) is: 72 B per window level for one tau
-    (|b_n|^2, the two products, a cos and a sin row, one product). The
+    take is bounded whatever len(taus) is: 64 B per window level for one tau
+    (the two off-diagonal bands, a cos and a sin row, one product). The
     channels are checked as one stack; their images are read-only views of it.
     """
     return [QubitChannel._trusted(t, CP_TOL, r) for t, r in zip(*_exact_transfers(drive, taus))]

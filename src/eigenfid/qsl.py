@@ -87,20 +87,16 @@ def ground_energy(drive: DriveDistribution) -> float:
 
 
 def _exchange_sum(drive: DriveDistribution) -> complex:
-    """Z = sum sqrt(n+1) conj(b_n) b_{n+1} over the drive window."""
-    b = drive.coefficients
-    if len(b) < 2:
-        return 0.0 + 0.0j
-    n = drive.support[:-1]
-    return complex(np.sum(np.sqrt(n + 1) * np.conj(b[:-1]) * b[1:]))
+    """Z = sum sqrt(n+1) conj(x1_n) over the drive window; 0j below two levels."""
+    return complex(np.sum(np.sqrt(drive.support[1:]) * np.conj(drive.bands[1])))
 
 
 def jc_moments(drive: DriveDistribution, qubit: PureState,
                measure_from_ground: bool = False) -> HamiltonianMoments:
     """Exact <H> and dH of the exchange generator on the product state.
 
-    Closed forms on the truncated window:
-        <H>   = -2 Im(Z a_0 conj(a_1)),  Z = sum sqrt(n+1) conj(b_n) b_{n+1}
+    Closed forms on the window, x1 the drive's first off-diagonal band:
+        <H>   = -2 Im(Z a_0 conj(a_1)),  Z = sum sqrt(n+1) conj(x1_n)
         <H^2> = nbar_realized + |a_1|^2
     With measure_from_ground the mean is shifted above the truncated ground
     energy, the form the mean-energy time limit requires. Both scales behave

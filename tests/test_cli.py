@@ -312,6 +312,25 @@ class TestSweepRuns:
         assert (tmp_path / "run.csv.json").exists()
         assert cfg_path.read_bytes() == before
 
+    @pytest.mark.parametrize("output", ["run", "run.json", "./run", "./run.json",
+                                        "sub/../run", "sub/../run.json"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_an_output_onto_the_config_exits_two_and_writes_nothing(
+            self, capsys, tmp_path, monkeypatch, output, source):
+        # -o run writes its sidecar to run.json, -o run.json its CSV
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        cfg = _write_config(tmp_path / "run.json", **({"output": output} if source == "config"
+                                                      else {}))
+        before = (tmp_path / "run.json").read_bytes()
+        argv = ["scaling", "--config", "run.json"] + (["-o", output] if source == "flag" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("eigenfid: config error: /output: ") and "run.json" in err
+        assert (tmp_path / "run.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "sub"]
+        assert main(["scaling", "--config", cfg, "-o", "run.csv"]) == 0
+
     def test_repeat_runs_agree_modulo_runtime(self, capsys, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = _write_config(tmp_path / "cfg.json", output=str(first))
@@ -412,6 +431,20 @@ class TestSweepRuns:
         assert "config error: /nbar_grid/1: a poisson drive's mean must be at most 1e+08" in \
             capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_a_poisson_mean_whose_drive_is_the_vacuum_exits_two(self, capsys, tmp_path):
+        csv = tmp_path / "x.csv"
+        cfg = _write_config(tmp_path / "cfg.json", nbar_grid=[1e-300], tau_grid=[1.0],
+                            output=str(csv))
+        assert main(["scaling", "--config", cfg]) == 2
+        assert "config error: /nbar_grid/0: the poisson drive at mean 1e-300 keeps only the " \
+               "vacuum" in capsys.readouterr().err
+        assert not csv.exists()
+        # at tau = 0 alone the vacuum drive runs, as it did before the check
+        cfg = _write_config(tmp_path / "cfg.json", nbar_grid=[1e-300], tau_grid=[0.0],
+                            output=str(csv))
+        assert main(["scaling", "--config", cfg]) == 0
+        assert "wrote 1 rows" in capsys.readouterr().out
 
     def test_scaling_runs_at_means_where_the_greedy_search_never_ended(self, capsys, tmp_path,
                                                                        time_limit):

@@ -142,6 +142,25 @@ class TestSweepConfig:
     def test_takes_a_poisson_mean_up_to_the_maximum(self, kw):
         _scaling_config(**kw)
 
+    @pytest.mark.parametrize("kw, path", [
+        (dict(nbar_grid=(25.0, 1e-300)), "/nbar_grid/1"),
+        (dict(nbar_grid=(4.375e-13,), tau_grid=(0.0, 1e-9)), "/nbar_grid/0"),
+        (dict(mode="concat", nbar_grid=(5e-324,), concat_grid=(2,)), "/nbar_grid/0"),
+        # a split gate is driven at nbar / C, the most at the fewest gates
+        (dict(mode="split", nbar_grid=(25.0, 8e-13), concat_grid=(4, 2)), "/nbar_grid/1"),
+    ])
+    def test_rejects_a_poisson_mean_whose_drive_is_the_vacuum(self, kw, path):
+        with pytest.raises(SchemaError, match="keeps only the vacuum") as excinfo:
+            _scaling_config(**kw)
+        assert excinfo.value.path == path
+
+    @pytest.mark.parametrize("kw", [
+        dict(nbar_grid=(1e-300, 5e-324), tau_grid=(0.0,)),
+        dict(nbar_grid=(4.4e-13,), tau_grid=(1.0,)),
+    ])
+    def test_a_tiny_poisson_mean_that_passes_the_check_runs(self, kw):
+        assert len(run(_scaling_config(**kw)).rows) == len(kw["nbar_grid"])
+
     def test_poisson_drive_takes_no_fano_grid(self):
         with pytest.raises(SchemaError) as excinfo:
             _scaling_config(fano_grid=(0.3,))

@@ -319,6 +319,35 @@ class TestDriveDistribution:
         assert (drive.mean.hex(), drive.variance.hex()) == (mean.hex(), variance.hex())
         np.testing.assert_array_equal(drive.coefficients, np.sqrt(weights[0]))
 
+    @pytest.mark.parametrize("build,args", [
+        (DriveDistribution, ("custom", [0.6, 0.8j], 2)), (poisson_drive, (25.0,)),
+        (fock_drive, (3,)),
+    ])
+    def test_weights_are_kept_once_and_read_only(self, build, args):
+        drive = build(*args)
+        assert drive.weights is drive.weights
+        assert drive.weights.dtype == np.float64 and not drive.weights.flags.writeable
+        with pytest.raises(ValueError):
+            drive.weights[0] = 0.5
+        np.testing.assert_array_equal(drive.weights, np.abs(drive.coefficients) ** 2)
+        with pytest.raises(TypeError):
+            DriveDistribution("custom", [1.0], 2, weights=np.ones(1))
+
+    @pytest.mark.parametrize("drive", [
+        poisson_drive(0.3), poisson_drive(25.0), poisson_drive(1e3), poisson_drive(5e4),
+        binomial_drive(16.0, 4.0), fock_drive(7), custom_drive([0.6, 0.8], 4),
+        custom_drive([0.3, 0.0, 0.5j, 0.0, -0.4 + 0.2j, 0.1 - 0.7j], 2),
+    ], ids=["poisson-0.3", "poisson-25", "poisson-1e3", "poisson-5e4", "binomial", "fock",
+            "custom-two-level", "custom-complex"])
+    def test_bands_are_the_amplitude_products_byte_for_byte(self, drive):
+        b = drive.coefficients
+        want = (np.abs(b) ** 2, b[:-1] * np.conj(b[1:]), np.conj(b[:-2]) * b[2:])
+        got = drive.bands
+        assert got[0] is drive.weights
+        for band, ref, length in zip(got, want, (len(b), len(b) - 1, len(b) - 2)):
+            assert (band.dtype, band.shape) == (ref.dtype, (max(length, 0),))
+            assert band.tobytes() == ref.tobytes()
+
     def test_a_far_window_is_not_rejected_by_its_own_rounding(self):
         # the moments of |sqrt(w)|^2 and of w differ by about 1e-7 here, past
         # the absolute tolerance at which declared moments were compared
@@ -442,7 +471,7 @@ class TestBuildChannelExact:
         for lost in (0.5, 5e-9):
             drive = SimpleNamespace(
                 mean=5.0,
-                coefficients=np.array([math.sqrt(1.0 - lost) + 0j]),
+                bands=_one_level_bands(math.sqrt(1.0 - lost)),
                 support=np.array([5]),
                 n_min=5,
                 n_max=5,
@@ -493,6 +522,11 @@ class TestBuildChannelExact:
                     oracles.partial_trace_qubit(joint.reshape(-1, 2)), via_channel.matrix,
                     atol=1e-10
                 )
+
+
+def _one_level_bands(b: float) -> tuple:
+    """The bands of a one-level window of amplitude b: |b|^2 and two empty off-diagonals."""
+    return np.array([abs(b) ** 2]), np.zeros(0, complex), np.zeros(0, complex)
 
 
 def _per_tau_images(drive, tau: float) -> tuple:
@@ -622,8 +656,8 @@ class TestBuildChannelsExact:
             build_channels_exact(poisson_drive(7.0), (0.5, -0.1))
 
     def test_truncation_guard_names_the_first_bad_time(self):
-        drive = SimpleNamespace(mean=5.0, coefficients=np.array([math.sqrt(0.5) + 0j]),
-                                n_min=5, n_max=5)
+        drive = SimpleNamespace(mean=5.0, bands=_one_level_bands(math.sqrt(0.5)), n_min=5,
+                                n_max=5)
         with pytest.raises(TruncationError, match="5.000e-01"):
             build_channels_exact(drive, (0.0, 0.3, 1.0))
 

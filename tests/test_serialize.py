@@ -301,6 +301,11 @@ class TestDriveSpec:
         assert drive.kind == "poisson"
         assert abs(drive.mean - 9.0) < 1e-9
 
+    def test_a_poisson_mean_trimmed_to_the_vacuum_loads_the_vacuum_drive(self):
+        # a sweep config rejects this mean when it has a tau > 0; a drive has no tau
+        drive = drive_from_spec({"kind": "poisson", "nbar": 1e-300})
+        assert (drive.kind, drive.n_min, drive.n_max, drive.mean) == ("poisson", 0, 0, 0.0)
+
     def test_binomial_uses_fano_times_mean(self):
         drive = drive_from_spec({"kind": "binomial", "nbar": 25.0, "fano": 0.2})
         assert abs(drive.variance - 5.0) < 1e-9
