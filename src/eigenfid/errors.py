@@ -50,10 +50,6 @@ class NonpositiveMeanEnergy(EigenfidError):
     """Mean energy above ground must be positive for this bound."""
 
 
-class BudgetTooSmall(EigenfidError):
-    """Photon budget per sub-gate dropped below one."""
-
-
 class SchemaError(UnsupportedParameters):
     """A document or sweep-config field is outside its schema or domain.
 
@@ -65,3 +61,7 @@ class SchemaError(UnsupportedParameters):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+class BudgetTooSmall(SchemaError):
+    """A split config's budget leaves a gate less than one photon (at /concat_grid/j)."""

@@ -89,20 +89,20 @@ _GRID_RULES = {
 }
 
 
-def _poisson_mean(nbar: float, path: str) -> float:
-    """nbar, or SchemaError at path when no poisson drive has that mean."""
-    if nbar > MAX_POISSON_MEAN:
+def _drive_rule(kind: str, nbar: float, fano, taus, path: str) -> None:
+    """SchemaError at path unless a sweep's drive (kind, nbar, fano) exists and takes taus."""
+    if kind == "binomial":
+        try:
+            _binomial_support(nbar, fano * nbar)
+        except UnsupportedParameters as exc:
+            raise SchemaError(path, f"no binomial drive at nbar={nbar}: {exc}") from None
+    elif nbar > MAX_POISSON_MEAN:
         raise SchemaError(path, f"a poisson drive's mean must be at most {MAX_POISSON_MEAN:g}, "
                                 f"got {nbar!r}")
-    return nbar
-
-
-def _binomial_pair(nbar: float, fano: float, path: str) -> None:
-    """SchemaError at path unless run's binomial drive at (nbar, fano) exists."""
-    try:
-        _binomial_support(nbar, fano * nbar)
-    except UnsupportedParameters as exc:
-        raise SchemaError(path, f"no binomial drive at nbar={nbar}: {exc}") from None
+    # a tiny mean's drive is trimmed to the vacuum, whose mean 0 reduces no tau > 0
+    elif any(taus) and nbar < 1 and poisson_drive(nbar).n_max == 0:
+        raise SchemaError(path, f"the poisson drive at mean {nbar!r} keeps only the vacuum, "
+                                "which takes no tau > 0")
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,10 @@ class SweepConfig:
 
     Construction checks every field against the sweep domain and raises
     SchemaError with the field's JSON pointer (/nbar_grid/1, /drive/kind);
-    it is the only place that knows which configs are legal. Grids become
-    tuples of floats (counts: ints), so a config that constructs runs unless
-    a drive's weights or a split's budget fail. A tau_grid left unset is
+    it is the only place that knows which configs are legal, a split budget
+    of less than one photon a gate included (BudgetTooSmall, /concat_grid/j).
+    Grids become tuples of floats (counts: ints), so a config that constructs
+    runs unless a binomial drive's weights fail. A tau_grid left unset is
     [pi/2] in split mode and empty otherwise.
     """
 
@@ -152,18 +153,21 @@ class SweepConfig:
         for name in _MODES[self.mode].axes:
             if not _axis(self, name):
                 raise SchemaError(f"/{name}", f"must be non-empty for mode {self.mode!r}")
-        if self.drive_kind == "poisson":
-            # split gates are driven at nbar / C, the most at the fewest gates
-            fewest = min(self.concat_grid) if self.mode == "split" else 1
-            for i, nbar in enumerate(self.nbar_grid):
-                mean = _poisson_mean(nbar / fewest, f"/nbar_grid/{i}")
-                # a tiny mean's drive is trimmed to the vacuum, whose mean 0 reduces no tau > 0
-                if any(self.tau_grid) and mean < 1 and poisson_drive(mean).n_max == 0:
-                    raise SchemaError(f"/nbar_grid/{i}", f"the poisson drive at mean {mean!r} "
-                                      "keeps only the vacuum, which takes no tau > 0")
-        # a poisson config has no fano_grid, so no pairs
-        for nbar, (j, fano) in itertools.product(self.nbar_grid, enumerate(self.fano_grid)):
-            _binomial_pair(nbar, fano, f"/fano_grid/{j}")
+        # every drive the grid builds passes the drive rule; split drives its
+        # C gates at nbar / C each, with at least one photon per gate
+        if self.mode == "split":
+            for (i, nbar), (j, count) in itertools.product(enumerate(self.nbar_grid),
+                                                           enumerate(self.concat_grid)):
+                _drive_rule("poisson", nbar / count, None, self.tau_grid, f"/nbar_grid/{i}")
+                if nbar / count < 1:
+                    raise BudgetTooSmall(f"/concat_grid/{j}", f"splitting {nbar} photons over "
+                                         f"{count} gates leaves {nbar / count} per gate; "
+                                         "need at least 1")
+        else:  # a bad drive is blamed on its fano, or on its nbar when it has none
+            for (i, nbar), (j, fano) in itertools.product(enumerate(self.nbar_grid),
+                                                          enumerate(_axis(self, "fano_grid"))):
+                _drive_rule(self.drive_kind, nbar, fano, self.tau_grid,
+                            f"/nbar_grid/{i}" if fano is None else f"/fano_grid/{j}")
 
 
 @dataclass(frozen=True)
@@ -243,13 +247,7 @@ def _concat_head(config: SweepConfig, drive, nbar: float, fano, count: int,
 
 def _split_drive(config: SweepConfig, nbar_total: float, tau_total: float,
                  count: int) -> tuple:
-    sub_nbar = nbar_total / count
-    if sub_nbar < 1:
-        raise BudgetTooSmall(
-            f"splitting {nbar_total} photons over {count} gates leaves "
-            f"{sub_nbar} per gate; need at least 1"
-        )
-    return sub_nbar, None
+    return nbar_total / count, None
 
 
 def _split_head(config: SweepConfig, drive, nbar_total: float, tau_total: float,

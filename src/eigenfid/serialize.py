@@ -24,9 +24,8 @@ from .experiments import (
     _GRID_RULES,
     SweepConfig,
     _atomic_write,
-    _binomial_pair,
+    _drive_rule,
     _json_text,
-    _poisson_mean,
 )
 from .jcdrive import (
     _DRIVE_KINDS,
@@ -159,14 +158,15 @@ def drive_from_spec(spec: dict) -> DriveDistribution:
         if "fano" in spec:
             _fail(f"{path}/fano", "poisson drives have no Fano factor")
         nbar = _GRID_RULES["nbar_grid"](spec["nbar"], f"{path}/nbar")
-        return poisson_drive(_poisson_mean(nbar, f"{path}/nbar"))
+        _drive_rule(kind, nbar, None, (), f"{path}/nbar")  # a drive has no tau: the vacuum loads
+        return poisson_drive(nbar)
     if kind == "binomial":
         for key in ("nbar", "fano"):
             if key not in spec:
                 _fail(f"{path}/{key}", "missing: binomial drives need nbar and fano")
         nbar = _GRID_RULES["nbar_grid"](spec["nbar"], f"{path}/nbar")
         fano = _GRID_RULES["fano_grid"](spec["fano"], f"{path}/fano")
-        _binomial_pair(nbar, fano, f"{path}/fano")
+        _drive_rule(kind, nbar, fano, (), f"{path}/fano")
         try:
             return binomial_drive(nbar, fano * nbar)
         except UnsupportedParameters as exc:  # rules that need the weights: the clipped mass

@@ -474,16 +474,19 @@ class TestSweepRuns:
         assert main(["scaling", "--config", cfg, "-o", str(chosen)]) == 0
         assert chosen.exists()
 
-    def test_budget_too_small_exits_one_without_partial_files(self, capsys,
-                                                              tmp_path):
+    @pytest.mark.parametrize("nbar, counts, path", [(4.0, [8], "/concat_grid/0"),
+                                                    (64.0, [1, 128], "/concat_grid/1")])
+    def test_budget_too_small_is_a_config_error_at_its_count_without_files(
+            self, capsys, tmp_path, nbar, counts, path):
         csv = tmp_path / "split.csv"
         cfg_doc = {"schema": 1, "mode": "split",
-                   "drive": {"kind": "poisson", "nbar": 4.0},
-                   "concat_grid": [8], "seed": 1, "output": str(csv)}
+                   "drive": {"kind": "poisson", "nbar": nbar},
+                   "concat_grid": counts, "seed": 1, "output": str(csv)}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(cfg_doc))
-        assert main(["split", "--config", str(cfg)]) == 1
-        assert "BudgetTooSmall" in capsys.readouterr().err
+        assert main(["split", "--config", str(cfg)]) == 2
+        assert f"eigenfid: config error: {path}: splitting {nbar} photons over " \
+            f"{counts[-1]} gates leaves 0.5 per gate" in capsys.readouterr().err
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != "cfg.json"]
         assert leftovers == []
 

@@ -350,6 +350,7 @@ _ERROR_NAMES = [name for name in eigenfid.__all__
 VALID = {
     **{name: lambda: _call("message") for name in _ERROR_NAMES},
     "SchemaError": lambda: _call("/nbar_grid/0", "message"),
+    "BudgetTooSmall": lambda: _call("/concat_grid/0", "message"),
     # channel
     "ChoiMatrix": lambda: _call(choi_matrix(QubitChannel.identity(), TargetGate.x()).entries),
     "QubitChannel": lambda: _call(*QubitChannel.identity().images(), cp_slack=1e-8),
@@ -662,8 +663,8 @@ def test_the_contract_sees_the_array_parameters():
 
 
 # string-choice parameters are the string-valued ones, less these free-text ones
-FREE_TEXT = {"SchemaError": ["path", "message"], "write_csv": ["path"],
-             "write_sidecar": ["path"]}
+FREE_TEXT = {"SchemaError": ["path", "message"], "BudgetTooSmall": ["path", "message"],
+             "write_csv": ["path"], "write_sidecar": ["path"]}
 
 
 def _choice_parameters(name: str) -> list:

@@ -210,6 +210,13 @@ class TestSweepConfig:
             _scaling_config(drive_kind="binomial", nbar_grid=nbar_grid, fano_grid=fano_grid)
         assert excinfo.value.path == path
 
+    def test_a_budget_too_small_to_split_fails_at_its_count(self):
+        # 64 photons over 128 gates leave 0.5 a gate: the config fails, not the run
+        with pytest.raises(BudgetTooSmall, match="leaves 0.5 per gate; need at least 1") as exc:
+            SweepConfig(mode="split", nbar_grid=(64.0,), concat_grid=(1, 128))
+        assert isinstance(exc.value, SchemaError)
+        assert exc.value.path == "/concat_grid/1"
+
     def test_the_clipped_mass_of_a_binomial_pair_is_checked_at_run_time(self):
         # width 40 centered on 10: 3.4e-4 of the mass lies below level 0
         cfg = _scaling_config(drive_kind="binomial", nbar_grid=(10.0,), fano_grid=(1.0,))
@@ -307,9 +314,14 @@ class TestSweepResult:
 # scaling sweeps
 
 class TestRunScaling:
-    def test_frozen_gate_has_no_error(self):
-        res = run_scaling(_scaling_config(tau_grid=(0.0,)))
-        assert res.column("eigenerror_exact") == (0.0,)
+    def test_frozen_gate_error_is_at_most_one_rounding(self):
+        # at tau = 0 the channel is the drive's rounded sum of weights times the
+        # identity; that sum misses 1 by a rounding at 65 of these means, of
+        # either sign, so the error is 0 or at most one eps in size
+        nbars = tuple(float(v) for v in np.geomspace(10.0, 1e3, 200))
+        res = run_scaling(_scaling_config(nbar_grid=nbars, tau_grid=(0.0,)))
+        errors = np.array(res.column("eigenerror_exact"))
+        assert np.abs(errors).max() <= np.finfo(float).eps
 
     def test_bracket_and_reported_value(self):
         res = run_scaling(_scaling_config(nbar_grid=(25.0, 50.0), tau_grid=(PI / 4, PI / 2)))

@@ -285,6 +285,20 @@ class TestOneRuleSet:
             fields[field] = value
         assert _outcome(lambda: SweepConfig(**fields)) == _outcome(lambda: _json_config(fields))
 
+    @pytest.mark.parametrize("kind, nbar, fano", [("poisson", 2e8, None),
+                                                  ("binomial", 10.0, 0.33),
+                                                  ("binomial", 10.25, 1.0)])
+    def test_a_sweep_and_a_drive_document_reject_a_drive_alike(self, kind, nbar, fano):
+        fields = {} if fano is None else {"fano": fano}
+        with pytest.raises(SchemaError) as sweep:
+            SweepConfig(mode="scaling", drive_kind=kind, nbar_grid=(nbar,),
+                        fano_grid=tuple(fields.values()), tau_grid=(1.0,))
+        with pytest.raises(SchemaError) as drive:
+            drive_from_spec({"kind": kind, "nbar": nbar, **fields})
+        field = "nbar" if fano is None else "fano"
+        assert (sweep.value.path, drive.value.path) == (f"/{field}_grid/0", f"/drive/{field}")
+        assert str(sweep.value)[len(sweep.value.path):] == str(drive.value)[len(drive.value.path):]
+
     def test_the_table_sees_both_outcomes(self):
         # a table whose values all pass, or all fail, would compare nothing
         outcomes = {_outcome(lambda: SweepConfig(**{**_PARITY_BASES[base], field: value}))[0]
